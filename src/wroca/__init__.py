@@ -44,6 +44,7 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     IntervalOutOfBounds,
+    InternalError,
     InvalidAutomaton,
     ParseError,
     PreconditionViolated,
@@ -55,7 +56,6 @@ from .fields import FieldElement, FieldSpec, add, inverse, mul, parse_element, p
 from .unfold import (
     BoundReport,
     LazyUnfolding,
-    UnfoldBound,
     bounds_for_k,
     compute_bounds,
     unfold,
@@ -80,6 +80,7 @@ __all__ = [
     "FieldMismatch",
     "FieldSpec",
     "IntervalOutOfBounds",
+    "InternalError",
     "InvalidAutomaton",
     "LazyUnfolding",
     "ParseError",
@@ -90,7 +91,6 @@ __all__ = [
     "RunStep",
     "SearchStats",
     "SyncTrace",
-    "UnfoldBound",
     "UnknownSymbol",
     "WaConfig",
     "Witness",

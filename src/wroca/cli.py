@@ -4,7 +4,8 @@ Subcommands: validate, eval, equiv, unfold, bounds, random, pumpcheck.
 JSON output (--json) is the stable machine interface; the human-readable
 format may change. Exit codes partition outcomes: 0 success/equivalent,
 1 violation/witness/not-a-pumping, 2 usage/parse/mismatch errors, 3 unknown
-symbol, 4 search budget exhausted, 5 unfolding over the state cap.
+symbol, 4 search budget exhausted, 5 unfolding over the state cap, 6 failed
+internal consistency check.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     BudgetExceeded,
     DivisionByZero,
     FieldMismatch,
+    InternalError,
     InvalidAutomaton,
     ParseError,
     ResourceBudgetExceeded,
@@ -344,6 +346,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), 4)
     except BoundTooLarge as exc:
         return _fail(str(exc), 5)
+    except InternalError as exc:
+        return _fail(f"internal error: {exc}", 6)
     except (
         ParseError,
         DivisionByZero,

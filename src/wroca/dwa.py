@@ -9,6 +9,13 @@ kept ones are pruned and never extended, so at most dim = |Q1| + |Q2|
 vectors are ever kept and the first witness reported is shortest, with ties
 broken by the alphabet's declared symbol order.
 
+The kept vectors form a basis in echelon form: one row per pivot
+coordinate, holding only coordinates above its pivot. A new vector is
+reduced by popping its coordinates from a heap in increasing order, so
+keeping or pruning a word costs work in the rows it meets, never a scan of
+the whole basis. The search runs on the raw values inside the weights
+(``fields.RawOps``) and wraps them back into FieldElement for the witness.
+
 The worklist works against any object exposing the small stepping interface
 (``initial_config``, ``step_config``, ``final_weight``, ``alphabet``,
 ``field``); materialized automata and lazy unfoldings both qualify.
@@ -18,16 +25,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Mapping, Sequence
 
 from .core import Alphabet, Configuration, Dwroca, Word
 from .errors import (
     AlphabetMismatch,
     FieldMismatch,
+    InternalError,
     ParseError,
     ResourceBudgetExceeded,
 )
-from .fields import FieldElement, FieldSpec, parse_element
+from .fields import FieldElement, FieldSpec, RawOps, parse_element
 
 
 class Dwa:
@@ -338,12 +347,18 @@ def _difference_search(
     if init_l is None or init_r is None:
         raise ValueError("equivalence search needs initialised automata")
     field = left.field
-    zero = field.zero()
+    ops = RawOps(field)
+    zero, mul, sub, inverse = ops.zero, ops.mul, ops.sub, ops.inverse
     symbol_count = len(left.alphabet)
     symbols = left.alphabet.symbols
+    final_l, final_r = left.final_weight, right.final_weight
+    step_l, step_r = left.step_config, right.step_config
 
+    # Configurations in the queue carry raw weights (see RawOps).
     entries: list[tuple[int, int]] = [(-1, -1)]
-    queue: deque = deque([(0, 0, init_l, init_r)])
+    queue: deque = deque(
+        [(0, 0, (init_l[0], init_l[1].value), (init_r[0], init_r[1].value))]
+    )
     basis: dict = {}
     explored = 0
     max_row = 0
@@ -370,58 +385,69 @@ def _difference_search(
                 row = row_of(cr[0])
                 if row > max_row:
                     max_row = row
-        f_left = cl[1] * left.final_weight(cl[0]) if cl is not None else zero
-        f_right = cr[1] * right.final_weight(cr[0]) if cr is not None else zero
+        f_left = mul(cl[1], final_l(cl[0]).value) if cl is not None else zero
+        f_right = mul(cr[1], final_r(cr[0]).value) if cr is not None else zero
         if f_left != f_right:
             stats = SearchStats(explored, len(basis), max_row)
-            return Witness(reconstruct(idx), f_left, f_right), stats
+            witness = Witness(
+                reconstruct(idx), FieldElement(field, f_left), FieldElement(field, f_right)
+            )
+            return witness, stats
 
         if prune:
+            # Echelon form: each basis row is keyed by its pivot and holds
+            # only coordinates above it, normalised to 1 at the pivot (which
+            # is left out). Reducing pops coordinates in increasing order, so
+            # a row only adds coordinates that are still to be popped. The
+            # right side's weights enter unnegated: negating one side's
+            # coordinates in every vector leaves span membership unchanged.
             vec: dict = {}
             if cl is not None:
                 vec[(0, cl[0])] = cl[1]
             if cr is not None:
-                vec[(1, cr[0])] = -cr[1]
-            # One elimination pass: the basis is kept fully reduced, so
-            # basis rows never reintroduce other pivot coordinates.
-            for coord in [c for c in vec if c in basis]:
+                vec[(1, cr[0])] = cr[1]
+            heap = list(vec)
+            heapify(heap)
+            pivot = None
+            while heap:
+                coord = heappop(heap)
                 coeff = vec.get(coord)
-                if coeff is None or coeff.is_zero:
-                    continue
-                for c2, v2 in basis[coord].items():
-                    updated = vec.get(c2, zero) - coeff * v2
-                    if updated.is_zero:
-                        vec.pop(c2, None)
-                    else:
-                        vec[c2] = updated
-            if not vec:
-                continue  # spanned by kept vectors: extensions cannot add witnesses
-            pivot = min(vec)
-            inv = vec[pivot].inverse()
-            new_row = {c: v * inv for c, v in vec.items()}
-            for row_vec in basis.values():
-                coeff = row_vec.get(pivot)
                 if coeff is None:
-                    continue
-                for c2, v2 in new_row.items():
-                    updated = row_vec.get(c2, zero) - coeff * v2
-                    if updated.is_zero:
-                        row_vec.pop(c2, None)
+                    continue  # cancelled, or reduced at an earlier entry
+                row_vec = basis.get(coord)
+                if row_vec is None:
+                    pivot = coord
+                    break
+                del vec[coord]
+                for c2, v2 in row_vec.items():
+                    old = vec.get(c2)
+                    if old is None:
+                        vec[c2] = sub(zero, mul(coeff, v2))
+                        heappush(heap, c2)
                     else:
-                        row_vec[c2] = updated
-            basis[pivot] = new_row
-            if dimension is not None:
-                assert len(basis) <= dimension, "kept more vectors than the space dimension"
+                        updated = sub(old, mul(coeff, v2))
+                        if updated:
+                            vec[c2] = updated
+                        else:
+                            del vec[c2]
+            if pivot is None:
+                continue  # spanned by kept vectors: extensions cannot add witnesses
+            inv = inverse(vec.pop(pivot))
+            basis[pivot] = {c: mul(v, inv) for c, v in vec.items()}
+            if dimension is not None and len(basis) > dimension:
+                raise InternalError(
+                    f"kept {len(basis)} vectors in a space of dimension {dimension}"
+                )
 
         if max_len is not None and depth >= max_len:
             continue
         for sym in range(symbol_count):
-            nl = left.step_config(cl[0], sym) if cl is not None else None
+            nl = step_l(cl[0], sym) if cl is not None else None
             if nl is not None:
-                nl = (nl[0], cl[1] * nl[1])
-            nr = right.step_config(cr[0], sym) if cr is not None else None
+                nl = (nl[0], mul(cl[1], nl[1].value))
+            nr = step_r(cr[0], sym) if cr is not None else None
             if nr is not None:
-                nr = (nr[0], cr[1] * nr[1])
+                nr = (nr[0], mul(cr[1], nr[1].value))
             if nl is None and nr is None:
                 continue  # both stuck: every extension weighs zero on both sides
             entries.append((idx, sym))

@@ -27,7 +27,7 @@ from .dwa import (
     _difference_search,
     _require_compatible,
 )
-from .errors import InvalidAutomaton
+from .errors import InternalError, InvalidAutomaton
 from .fields import FieldElement
 from .unfold import (
     BELT_THICKNESS_COEFF,
@@ -117,7 +117,11 @@ def check_equivalence(
     f2 = a2.accept_weight_or_zero(witness.word)
     # The unfolding is exact on words within the row bound, so the replayed
     # weights must agree with the searched ones.
-    assert f1 == witness.f1 and f2 == witness.f2, "unfolded search disagrees with replay"
+    if f1 != witness.f1 or f2 != witness.f2:
+        raise InternalError(
+            f"unfolded search disagrees with replay on {witness.word!r}: "
+            f"searched {witness.f1}, {witness.f2}; replayed {f1}, {f2}"
+        )
     return EquivalenceVerdict(False, Witness(witness.word, f1, f2), mode, limit, stats)
 
 

@@ -68,3 +68,7 @@ class PreconditionViolated(WrocaError):
     def __init__(self, clause):
         self.clause = clause
         super().__init__(f"precondition violated: {clause}")
+
+
+class InternalError(WrocaError):
+    """An internal consistency check failed: a fault in this package, not in the input."""

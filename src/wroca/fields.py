@@ -3,11 +3,14 @@
 All weights in this package are FieldElement values. Elements are immutable,
 always canonical (fully reduced fraction with positive denominator, or
 residue in [0, p)), and may only be combined with elements of the same
-field; mixing fields is a hard error, never a coercion.
+field; mixing fields is a hard error, never a coercion. Inner loops that
+have already checked their fields compute on the raw values instead,
+through RawOps.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -225,6 +228,47 @@ class FieldElement:
 
     def __repr__(self):
         return str(self.value)
+
+
+class RawOps:
+    """Arithmetic on the raw values inside FieldElement, for inner loops.
+
+    Values are ``Fraction`` over the rationals and residues in [0, p) over
+    GF(p); results are canonical, so ``FieldElement(spec, value)`` wraps
+    them back. Zero is the only falsy value. No field check is made: the
+    caller unwraps ``.value`` from elements of ``spec`` only.
+    """
+
+    __slots__ = ("zero", "mul", "sub", "inverse")
+
+    def __init__(self, spec: FieldSpec):
+        if spec.kind == RATIONAL_KIND:
+            self.zero = Fraction(0)
+            self.mul = operator.mul
+            self.sub = operator.sub
+            self.inverse = _rational_inverse
+            return
+        p = spec.modulus
+        self.zero = 0
+
+        def mul(a: int, b: int) -> int:
+            return a * b % p
+
+        def sub(a: int, b: int) -> int:
+            return (a - b) % p
+
+        def inverse(a: int) -> int:
+            if not a:
+                raise DivisionByZero("zero has no multiplicative inverse")
+            return pow(a, -1, p)
+
+        self.mul, self.sub, self.inverse = mul, sub, inverse
+
+
+def _rational_inverse(a: Fraction) -> Fraction:
+    if not a:
+        raise DivisionByZero("zero has no multiplicative inverse")
+    return 1 / a
 
 
 def add(a: FieldElement, b: FieldElement) -> FieldElement:

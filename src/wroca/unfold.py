@@ -32,21 +32,6 @@ BELT_THICKNESS_COEFF = 6
 
 
 @dataclass(frozen=True)
-class UnfoldBound:
-    """A counter-row bound for unfolding; arbitrary-precision natural."""
-
-    rows: int
-
-    def __post_init__(self):
-        if self.rows < 0:
-            raise ValueError("unfold bound must be a natural number")
-
-
-def _rows(bound) -> int:
-    return bound.rows if isinstance(bound, UnfoldBound) else bound
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """The exact integer bounds for a combined state count k.
 

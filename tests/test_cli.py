@@ -4,7 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from wroca import Dwa, Dwroca
+from wroca import Dwa, Dwroca, InternalError, cli
 from wroca.cli import main
 
 
@@ -149,6 +149,15 @@ class TestEquiv:
         path.write_text(json.dumps(other.to_json()))
         code, _, _ = run_cli("equiv", e1_file, str(path))
         assert code == 2
+
+    def test_internal_error_exit_six(self, e1_file, e1p_file, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InternalError("search and replay disagree")
+
+        monkeypatch.setattr(cli, "check_equivalence", broken)
+        code, _, err = run_cli("equiv", e1_file, e1p_file)
+        assert code == 6
+        assert "internal error" in err
 
     def test_byte_identical_json(self, e1_file, e1p_file):
         _, first, _ = run_cli("--json", "equiv", e1_file, e1p_file, "--bound", "12")

@@ -8,6 +8,7 @@ from wroca import (
     Dwa,
     Dwroca,
     FieldMismatch,
+    InternalError,
     ParseError,
     WaConfig,
     bounded_k_equiv,
@@ -65,6 +66,89 @@ def brute_dwa_witness(b1, b2, max_len):
                 nxt.append((word + (symbol,), d1, d2))
         level = nxt
     return None
+
+
+def rebuilt(b, finals, initial_weight):
+    """A copy of ``b`` with new final weights (indexed by state) and initial weight."""
+    transitions = {
+        (b.states[src], b.alphabet.symbols[sym]): (b.states[dst], w)
+        for (src, sym), (dst, w) in b.transitions.items()
+    }
+    return Dwa(
+        b.states,
+        b.alphabet,
+        transitions,
+        dict(zip(b.states, finals)),
+        (b.states[b.initial[0]], initial_weight),
+    )
+
+
+def scaled_copy(b):
+    """An equivalent copy of ``b``: initial weight times 3, final weights over 3."""
+    scale = b.field.element(3)
+    finals = [w * scale.inverse() for w in b.final_weights]
+    return rebuilt(b, finals, b.initial[1] * scale)
+
+
+def difference_rank(b1, b2, max_len):
+    """Rank of the difference vectors (x_w, -y_w) of all words w of length at
+    most ``max_len``, where x_w and y_w are the forward vectors of the two
+    machines, found by dense Gaussian elimination.
+
+    Words are walked level by level with ``step_config``. A level keeps each
+    vector only up to a nonzero scalar (scaled so its first nonzero
+    coordinate is 1), which leaves the rank unchanged and keeps the levels
+    small.
+    """
+    n1 = b1.size
+    field = b1.field
+
+    def ray(c1, c2):
+        lead = (c1 if c1 is not None else c2)[1].inverse()
+        return (
+            None if c1 is None else (c1[0], c1[1] * lead),
+            None if c2 is None else (c2[0], c2[1] * lead),
+        )
+
+    def step(machine, config, sym):
+        if config is None:
+            return None
+        nxt = machine.step_config(config[0], sym)
+        return None if nxt is None else (nxt[0], config[1] * nxt[1])
+
+    level = {ray(b1.initial, b2.initial)}
+    seen = set(level)
+    for _ in range(max_len):
+        nxt = set()
+        for c1, c2 in level:
+            for sym in range(len(b1.alphabet)):
+                d1, d2 = step(b1, c1, sym), step(b2, c2, sym)
+                if d1 is not None or d2 is not None:
+                    nxt.add(ray(d1, d2))
+        level = nxt - seen
+        seen |= level
+
+    matrix = []
+    for c1, c2 in seen:
+        vec = [field.zero()] * (n1 + b2.size)
+        if c1 is not None:
+            vec[c1[0]] = c1[1]
+        if c2 is not None:
+            vec[n1 + c2[0]] = -c2[1]
+        matrix.append(vec)
+    rank = 0
+    for col in range(n1 + b2.size):
+        pivot = next((i for i in range(rank, len(matrix)) if not matrix[i][col].is_zero), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        inv = matrix[rank][col].inverse()
+        for i in range(rank + 1, len(matrix)):
+            factor = matrix[i][col] * inv
+            if not factor.is_zero:
+                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
+        rank += 1
+    return rank
 
 
 def random_dwa(seed, field=None):
@@ -187,21 +271,7 @@ class TestDwaEquiv:
         hits = 0
         for seed in range(60):
             b1 = random_dwa(21000 + seed)
-            scale = Q.element(3) if b1.field.kind == "rational" else b1.field.element(3)
-            finals = {
-                name: b1.final_weights[i] * scale.inverse() for i, name in enumerate(b1.states)
-            }
-            transitions = {
-                (b1.states[src], b1.alphabet.symbols[sym]): (b1.states[dst], w)
-                for (src, sym), (dst, w) in b1.transitions.items()
-            }
-            b2 = Dwa(
-                b1.states,
-                b1.alphabet,
-                transitions,
-                finals,
-                (b1.states[b1.initial[0]], b1.initial[1] * scale),
-            )
+            b2 = scaled_copy(b1)
             verdict = dwa_equiv(b1, b2)
             assert verdict.equivalent
             hits += 1
@@ -221,6 +291,48 @@ class TestDwaEquiv:
             assert (pruned is None) == (plain is None)
             if pruned is not None:
                 assert pruned.word == plain.word
+                assert (pruned.f1, pruned.f2) == (plain.f1, plain.f2)
+
+    def test_basis_size_is_rank_of_difference_vectors(self):
+        # Scaled copies mirror the left machine's states on the right, so
+        # their vectors never need fill-in (reducing by a row adding
+        # coordinates). Independent pairs whose final weights are all zero
+        # are equivalent too, and their reductions do fill in.
+        checked = 0
+        for seed in range(40):
+            b1 = random_dwa(51000 + seed)
+            pairs = [(b1, scaled_copy(b1))]
+            b2 = random_dwa(53000 + seed, field=b1.field)
+            if b1.alphabet == b2.alphabet:
+                zero = b1.field.zero()
+                pairs.append(
+                    (
+                        rebuilt(b1, [zero] * b1.size, b1.initial[1]),
+                        rebuilt(b2, [zero] * b2.size, b2.initial[1]),
+                    )
+                )
+            for left, right in pairs:
+                verdict = dwa_equiv(left, right)
+                assert verdict.equivalent
+                expected = difference_rank(left, right, left.size + right.size)
+                assert verdict.stats.basis_size == expected
+                checked += 1
+        assert checked > 50
+
+    def test_dimension_overflow_raises_internal_error(self):
+        left = one_state_dwa(2)
+        # a^n weighs 2^n here too, but a and the empty word end in different
+        # states, so the search keeps two vectors
+        right = Dwa(
+            ["p0", "p1"],
+            ["a"],
+            {("p0", "a"): ("p1", Q.element(2)), ("p1", "a"): ("p1", Q.element(2))},
+            {"p0": Q.one(), "p1": Q.one()},
+            ("p0", Q.one()),
+        )
+        assert _difference_search(left, right, dimension=3)[1].basis_size == 2
+        with pytest.raises(InternalError):
+            _difference_search(left, right, dimension=1)
 
 
 class TestBoundedKEquiv:

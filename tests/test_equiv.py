@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from wroca import (
     Configuration,
     Dwroca,
     FieldMismatch,
+    InternalError,
     InvalidAutomaton,
     ResourceBudgetExceeded,
     check_equivalence,
@@ -161,6 +166,75 @@ class TestCheckEquivalence:
         first = json.dumps(check_equivalence(e1, e1p, 12).to_json(), sort_keys=True)
         second = json.dumps(check_equivalence(e1, e1p, 12).to_json(), sort_keys=True)
         assert first == second
+
+    def test_replay_disagreement_raises_internal_error(self, e1, e1p, monkeypatch):
+        honest = Dwroca.accept_weight_or_zero
+
+        def off_by_one(self, word, start=None):
+            return honest(self, word, start) + self.field.one()
+
+        monkeypatch.setattr(Dwroca, "accept_weight_or_zero", off_by_one)
+        with pytest.raises(InternalError):
+            check_equivalence(e1, e1p, 12)
+
+    def test_internal_checks_survive_optimize_flag(self):
+        # python -O strips assert statements; the internal checks must stay.
+        script = """
+import sys
+from wroca import Dwroca, InternalError, LazyUnfolding, check_equivalence, rational
+from wroca.dwa import _difference_search
+
+Q = rational()
+
+def loop(weight):
+    table = {("q0", "a"): ("q0", 1, Q.element(weight))}
+    return Dwroca(["q0"], ["a"], "q0", Q.one(), table, dict(table), {"q0": Q.one()})
+
+two = loop(2)
+try:
+    _difference_search(LazyUnfolding(two, 4), LazyUnfolding(two, 4), dimension=1)
+    sys.exit(1)
+except InternalError:
+    pass
+Dwroca.accept_weight_or_zero = lambda self, word, start=None: Q.zero()
+try:
+    check_equivalence(two, loop(3), 4)
+    sys.exit(2)
+except InternalError:
+    sys.exit(0 if sys.flags.optimize else 3)
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("field", [rational(), prime_field(2**31 - 1)], ids=["q", "gf"])
+    @pytest.mark.parametrize("same", [True, False], ids=["e1-e1", "e1-e2"])
+    def test_counting_pair_keeps_every_word(self, field, same):
+        # a^n weighs 2^n on both machines; the n-th word is the first to
+        # reach counter row n, so no word is spanned by earlier ones.
+        two = field.element(2)
+        loop = {("q0", "a"): ("q0", 1, two)}
+        e1 = Dwroca(["q0"], ["a"], "q0", field.one(), loop, dict(loop), {"q0": field.one()})
+        e2 = Dwroca(
+            ["q0", "q1"],
+            ["a"],
+            "q0",
+            field.one(),
+            {("q0", "a"): ("q1", 1, field.element(4)), ("q1", "a"): ("q1", 1, two)},
+            {("q1", "a"): ("q1", 1, two)},
+            {"q0": field.one(), "q1": two.inverse()},
+        )
+        verdict = check_equivalence(e1, e1 if same else e2, 300)
+        assert verdict.equivalent and verdict.mode == "bounded"
+        stats = verdict.stats
+        assert stats.explored_words == stats.basis_size == stats.max_counter_row + 1 == 301
 
 
 class TestReplayWitness:

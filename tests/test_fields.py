@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wroca import DivisionByZero, FieldMismatch, ParseError, parse_element, prime_field, rational
-from wroca.fields import FieldSpec, _is_prime
+from wroca.fields import FieldSpec, RawOps, _is_prime
 
 Q = rational()
 GF7 = prime_field(7)
@@ -115,6 +115,35 @@ class TestParse:
     def test_roundtrip_gf(self, value):
         element = g7(value)
         assert parse_element(element.render(), GF7) == element
+
+
+GF_BIG = prime_field(2**31 - 1)
+
+_elements = st.one_of(
+    st.builds(lambda n, d: Q.element(Fraction(n, d)), st.integers(), st.integers(min_value=1)),
+    st.builds(GF7.element, st.integers()),
+    st.builds(GF_BIG.element, st.integers()),
+)
+
+
+class TestRawOps:
+    @given(_elements, st.data())
+    def test_agrees_with_field_element(self, a, data):
+        spec = a.spec
+        b = data.draw(st.integers(-(2**40), 2**40).map(spec.element))
+        ops = RawOps(spec)
+        # equal values of one type: the raw results are canonical too
+        assert type(ops.mul(a.value, b.value)) is type(a.value)
+        assert ops.mul(a.value, b.value) == (a * b).value
+        assert ops.sub(a.value, b.value) == (a - b).value
+        assert ops.sub(ops.zero, a.value) == (-a).value
+        assert (not a.value) == a.is_zero
+        assert ops.zero == spec.zero().value and not ops.zero
+        if a.is_zero:
+            with pytest.raises(DivisionByZero):
+                ops.inverse(a.value)
+        else:
+            assert ops.inverse(a.value) == a.inverse().value
 
 
 class TestSpecValidation:

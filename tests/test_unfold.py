@@ -10,7 +10,6 @@ from wroca import (
     Dwroca,
     InvalidAutomaton,
     LazyUnfolding,
-    UnfoldBound,
     bounds_for_k,
     compute_bounds,
     dwa_accept_weight,
@@ -64,8 +63,6 @@ class TestUnfoldConstruction:
     def test_negative_bound_rejected(self, e1):
         with pytest.raises(ValueError):
             unfold(e1, -1)
-        with pytest.raises(ValueError):
-            UnfoldBound(-1)
 
     def test_zero_test_fidelity(self):
         # row 0 rows carry exactly the zero-test table, higher rows the other
