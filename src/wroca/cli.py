@@ -33,7 +33,13 @@ from .errors import (
     WrocaError,
 )
 from .fields import FieldSpec, prime_field, rational
-from .unfold import bounds_for_k, compute_bounds, unfold
+from .unfold import (
+    BELT_THICKNESS_COEFF,
+    INITIAL_SPACE_COEFF,
+    bounds_for_k,
+    compute_bounds,
+    unfold,
+)
 
 STATE_CAP_ENV = "WROCA_STATE_CAP"
 
@@ -309,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="print the search bounds for a combined size")
     p.add_argument("files", nargs="*", help="two automaton files (alternative to --k)")
     p.add_argument("--k", type=int, default=None, help="combined state count")
-    p.add_argument("--initial-coeff", type=int, default=14)
-    p.add_argument("--belt-coeff", type=int, default=6)
+    p.add_argument("--initial-coeff", type=int, default=INITIAL_SPACE_COEFF)
+    p.add_argument("--belt-coeff", type=int, default=BELT_THICKNESS_COEFF)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("random", help="generate a seeded random automaton")

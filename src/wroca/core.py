@@ -483,14 +483,8 @@ class Dwroca:
         expected = {"field", "states", "alphabet", "initial", "delta0", "delta1", "final"}
         _check_keys(obj, expected, "automaton")
         field = FieldSpec.from_json(obj["field"])
-        states = _string_list(obj["states"], "states")
-        alphabet = _string_list(obj["alphabet"], "alphabet")
-        try:
-            alphabet = Alphabet(alphabet)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-        if len(set(states)) != len(states) or not states:
-            raise ParseError("states must be a non-empty list of distinct names")
+        states = _state_list(obj["states"])
+        alphabet = _alphabet_from_json(obj["alphabet"])
         initial = obj["initial"]
         if not isinstance(initial, dict):
             raise ParseError("initial must be an object")
@@ -529,6 +523,20 @@ def _string_list(value, what: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         raise ParseError(f"{what} must be a list of strings")
     return value
+
+
+def _state_list(value) -> list[str]:
+    states = _string_list(value, "states")
+    if len(set(states)) != len(states) or not states:
+        raise ParseError("states must be a non-empty list of distinct names")
+    return states
+
+
+def _alphabet_from_json(value) -> Alphabet:
+    try:
+        return Alphabet(_string_list(value, "alphabet"))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _table_from_json(entries, what: str, states, alphabet: Alphabet, field: FieldSpec) -> dict:

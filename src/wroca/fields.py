@@ -4,15 +4,16 @@ All weights in this package are FieldElement values. Elements are immutable,
 always canonical (fully reduced fraction with positive denominator, or
 residue in [0, p)), and may only be combined with elements of the same
 field; mixing fields is a hard error, never a coercion. Inner loops that
-have already checked their fields compute on the raw values instead,
-through RawOps.
+have already checked their fields compute on plain ints instead, through
+IntOps: each value split into numerator and denominator, so no Fraction
+object is made per step.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
 
@@ -230,45 +231,80 @@ class FieldElement:
         return str(self.value)
 
 
-class RawOps:
-    """Arithmetic on the raw values inside FieldElement, for inner loops.
+class IntOps:
+    """Field values as Python ints, for fraction-free inner loops.
 
-    Values are ``Fraction`` over the rationals and residues in [0, p) over
-    GF(p); results are canonical, so ``FieldElement(spec, value)`` wraps
-    them back. Zero is the only falsy value. No field check is made: the
-    caller unwraps ``.value`` from elements of ``spec`` only.
+    ``split(element)`` returns ints ``(num, den)`` with ``element == num /
+    den``: the reduced fraction with ``den > 0`` over the rationals, and
+    ``(residue, 1)`` with the residue in [0, p) over GF(p). A loop that
+    needs a vector only up to a nonzero scalar can then multiply through by
+    denominators and compute on ints alone.
+
+    ``modulus`` is p over GF(p), where a loop reduces its ints mod p so that
+    they stay small and zero is the only falsy residue, and 0 over the
+    rationals, where the ints are exact and never reduced.
+
+    The per-field normalisation steps work up to a nonzero scalar:
+
+    - ``scale_pair(a, b, u, v)`` is the pair ``(a * u, b * v)`` for ints
+      ``a``, ``b`` and elements ``u``, ``v``, cross-multiplied by the
+      denominators and then divided by its gcd over the rationals, or
+      reduced mod p over GF(p). It is ``(0, 0)`` only when both products
+      are zero, and its two ints are equal exactly when the products are.
+    - ``pivot_form(x, coords)`` turns a vector with nonzero pivot value
+      ``x`` and the other coordinates ``coords`` into ``(d, coords)``:
+      divided by the gcd of all its values over the rationals, scaled to
+      ``d == 1`` over GF(p). It rescales ``coords`` in place.
     """
 
-    __slots__ = ("zero", "mul", "sub", "inverse")
+    __slots__ = ("modulus", "split", "scale_pair", "pivot_form")
 
     def __init__(self, spec: FieldSpec):
         if spec.kind == RATIONAL_KIND:
-            self.zero = Fraction(0)
-            self.mul = operator.mul
-            self.sub = operator.sub
-            self.inverse = _rational_inverse
+            self.modulus = 0
+            self.split = _split_fraction
+            self.scale_pair = _scale_rational_pair
+            self.pivot_form = _remove_content
             return
         p = spec.modulus
-        self.zero = 0
+        self.modulus = p
 
-        def mul(a: int, b: int) -> int:
-            return a * b % p
+        def split(element: FieldElement) -> tuple[int, int]:
+            return element.value, 1
 
-        def sub(a: int, b: int) -> int:
-            return (a - b) % p
+        def scale_pair(a: int, b: int, u: FieldElement, v: FieldElement):
+            # every denominator is 1 here
+            return a * u.value % p, b * v.value % p
 
-        def inverse(a: int) -> int:
-            if not a:
-                raise DivisionByZero("zero has no multiplicative inverse")
-            return pow(a, -1, p)
+        def pivot_form(x: int, coords: dict) -> tuple[int, dict]:
+            inv = pow(x, -1, p)
+            for c in coords:
+                coords[c] = coords[c] * inv % p
+            return 1, coords
 
-        self.mul, self.sub, self.inverse = mul, sub, inverse
+        self.split, self.scale_pair, self.pivot_form = split, scale_pair, pivot_form
 
 
-def _rational_inverse(a: Fraction) -> Fraction:
-    if not a:
-        raise DivisionByZero("zero has no multiplicative inverse")
-    return 1 / a
+def _split_fraction(element: FieldElement) -> tuple[int, int]:
+    value = element.value
+    return value.numerator, value.denominator
+
+
+def _scale_rational_pair(a: int, b: int, u: FieldElement, v: FieldElement):
+    un, ud = _split_fraction(u)
+    vn, vd = _split_fraction(v)
+    x = a * un * vd
+    y = b * vn * ud
+    g = gcd(x, y) or 1
+    return x // g, y // g
+
+
+def _remove_content(x: int, coords: dict) -> tuple[int, dict]:
+    g = gcd(x, *coords.values())
+    if g != 1:
+        for c in coords:
+            coords[c] //= g
+    return x // g, coords
 
 
 def add(a: FieldElement, b: FieldElement) -> FieldElement:

@@ -19,7 +19,8 @@ from wroca import (
     rational,
     underlying_wa,
 )
-from wroca.dwa import _difference_search
+from wroca.dwa import _difference_search, _EchelonBasis
+from wroca.fields import IntOps
 from wroca.testkit import GeneratorConfig, default_weight_pool, generate, random_words
 
 Q = rational()
@@ -136,8 +137,15 @@ def difference_rank(b1, b2, max_len):
         if c2 is not None:
             vec[n1 + c2[0]] = -c2[1]
         matrix.append(vec)
+    return dense_rank(matrix)
+
+
+def dense_rank(matrix):
+    """Rank of a list of equal-length lists of FieldElement, by dense
+    Gaussian elimination on a copy."""
+    matrix = list(matrix)
     rank = 0
-    for col in range(n1 + b2.size):
+    for col in range(len(matrix[0]) if matrix else 0):
         pivot = next((i for i in range(rank, len(matrix)) if not matrix[i][col].is_zero), None)
         if pivot is None:
             continue
@@ -257,6 +265,8 @@ class TestDwaEquiv:
             else:
                 assert not verdict.equivalent
                 assert verdict.witness.word == expected
+                assert verdict.witness.f1 == b1.initial_accept_weight(expected)
+                assert verdict.witness.f2 == b2.initial_accept_weight(expected)
 
     def test_basis_never_exceeds_dimension(self):
         for seed in range(80):
@@ -333,6 +343,51 @@ class TestDwaEquiv:
         assert _difference_search(left, right, dimension=3)[1].basis_size == 2
         with pytest.raises(InternalError):
             _difference_search(left, right, dimension=1)
+
+
+class TestEchelonBasis:
+    COORDS = [(side, state) for side in (0, 1) for state in range(3)]
+
+    def sparse_vectors(self, rng, field):
+        """Vectors with 3-6 nonzero int coordinates, as the search stores
+        them: residues in [1, p) over GF(p), any nonzero int over Q. Three
+        random ones and combinations of pairs of them, so the set has rank
+        at most 3 in a space of dimension 6 and most vectors are spanned by
+        earlier ones."""
+        p = field.modulus
+
+        def reduced(values):
+            return {c: v % p if p else v for c, v in values.items() if (v % p if p else v)}
+
+        base = []
+        while len(base) < 3:
+            coords = rng.sample(self.COORDS, rng.randint(3, 6))
+            base.append(reduced({c: rng.choice([-3, -2, -1, 1, 2, 3]) for c in coords}))
+        vectors = list(base)
+        while len(vectors) < 10:
+            u, w = rng.sample(base, 2)
+            cu, cw = rng.choice([-2, -1, 1, 2, 3]), rng.choice([-3, -1, 1, 2])
+            combo = reduced({c: cu * u.get(c, 0) + cw * w.get(c, 0) for c in self.COORDS})
+            if len(combo) >= 3:
+                vectors.append(combo)
+        rng.shuffle(vectors)
+        return vectors
+
+    @pytest.mark.parametrize("field", [rational(), prime_field(7)], ids=["q", "gf7"])
+    def test_kept_rows_are_rank(self, field):
+        # Reductions here fill in (a row adds coordinates the vector lacks)
+        # and, over Q, meet rows whose pivot value is not 1, which the
+        # vectors of deterministic pairs rarely do.
+        rng = random.Random(71)
+        for _ in range(150):
+            vectors = self.sparse_vectors(rng, field)
+            basis = _EchelonBasis(IntOps(field))
+            dense = []
+            for vec in vectors:
+                before = dense_rank(dense)
+                dense.append([field.element(vec.get(c, 0)) for c in self.COORDS])
+                assert basis.insert(dict(vec)) == (dense_rank(dense) > before)
+            assert len(basis.rows) == dense_rank(dense)
 
 
 class TestBoundedKEquiv:
@@ -418,6 +473,14 @@ class TestDwaJson:
     def test_unknown_key_rejected(self):
         doc = one_state_dwa(2).to_json()
         doc["ce"] = 1
+        with pytest.raises(ParseError):
+            Dwa.from_json(doc)
+
+    @pytest.mark.parametrize("states", [[], ["q0", "q0"]], ids=["empty", "duplicate"])
+    def test_bad_state_list_rejected(self, states):
+        doc = one_state_dwa(2).to_json()
+        doc["states"] = states
+        doc["final"] = {name: "1" for name in states}
         with pytest.raises(ParseError):
             Dwa.from_json(doc)
 

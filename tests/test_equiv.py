@@ -128,6 +128,30 @@ class TestCheckEquivalence:
             assert replay.f2 == verdict.witness.f2
             assert replay.f1 != replay.f2
 
+    def test_witness_weights_are_true_weights(self):
+        # Non-unit initial, transition and final weights over Q: the search
+        # compares the weights only up to a common scalar, and the witness
+        # must still carry each machine's own weight.
+        def machine(initial, b_weight, finals):
+            w = Q.element
+            delta0 = {
+                ("q0", "a"): ("q1", 1, w("2/3")),
+                ("q0", "b"): ("q0", 0, w("1/2")),
+                ("q1", "a"): ("q0", 0, w(-5)),
+            }
+            delta1 = dict(delta0)
+            delta1[("q1", "b")] = ("q1", -1, w(b_weight))
+            final = {"q0": w(finals[0]), "q1": w(finals[1])}
+            return Dwroca(["q0", "q1"], ["a", "b"], "q0", w(initial), delta0, delta1, final)
+
+        left = machine("3/2", "7/4", ("1/3", "-2/5"))
+        right = machine(3, "7/3", ("1/6", "-1/5"))
+        verdict = check_equivalence(left, right)
+        word = verdict.witness.word
+        assert word == ("a", "b")
+        assert verdict.witness.f1 == left.accept_weight_or_zero(word) == Q.element("-7/10")
+        assert verdict.witness.f2 == right.accept_weight_or_zero(word) == Q.element("-14/15")
+
     def test_witness_minimal_and_lex_first(self):
         for seed in range(60):
             rng = random.Random(1000 + seed)

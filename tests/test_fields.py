@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wroca import DivisionByZero, FieldMismatch, ParseError, parse_element, prime_field, rational
-from wroca.fields import FieldSpec, RawOps, _is_prime
+from wroca.fields import FieldSpec, IntOps, _is_prime
 
 Q = rational()
 GF7 = prime_field(7)
@@ -126,24 +126,30 @@ _elements = st.one_of(
 )
 
 
-class TestRawOps:
-    @given(_elements, st.data())
-    def test_agrees_with_field_element(self, a, data):
-        spec = a.spec
-        b = data.draw(st.integers(-(2**40), 2**40).map(spec.element))
-        ops = RawOps(spec)
-        # equal values of one type: the raw results are canonical too
-        assert type(ops.mul(a.value, b.value)) is type(a.value)
-        assert ops.mul(a.value, b.value) == (a * b).value
-        assert ops.sub(a.value, b.value) == (a - b).value
-        assert ops.sub(ops.zero, a.value) == (-a).value
-        assert (not a.value) == a.is_zero
-        assert ops.zero == spec.zero().value and not ops.zero
-        if a.is_zero:
-            with pytest.raises(DivisionByZero):
-                ops.inverse(a.value)
+class TestIntOps:
+    @given(_elements)
+    def test_split(self, a):
+        num, den = IntOps(a.spec).split(a)
+        assert type(num) is int and type(den) is int
+        if a.spec == Q:
+            assert den > 0
+            assert Fraction(num, den) == a.value
         else:
-            assert ops.inverse(a.value) == a.inverse().value
+            assert den == 1
+            assert 0 <= num < a.spec.modulus
+            assert a.spec.element(num) == a
+
+    @given(_elements, st.data())
+    def test_scale_pair_keeps_the_ray(self, u, data):
+        spec = u.spec
+        v = data.draw(st.integers(-(2**40), 2**40).map(spec.element))
+        a, b = data.draw(st.integers(-50, 50)), data.draw(st.integers(-50, 50))
+        x, y = IntOps(spec).scale_pair(a, b, u, v)
+        left, right = spec.element(a) * u, spec.element(b) * v
+        # (x, y) is (left, right) times a scalar that is nonzero unless both are zero
+        assert spec.element(x) * right == spec.element(y) * left
+        assert (x == y) == (left == right)
+        assert ((x, y) == (0, 0)) == (left.is_zero and right.is_zero)
 
 
 class TestSpecValidation:
