@@ -23,7 +23,6 @@ from .dwa import (
     WaConfig,
     Witness,
     bounded_k_equiv,
-    dwa_accept_weight,
     dwa_equiv,
     find_k_equiv_wa_config,
     render_word,
@@ -52,7 +51,7 @@ from .errors import (
     UnknownSymbol,
     WrocaError,
 )
-from .fields import FieldElement, FieldSpec, add, inverse, mul, parse_element, prime_field, rational
+from .fields import FieldElement, FieldSpec, parse_element, prime_field, rational
 from .unfold import (
     BoundReport,
     LazyUnfolding,
@@ -96,17 +95,13 @@ __all__ = [
     "Witness",
     "WitnessReplay",
     "WrocaError",
-    "add",
     "bounded_k_equiv",
     "bounds_for_k",
     "check_equivalence",
     "compute_bounds",
     "counter_effect_profile",
-    "dwa_accept_weight",
     "dwa_equiv",
     "find_k_equiv_wa_config",
-    "inverse",
-    "mul",
     "parse_element",
     "prime_field",
     "rational",

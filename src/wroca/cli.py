@@ -20,11 +20,8 @@ from .core import Dwroca, PumpingIntervals
 from .dwa import EquivalenceVerdict, SearchStats, Witness, render_word
 from .equiv import DEFAULT_SEARCH_BUDGET, check_equivalence, replay_witness
 from .errors import (
-    AlphabetMismatch,
     BoundTooLarge,
     BudgetExceeded,
-    DivisionByZero,
-    FieldMismatch,
     InternalError,
     InvalidAutomaton,
     ParseError,
@@ -112,6 +109,22 @@ def _state_cap() -> int | None:
         return int(raw)
     except ValueError as exc:
         raise ParseError(f"{STATE_CAP_ENV} must be an integer, got {raw!r}") from exc
+
+
+def _int_at_least(low: int):
+    """argparse type for counts, bounds and coefficients: an integer >= ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+_natural = _int_at_least(0)
+_positive = _int_at_least(1)
 
 
 def _field_spec(text: str) -> FieldSpec:
@@ -217,8 +230,6 @@ def cmd_bounds(args) -> int:
     if args.k is not None:
         if args.files:
             return _fail("give either --k or two automaton files, not both", 2)
-        if args.k < 1:
-            return _fail("--k must be at least 1", 2)
         report = bounds_for_k(args.k, args.initial_coeff, args.belt_coeff)
     else:
         if len(args.files) != 2:
@@ -240,14 +251,17 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_random(args) -> int:
-    cfg = testkit.GeneratorConfig(
-        seed=args.seed,
-        num_states=(args.min_states, args.max_states),
-        alphabet_size=(args.alphabet_size, args.alphabet_size),
-        field=_field_spec(args.field),
-        density=args.density,
-        zero_final_prob=args.zero_final_prob,
-    )
+    try:
+        cfg = testkit.GeneratorConfig(
+            seed=args.seed,
+            num_states=(args.min_states, args.max_states),
+            alphabet_size=(args.alphabet_size, args.alphabet_size),
+            field=_field_spec(args.field),
+            density=args.density,
+            zero_final_prob=args.zero_final_prob,
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     automaton = testkit.generate(cfg)
     doc = json.dumps(automaton.to_json(), indent=2)
     if args.out == "-":
@@ -300,23 +314,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="decide equivalence of two automata")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--bound", type=int, default=None, help="word-length limit for the pipeline search")
+    p.add_argument("--bound", type=_natural, default=None, help="word-length limit for the pipeline search")
     p.add_argument("--method", choices=("pipeline", "oracle"), default="pipeline")
-    p.add_argument("--max-len", type=int, default=None, help="enumeration depth for the oracle method")
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET, help="explored-word ceiling")
+    p.add_argument("--max-len", type=_natural, default=None, help="enumeration depth for the oracle method")
+    p.add_argument("--budget", type=_natural, default=DEFAULT_SEARCH_BUDGET, help="explored-word ceiling")
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("unfold", help="materialize a row-bounded unfolding")
     p.add_argument("file")
     p.add_argument("out", help="output path, or - for stdout")
-    p.add_argument("--bound", type=int, required=True, help="highest counter row to keep")
+    p.add_argument("--bound", type=_natural, required=True, help="highest counter row to keep")
     p.set_defaults(func=cmd_unfold)
 
     p = sub.add_parser("bounds", help="print the search bounds for a combined size")
     p.add_argument("files", nargs="*", help="two automaton files (alternative to --k)")
-    p.add_argument("--k", type=int, default=None, help="combined state count")
-    p.add_argument("--initial-coeff", type=int, default=INITIAL_SPACE_COEFF)
-    p.add_argument("--belt-coeff", type=int, default=BELT_THICKNESS_COEFF)
+    p.add_argument("--k", type=_positive, default=None, help="combined state count")
+    p.add_argument("--initial-coeff", type=_positive, default=INITIAL_SPACE_COEFF)
+    p.add_argument("--belt-coeff", type=_positive, default=BELT_THICKNESS_COEFF)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("random", help="generate a seeded random automaton")
@@ -354,14 +368,7 @@ def main(argv=None) -> int:
         return _fail(str(exc), 5)
     except InternalError as exc:
         return _fail(f"internal error: {exc}", 6)
-    except (
-        ParseError,
-        DivisionByZero,
-        InvalidAutomaton,
-        AlphabetMismatch,
-        FieldMismatch,
-        WrocaError,
-    ) as exc:
+    except WrocaError as exc:
         return _fail(str(exc), 2)
     except OSError as exc:
         return _fail(str(exc), 2)

@@ -268,38 +268,19 @@ class Dwroca:
         delta1: Mapping,
         final_weights: Mapping[str, FieldElement],
     ):
-        states = tuple(states)
-        if not states:
-            raise ValueError("automaton needs at least one state")
-        if len(set(states)) != len(states):
-            raise ValueError("state names must be distinct")
-        if not isinstance(alphabet, Alphabet):
-            alphabet = Alphabet(alphabet)
-        state_index = {name: i for i, name in enumerate(states)}
-        if initial_state not in state_index:
+        states, alphabet, index, finals = _intern_states(states, alphabet, final_weights)
+        if initial_state not in index:
             raise ValueError(f"unknown initial state {initial_state!r}")
-        missing = [name for name in states if name not in final_weights]
-        if missing:
-            raise ValueError(f"final weight missing for states {missing!r}")
-
-        def intern_table(table: Mapping) -> dict:
-            out = {}
-            for (src, symbol), (dst, effect, weight) in table.items():
-                if src not in state_index or dst not in state_index:
-                    raise ValueError(f"transition ({src!r}, {symbol!r}) names an unknown state")
-                key = (state_index[src], alphabet.index_of(symbol))
-                out[key] = (state_index[dst], effect, weight)
-            return out
-
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "field", initial_weight.spec)
-        object.__setattr__(self, "initial_state", state_index[initial_state])
-        object.__setattr__(self, "initial_weight", initial_weight)
-        object.__setattr__(self, "delta0", intern_table(delta0))
-        object.__setattr__(self, "delta1", intern_table(delta1))
-        object.__setattr__(
-            self, "final_weights", tuple(final_weights[name] for name in states)
+        _freeze(
+            self,
+            states=states,
+            alphabet=alphabet,
+            field=initial_weight.spec,
+            initial_state=index[initial_state],
+            initial_weight=initial_weight,
+            delta0=_intern_table(delta0, index, alphabet),
+            delta1=_intern_table(delta1, index, alphabet),
+            final_weights=finals,
         )
 
     def __setattr__(self, name, value):
@@ -309,9 +290,6 @@ class Dwroca:
     def size(self) -> int:
         return len(self.states)
 
-    def state_name(self, index: int) -> str:
-        return self.states[index]
-
     def initial_configuration(self) -> Configuration:
         return Configuration(self.initial_state, 0, self.initial_weight)
 
@@ -319,33 +297,11 @@ class Dwroca:
 
     def validate(self) -> list[str]:
         """Return every invariant violation; an empty list means valid."""
-        violations = []
-        if self.initial_weight.spec != self.field:
-            violations.append("initial weight from a different field")
-        if self.initial_weight.is_zero:
-            violations.append("zero initial weight")
-        for table_name, table, effects in (
-            ("delta0", self.delta0, (0, 1)),
-            ("delta1", self.delta1, (-1, 0, 1)),
-        ):
-            for (src, sym), (dst, effect, weight) in sorted(table.items()):
-                where = f"{table_name} ({self.states[src]}, {self.alphabet.symbols[sym]})"
-                if not isinstance(effect, int) or isinstance(effect, bool) or effect not in effects:
-                    if table_name == "delta0" and effect == -1:
-                        violations.append(f"zero-test decrement at {where}")
-                    else:
-                        violations.append(f"counter effect {effect!r} out of range at {where}")
-                if not isinstance(weight, FieldElement):
-                    violations.append(f"non-element weight at {where}")
-                    continue
-                if weight.spec != self.field:
-                    violations.append(f"weight from a different field at {where}")
-                elif weight.is_zero:
-                    violations.append(f"zero transition weight at {where}")
-        for i, weight in enumerate(self.final_weights):
-            if not isinstance(weight, FieldElement) or weight.spec != self.field:
-                violations.append(f"final weight of {self.states[i]} from a different field")
-        return violations
+        return _violations(
+            self,
+            self.initial_weight,
+            (("delta0 ", self.delta0, (0, 1)), ("delta1 ", self.delta1, (-1, 0, 1))),
+        )
 
     # -- run semantics ------------------------------------------------
 
@@ -446,68 +402,166 @@ class Dwroca:
     # -- JSON ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        def table_json(table: Mapping) -> list:
-            out = []
-            for (src, sym), (dst, effect, weight) in sorted(table.items()):
-                out.append(
-                    {
-                        "from": self.states[src],
-                        "on": self.alphabet.symbols[sym],
-                        "to": self.states[dst],
-                        "ce": effect,
-                        "weight": weight.render(),
-                    }
-                )
-            return out
-
-        return {
-            "field": self.field.to_json(),
-            "states": list(self.states),
-            "alphabet": list(self.alphabet.symbols),
-            "initial": {
-                "state": self.states[self.initial_state],
-                "weight": self.initial_weight.render(),
-            },
-            "delta0": table_json(self.delta0),
-            "delta1": table_json(self.delta1),
-            "final": {
-                name: self.final_weights[i].render() for i, name in enumerate(self.states)
-            },
-        }
+        return _document_to_json(
+            self,
+            (self.initial_state, self.initial_weight),
+            {"delta0": self.delta0, "delta1": self.delta1},
+            counter=True,
+        )
 
     @classmethod
     def from_json(cls, obj) -> "Dwroca":
         """Parse the automaton JSON format; unknown keys are rejected."""
-        if not isinstance(obj, dict):
-            raise ParseError("automaton document must be an object")
-        expected = {"field", "states", "alphabet", "initial", "delta0", "delta1", "final"}
-        _check_keys(obj, expected, "automaton")
-        field = FieldSpec.from_json(obj["field"])
-        states = _state_list(obj["states"])
-        alphabet = _alphabet_from_json(obj["alphabet"])
-        initial = obj["initial"]
-        if not isinstance(initial, dict):
+        states, alphabet, initial, (delta0, delta1), final = _document_from_json(obj, counter=True)
+        return cls(states, alphabet, initial[0], initial[1], delta0, delta1, final)
+
+
+# -- model plumbing shared with the weighted automata of ``dwa`` ----------
+
+
+def _freeze(obj, **attrs) -> None:
+    """Set the slots of an immutable model object."""
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+
+
+def _intern_states(states: Sequence[str], alphabet, final_weights: Mapping):
+    """Check the states (non-empty, distinct) and that each has a final
+    weight; coerce the alphabet. Returns ``(states, alphabet, index,
+    finals)``: ``index`` maps names to indices, ``finals`` is in state order."""
+    states = tuple(states)
+    if not states:
+        raise ValueError("automaton needs at least one state")
+    if len(set(states)) != len(states):
+        raise ValueError("state names must be distinct")
+    if not isinstance(alphabet, Alphabet):
+        alphabet = Alphabet(alphabet)
+    missing = [name for name in states if name not in final_weights]
+    if missing:
+        raise ValueError(f"final weight missing for states {missing!r}")
+    index = {name: i for i, name in enumerate(states)}
+    return states, alphabet, index, tuple(final_weights[name] for name in states)
+
+
+def _intern_table(table: Mapping, index: dict, alphabet: Alphabet) -> dict:
+    """Re-key a name-keyed table by indices. An entry is ``(dst, ce, weight)``
+    in a table with a counter, ``(dst, weight)`` in one without."""
+    out = {}
+    for (src, symbol), entry in table.items():
+        dst = entry[0]
+        if src not in index or dst not in index:
+            raise ValueError(f"transition ({src!r}, {symbol!r}) names an unknown state")
+        key = (index[src], alphabet.index_of(symbol))
+        # fixed-arity tuples: building one from a slice took about twice as long
+        out[key] = (index[dst], entry[1], entry[2]) if len(entry) == 3 else (index[dst], entry[1])
+    return out
+
+
+def _violations(machine, initial_weight, tables) -> list[str]:
+    """Every invariant violation of an automaton of either kind.
+
+    ``initial_weight`` may be None (an uninitialised weighted automaton).
+    ``tables`` holds ``(label, table, effects)``: ``label`` prefixes the
+    position in each message, ``effects`` is the tuple of allowed counter
+    effects, or None for a table without a counter. The checks stay inline:
+    a helper call per entry doubled the time of a ``validate`` call.
+    """
+    field, states, symbols = machine.field, machine.states, machine.alphabet.symbols
+    violations = []
+    if initial_weight is not None:
+        if initial_weight.spec != field:
+            violations.append("initial weight from a different field")
+        elif initial_weight.is_zero:
+            violations.append("zero initial weight")
+    for label, table, effects in tables:
+        for (src, sym), entry in sorted(table.items()):
+            where = f"{label}({states[src]}, {symbols[sym]})"
+            if effects is not None:
+                effect = entry[1]
+                if not isinstance(effect, int) or isinstance(effect, bool) or effect not in effects:
+                    if effect == -1 and -1 not in effects:
+                        violations.append(f"zero-test decrement at {where}")
+                    else:
+                        violations.append(f"counter effect {effect!r} out of range at {where}")
+            weight = entry[-1]
+            if not isinstance(weight, FieldElement):
+                violations.append(f"non-element weight at {where}")
+            elif weight.spec != field:
+                violations.append(f"weight from a different field at {where}")
+            elif weight.is_zero:
+                violations.append(f"zero transition weight at {where}")
+    for name, weight in zip(states, machine.final_weights):
+        if not isinstance(weight, FieldElement) or weight.spec != field:
+            violations.append(f"final weight of {name} from a different field")
+    return violations
+
+
+def _document_to_json(machine, initial, tables: dict, counter: bool) -> dict:
+    """The JSON document of an automaton of either kind.
+
+    ``initial`` is ``(state_index, weight)`` or None; ``tables`` maps each
+    table's key to the table; ``counter`` writes each entry's ``ce``.
+    """
+    states, symbols = machine.states, machine.alphabet.symbols
+    doc = {"field": machine.field.to_json(), "states": list(states), "alphabet": list(symbols)}
+    if initial is not None:
+        doc["initial"] = {"state": states[initial[0]], "weight": initial[1].render()}
+    for key, table in tables.items():
+        rows = doc[key] = []
+        for (src, sym), entry in sorted(table.items()):
+            row = {"from": states[src], "on": symbols[sym], "to": states[entry[0]]}
+            if counter:
+                row["ce"] = entry[1]
+            row["weight"] = entry[-1].render()
+            rows.append(row)
+    doc["final"] = {name: weight.render() for name, weight in zip(states, machine.final_weights)}
+    return doc
+
+
+def _document_from_json(obj, counter: bool):
+    """Parse an automaton document of either kind; unknown keys are rejected.
+
+    With ``counter``: tables ``delta0`` and ``delta1`` whose entries carry
+    ``ce``, and a required ``initial``. Without: one table ``delta`` with no
+    ``ce`` and an optional ``initial``. Returns ``(states, alphabet,
+    initial, tables, final)``, where ``initial`` is ``(state, weight)`` or
+    None and ``tables`` lists the name-keyed tables in that order.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError("automaton document must be an object")
+    table_keys = ("delta0", "delta1") if counter else ("delta",)
+    keys = {"field", "states", "alphabet", "final", *table_keys}
+    if counter or "initial" in obj:
+        keys.add("initial")
+    _check_keys(obj, keys, "automaton" if counter else "weighted automaton")
+    field = FieldSpec.from_json(obj["field"])
+    states = _string_list(obj["states"], "states")
+    if len(set(states)) != len(states) or not states:
+        raise ParseError("states must be a non-empty list of distinct names")
+    try:
+        alphabet = Alphabet(_string_list(obj["alphabet"], "alphabet"))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    initial = None
+    if "initial" in keys:
+        init = obj["initial"]
+        if not isinstance(init, dict):
             raise ParseError("initial must be an object")
-        _check_keys(initial, {"state", "weight"}, "initial")
-        if initial["state"] not in states:
-            raise ParseError(f"initial state {initial['state']!r} is not a state")
-        delta0 = _table_from_json(obj["delta0"], "delta0", states, alphabet, field)
-        delta1 = _table_from_json(obj["delta1"], "delta1", states, alphabet, field)
-        final_obj = obj["final"]
-        if not isinstance(final_obj, dict):
-            raise ParseError("final must be an object")
-        if set(final_obj) != set(states):
-            raise ParseError("final must assign a weight to exactly the declared states")
-        final = {name: parse_element(final_obj[name], field) for name in states}
-        return cls(
-            states,
-            alphabet,
-            initial["state"],
-            parse_element(initial["weight"], field),
-            delta0,
-            delta1,
-            final,
-        )
+        _check_keys(init, {"state", "weight"}, "initial")
+        if init["state"] not in states:
+            raise ParseError(f"initial state {init['state']!r} is not a state")
+        initial = (init["state"], parse_element(init["weight"], field))
+    state_set = set(states)
+    tables = [
+        _table_from_json(obj[key], key, state_set, alphabet, field, counter) for key in table_keys
+    ]
+    final_obj = obj["final"]
+    if not isinstance(final_obj, dict):
+        raise ParseError("final must be an object")
+    if set(final_obj) != state_set:
+        raise ParseError("final must assign a weight to exactly the declared states")
+    final = {name: parse_element(final_obj[name], field) for name in states}
+    return states, alphabet, initial, tables, final
 
 
 def _check_keys(obj: dict, expected: set, what: str) -> None:
@@ -525,38 +579,35 @@ def _string_list(value, what: str) -> list[str]:
     return value
 
 
-def _state_list(value) -> list[str]:
-    states = _string_list(value, "states")
-    if len(set(states)) != len(states) or not states:
-        raise ParseError("states must be a non-empty list of distinct names")
-    return states
-
-
-def _alphabet_from_json(value) -> Alphabet:
-    try:
-        return Alphabet(_string_list(value, "alphabet"))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def _table_from_json(entries, what: str, states, alphabet: Alphabet, field: FieldSpec) -> dict:
+def _table_from_json(
+    entries, what: str, states: set, alphabet: Alphabet, field: FieldSpec, counter: bool
+) -> dict:
+    """A name-keyed table from a JSON list; ``ce`` is required exactly when
+    the table has a counter."""
     if not isinstance(entries, list):
         raise ParseError(f"{what} must be a list")
-    state_set = set(states)
+    keys = {"from", "on", "to", "ce", "weight"} if counter else {"from", "on", "to", "weight"}
     table = {}
     for entry in entries:
         if not isinstance(entry, dict):
             raise ParseError(f"{what} entries must be objects")
-        _check_keys(entry, {"from", "on", "to", "ce", "weight"}, f"{what} entry")
+        if entry.keys() != keys:  # one set comparison for the common, valid entry
+            _check_keys(entry, keys, f"{what} entry")
         src, symbol, dst = entry["from"], entry["on"], entry["to"]
-        if src not in state_set or dst not in state_set:
+        if not (isinstance(src, str) and isinstance(symbol, str) and isinstance(dst, str)):
+            raise ParseError(f"{what} entry from/on/to must be strings: {entry!r}")
+        if src not in states or dst not in states:
             raise ParseError(f"{what} entry names unknown state: {entry!r}")
         if symbol not in alphabet:
             raise ParseError(f"{what} entry uses unknown symbol {symbol!r}")
-        effect = entry["ce"]
-        if not isinstance(effect, int) or isinstance(effect, bool):
-            raise ParseError(f"{what} entry counter effect must be an integer")
         if (src, symbol) in table:
             raise ParseError(f"duplicate {what} transition for ({src!r}, {symbol!r})")
-        table[(src, symbol)] = (dst, effect, parse_element(entry["weight"], field))
+        weight = parse_element(entry["weight"], field)
+        if counter:
+            effect = entry["ce"]
+            if not isinstance(effect, int) or isinstance(effect, bool):
+                raise ParseError(f"{what} entry counter effect must be an integer")
+            table[(src, symbol)] = (dst, effect, weight)
+        else:
+            table[(src, symbol)] = (dst, weight)
     return table

@@ -37,22 +37,23 @@ from heapq import heapify, heappop, heappush
 from typing import Mapping, Sequence
 
 from .core import (
-    Alphabet,
     Configuration,
     Dwroca,
     Word,
-    _alphabet_from_json,
-    _check_keys,
-    _state_list,
+    _document_from_json,
+    _document_to_json,
+    _freeze,
+    _intern_states,
+    _intern_table,
+    _violations,
 )
 from .errors import (
     AlphabetMismatch,
     FieldMismatch,
     InternalError,
-    ParseError,
     ResourceBudgetExceeded,
 )
-from .fields import FieldElement, FieldSpec, IntOps, parse_element
+from .fields import FieldElement, IntOps
 
 
 class Dwa:
@@ -73,37 +74,20 @@ class Dwa:
         final_weights: Mapping[str, FieldElement],
         initial: tuple[str, FieldElement] | None = None,
     ):
-        states = tuple(states)
-        if not states:
-            raise ValueError("automaton needs at least one state")
-        if len(set(states)) != len(states):
-            raise ValueError("state names must be distinct")
-        if not isinstance(alphabet, Alphabet):
-            alphabet = Alphabet(alphabet)
-        index = {name: i for i, name in enumerate(states)}
-        missing = [name for name in states if name not in final_weights]
-        if missing:
-            raise ValueError(f"final weight missing for states {missing!r}")
-        interned = {}
-        for (src, symbol), (dst, weight) in transitions.items():
-            if src not in index or dst not in index:
-                raise ValueError(f"transition ({src!r}, {symbol!r}) names an unknown state")
-            interned[(index[src], alphabet.index_of(symbol))] = (index[dst], weight)
+        states, alphabet, index, finals = _intern_states(states, alphabet, final_weights)
         if initial is not None:
             name, weight = initial
             if name not in index:
                 raise ValueError(f"unknown initial state {name!r}")
             initial = (index[name], weight)
-            field = weight.spec
-        else:
-            field = final_weights[states[0]].spec
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "transitions", interned)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(
-            self, "final_weights", tuple(final_weights[name] for name in states)
+        _freeze(
+            self,
+            states=states,
+            alphabet=alphabet,
+            field=finals[0].spec if initial is None else initial[1].spec,
+            transitions=_intern_table(transitions, index, alphabet),
+            final_weights=finals,
+            initial=initial,
         )
 
     def __setattr__(self, name, value):
@@ -127,31 +111,14 @@ class Dwa:
         """A copy of this automaton initialised at the given state and weight."""
         idx = self.state_index(state)
         clone = Dwa.__new__(Dwa)
-        object.__setattr__(clone, "states", self.states)
-        object.__setattr__(clone, "alphabet", self.alphabet)
-        object.__setattr__(clone, "field", weight.spec)
-        object.__setattr__(clone, "transitions", self.transitions)
-        object.__setattr__(clone, "final_weights", self.final_weights)
-        object.__setattr__(clone, "initial", (idx, weight))
+        _freeze(clone, **{slot: getattr(self, slot) for slot in Dwa.__slots__})
+        _freeze(clone, field=weight.spec, initial=(idx, weight))
         return clone
 
     def validate(self) -> list[str]:
-        violations = []
-        if self.initial is not None:
-            if self.initial[1].spec != self.field:
-                violations.append("initial weight from a different field")
-            elif self.initial[1].is_zero:
-                violations.append("zero initial weight")
-        for (src, sym), (dst, weight) in sorted(self.transitions.items()):
-            where = f"({self.states[src]}, {self.alphabet.symbols[sym]})"
-            if weight.spec != self.field:
-                violations.append(f"weight from a different field at {where}")
-            elif weight.is_zero:
-                violations.append(f"zero transition weight at {where}")
-        for i, weight in enumerate(self.final_weights):
-            if weight.spec != self.field:
-                violations.append(f"final weight of {self.states[i]} from a different field")
-        return violations
+        """Return every invariant violation; an empty list means valid."""
+        initial_weight = None if self.initial is None else self.initial[1]
+        return _violations(self, initial_weight, (("", self.transitions, None),))
 
     # -- stepping interface (shared with lazy unfoldings) ---------------
 
@@ -185,69 +152,14 @@ class Dwa:
     # -- JSON -------------------------------------------------------------
 
     def to_json(self) -> dict:
-        obj = {
-            "field": self.field.to_json(),
-            "states": list(self.states),
-            "alphabet": list(self.alphabet.symbols),
-        }
-        if self.initial is not None:
-            obj["initial"] = {
-                "state": self.states[self.initial[0]],
-                "weight": self.initial[1].render(),
-            }
-        obj["delta"] = [
-            {
-                "from": self.states[src],
-                "on": self.alphabet.symbols[sym],
-                "to": self.states[dst],
-                "weight": weight.render(),
-            }
-            for (src, sym), (dst, weight) in sorted(self.transitions.items())
-        ]
-        obj["final"] = {
-            name: self.final_weights[i].render() for i, name in enumerate(self.states)
-        }
-        return obj
+        return _document_to_json(self, self.initial, {"delta": self.transitions}, counter=False)
 
     @classmethod
     def from_json(cls, obj) -> "Dwa":
-        if not isinstance(obj, dict):
-            raise ParseError("automaton document must be an object")
-        keys = {"field", "states", "alphabet", "delta", "final"}
-        has_initial = "initial" in obj
-        if has_initial:
-            keys.add("initial")
-        _check_keys(obj, keys, "weighted automaton")
-        field = FieldSpec.from_json(obj["field"])
-        states = _state_list(obj["states"])
-        alphabet = _alphabet_from_json(obj["alphabet"])
-        if not isinstance(obj["delta"], list):
-            raise ParseError("delta must be a list")
-        transitions = {}
-        for entry in obj["delta"]:
-            if not isinstance(entry, dict) or set(entry) != {"from", "on", "to", "weight"}:
-                raise ParseError(f"bad delta entry: {entry!r}")
-            if entry["from"] not in states or entry["to"] not in states:
-                raise ParseError(f"delta entry names unknown state: {entry!r}")
-            if entry["on"] not in alphabet:
-                raise ParseError(f"delta entry uses unknown symbol {entry['on']!r}")
-            key = (entry["from"], entry["on"])
-            if key in transitions:
-                raise ParseError(f"duplicate delta transition for {key!r}")
-            transitions[key] = (entry["to"], parse_element(entry["weight"], field))
-        final_obj = obj["final"]
-        if not isinstance(final_obj, dict) or set(final_obj) != set(states):
-            raise ParseError("final must assign a weight to exactly the declared states")
-        final = {name: parse_element(final_obj[name], field) for name in states}
-        initial = None
-        if has_initial:
-            init = obj["initial"]
-            if not isinstance(init, dict) or set(init) != {"state", "weight"}:
-                raise ParseError("initial must be an object with 'state' and 'weight'")
-            if init["state"] not in states:
-                raise ParseError(f"initial state {init['state']!r} is not a state")
-            initial = (init["state"], parse_element(init["weight"], field))
-        return cls(states, alphabet, transitions, final, initial)
+        """Parse the weighted-automaton JSON format: one ``delta`` table
+        without ``ce``, optional ``initial``; unknown keys are rejected."""
+        states, alphabet, initial, (delta,), final = _document_from_json(obj, counter=False)
+        return cls(states, alphabet, delta, final, initial)
 
 
 @dataclass(frozen=True)
@@ -529,11 +441,6 @@ def underlying_wa(automaton: Dwroca) -> Dwa:
         transitions[key] = (automaton.states[dst], weight)
     final = {name: automaton.final_weights[i] for i, name in enumerate(automaton.states)}
     return Dwa(automaton.states, automaton.alphabet, transitions, final)
-
-
-def dwa_accept_weight(automaton: Dwa, start: WaConfig, word: Word) -> FieldElement:
-    """Acceptance weight from ``start`` with the zero-completion convention."""
-    return automaton.accept_weight(start, word)
 
 
 def dwa_equiv(left: Dwa, right: Dwa) -> EquivalenceVerdict:

@@ -234,11 +234,10 @@ class FieldElement:
 class IntOps:
     """Field values as Python ints, for fraction-free inner loops.
 
-    ``split(element)`` returns ints ``(num, den)`` with ``element == num /
-    den``: the reduced fraction with ``den > 0`` over the rationals, and
-    ``(residue, 1)`` with the residue in [0, p) over GF(p). A loop that
-    needs a vector only up to a nonzero scalar can then multiply through by
-    denominators and compute on ints alone.
+    A field value is a reduced fraction ``num / den`` with ``den > 0`` over
+    the rationals, and a residue in [0, p) with ``den == 1`` over GF(p). A
+    loop that needs a vector only up to a nonzero scalar can then multiply
+    through by denominators and compute on ints alone.
 
     ``modulus`` is p over GF(p), where a loop reduces its ints mod p so that
     they stay small and zero is the only falsy residue, and 0 over the
@@ -257,20 +256,16 @@ class IntOps:
       ``d == 1`` over GF(p). It rescales ``coords`` in place.
     """
 
-    __slots__ = ("modulus", "split", "scale_pair", "pivot_form")
+    __slots__ = ("modulus", "scale_pair", "pivot_form")
 
     def __init__(self, spec: FieldSpec):
         if spec.kind == RATIONAL_KIND:
             self.modulus = 0
-            self.split = _split_fraction
             self.scale_pair = _scale_rational_pair
             self.pivot_form = _remove_content
             return
         p = spec.modulus
         self.modulus = p
-
-        def split(element: FieldElement) -> tuple[int, int]:
-            return element.value, 1
 
         def scale_pair(a: int, b: int, u: FieldElement, v: FieldElement):
             # every denominator is 1 here
@@ -282,7 +277,7 @@ class IntOps:
                 coords[c] = coords[c] * inv % p
             return 1, coords
 
-        self.split, self.scale_pair, self.pivot_form = split, scale_pair, pivot_form
+        self.scale_pair, self.pivot_form = scale_pair, pivot_form
 
 
 def _split_fraction(element: FieldElement) -> tuple[int, int]:
@@ -305,21 +300,6 @@ def _remove_content(x: int, coords: dict) -> tuple[int, dict]:
         for c in coords:
             coords[c] //= g
     return x // g, coords
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Exact sum of two elements of the same field."""
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Exact product of two elements of the same field."""
-    return a * b
-
-
-def inverse(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises DivisionByZero on the zero element."""
-    return a.inverse()
 
 
 def parse_element(text: str, spec: FieldSpec) -> FieldElement:

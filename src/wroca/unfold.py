@@ -160,8 +160,7 @@ def unfold(automaton: Dwroca, bound: int, state_cap: int | None = None) -> Dwa:
     violations = automaton.validate()
     if violations:
         raise InvalidAutomaton(violations)
-    if bound < 0:
-        raise ValueError("unfold bound must be a natural number")
+    view = LazyUnfolding(automaton, bound)  # rejects a negative bound
     cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
     required = automaton.size * (bound + 1)
     if required > cap:
@@ -173,12 +172,12 @@ def unfold(automaton: Dwroca, bound: int, state_cap: int | None = None) -> Dwa:
     states = [name(q, row) for row in range(bound + 1) for q in range(automaton.size)]
     transitions = {}
     for row in range(bound + 1):
-        table = automaton.delta0 if row == 0 else automaton.delta1
-        for (src, sym), (dst, effect, weight) in table.items():
-            target_row = row + effect
-            if 0 <= target_row <= bound:
-                key = (name(src, row), automaton.alphabet.symbols[sym])
-                transitions[key] = (name(dst, target_row), weight)
+        for q in range(automaton.size):
+            for sym, symbol in enumerate(automaton.alphabet.symbols):
+                step = view.step_config((q, row), sym)
+                if step is not None:
+                    (dst, dst_row), weight = step
+                    transitions[(name(q, row), symbol)] = (name(dst, dst_row), weight)
     final = {
         name(q, row): automaton.final_weights[q]
         for row in range(bound + 1)

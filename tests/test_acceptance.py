@@ -18,7 +18,6 @@ from wroca import (
     bounds_for_k,
     check_equivalence,
     compute_bounds,
-    dwa_accept_weight,
     dwa_equiv,
     find_k_equiv_wa_config,
     prime_field,
@@ -146,9 +145,7 @@ def test_unfolding_faithfulness():
         start = WaConfig(wa.initial[0], wa.initial[1])
         for length in range(bound + 1):
             for word in itertools.product(machine.alphabet.symbols, repeat=length):
-                assert machine.accept_weight_or_zero(word) == dwa_accept_weight(
-                    wa, start, word
-                )
+                assert machine.accept_weight_or_zero(word) == wa.accept_weight(start, word)
                 checked_words += 1
     _report("unfolding faithfulness", f"200 machines, {checked_words} words, exact")
 

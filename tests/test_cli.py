@@ -58,10 +58,42 @@ class TestValidate:
         code, _, err = run_cli("validate", str(path))
         assert code == 2
 
+    def test_non_string_entry_name_exit_two(self, tmp_path, e1):
+        doc = e1.to_json()
+        doc["delta0"][0]["on"] = ["a"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli("validate", str(path))
+        assert code == 2 and err.startswith("error:")
+
     def test_json_mode(self, broken_file):
         code, out, _ = run_cli("--json", "validate", broken_file)
         doc = json.loads(out)
         assert code == 1 and doc["ok"] is False and doc["violations"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equiv", "{f}", "{f}", "--bound", "-1"],
+        ["equiv", "{f}", "{f}", "--method", "oracle", "--max-len", "-1"],
+        ["equiv", "{f}", "{f}", "--budget", "-5"],
+        ["unfold", "{f}", "-", "--bound", "-1"],
+        ["bounds", "--k", "2", "--initial-coeff", "0"],
+        ["random", "-", "--seed", "1", "--min-states", "0"],
+        ["random", "-", "--seed", "1", "--density", "2"],
+    ],
+    ids=["bound", "max-len", "budget", "unfold-bound", "coeff", "min-states", "density"],
+)
+def test_out_of_range_number_exit_two(argv, e1_file):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main([arg.format(f=e1_file) for arg in argv])
+        except SystemExit as exc:  # argparse rejects the value before any command runs
+            code = exc.code
+    assert code == 2
+    assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 class TestEval:

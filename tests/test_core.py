@@ -413,6 +413,14 @@ class TestJson:
         with pytest.raises(ParseError):
             Dwroca.from_json(doc)
 
+    @pytest.mark.parametrize("key", ["from", "on", "to"])
+    @pytest.mark.parametrize("value", [["q0"], {"q0": "a"}], ids=["list", "object"])
+    def test_non_string_entry_names_rejected(self, e1, key, value):
+        doc = e1.to_json()
+        doc["delta1"][0][key] = value
+        with pytest.raises(ParseError):
+            Dwroca.from_json(doc)
+
     def test_gf_roundtrip(self):
         gf = prime_field(7)
         machine = Dwroca(

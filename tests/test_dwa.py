@@ -12,7 +12,6 @@ from wroca import (
     ParseError,
     WaConfig,
     bounded_k_equiv,
-    dwa_accept_weight,
     dwa_equiv,
     find_k_equiv_wa_config,
     prime_field,
@@ -197,15 +196,15 @@ class TestUnderlyingWa:
 class TestDwaAcceptWeight:
     def test_two_loops(self, e1):
         wa = underlying_wa(e1)
-        assert dwa_accept_weight(wa, WaConfig(0, Q.one()), ("a", "a")) == Q.element(4)
+        assert wa.accept_weight(WaConfig(0, Q.one()), ("a", "a")) == Q.element(4)
 
     def test_empty_word(self, e1):
         wa = underlying_wa(e1)
-        assert dwa_accept_weight(wa, WaConfig(0, Q.element(3)), ()) == Q.element(3)
+        assert wa.accept_weight(WaConfig(0, Q.element(3)), ()) == Q.element(3)
 
     def test_missing_transition_gives_zero(self, Q):
         wa = Dwa(["q0"], ["a"], {}, {"q0": Q.one()})
-        assert dwa_accept_weight(wa, WaConfig(0, Q.one()), ("a",)) == Q.zero()
+        assert wa.accept_weight(WaConfig(0, Q.one()), ("a",)) == Q.zero()
 
     def test_zero_start_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -442,7 +441,7 @@ class TestFindKEquivConfig:
                     w + (s,) for w in words if len(w) == length - 1 for s in machine.alphabet
                 ]
             for w in words:
-                assert machine.accept_weight_or_zero(w, config) == dwa_accept_weight(wa, found, w)
+                assert machine.accept_weight_or_zero(w, config) == wa.accept_weight(found, w)
 
     def test_scaling_property(self, e1):
         wa = underlying_wa(e1)
@@ -454,7 +453,7 @@ class TestFindKEquivConfig:
         rescaled = WaConfig(base.state, scaled_weight)
         for w in [(), ("a",), ("a", "a")]:
             expected = e1.accept_weight_or_zero(w, Configuration(0, 1, s_bar))
-            assert dwa_accept_weight(wa, rescaled, w) == expected
+            assert wa.accept_weight(rescaled, w) == expected
 
 
 class TestDwaJson:
@@ -488,5 +487,13 @@ class TestDwaJson:
         doc = one_state_dwa(2).to_json()
         assert set(doc["delta"][0]) == {"from", "on", "to", "weight"}
         doc["delta"][0]["ce"] = 1
+        with pytest.raises(ParseError):
+            Dwa.from_json(doc)
+
+    @pytest.mark.parametrize("key", ["from", "on", "to"])
+    @pytest.mark.parametrize("value", [["q0"], {"q0": "a"}], ids=["list", "object"])
+    def test_non_string_entry_names_rejected(self, key, value):
+        doc = one_state_dwa(2).to_json()
+        doc["delta"][0][key] = value
         with pytest.raises(ParseError):
             Dwa.from_json(doc)

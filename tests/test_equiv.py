@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wroca import (
     AlphabetMismatch,
@@ -259,6 +261,54 @@ except InternalError:
         assert verdict.equivalent and verdict.mode == "bounded"
         stats = verdict.stats
         assert stats.explored_words == stats.basis_size == stats.max_counter_row + 1 == 301
+
+
+_machines = st.builds(
+    lambda seed, field: generate(GeneratorConfig(seed=seed, num_states=(1, 4), field=field)),
+    st.integers(0, 10**6),
+    st.sampled_from([Q, prime_field(7)]),
+)
+
+
+def rebuild(machine, states=None, scale=None):
+    """The same machine with its states declared in another order and its
+    initial weight scaled by ``scale``, its final weights by 1/``scale``."""
+    names, symbols = machine.states, machine.alphabet.symbols
+    delta0, delta1 = (
+        {(names[src], symbols[sym]): (names[dst], ce, w) for (src, sym), (dst, ce, w) in table.items()}
+        for table in (machine.delta0, machine.delta1)
+    )
+    initial_weight, final = machine.initial_weight, dict(zip(names, machine.final_weights))
+    if scale is not None:
+        initial_weight = initial_weight * scale
+        final = {name: w * scale.inverse() for name, w in final.items()}
+    return Dwroca(
+        names if states is None else states,
+        machine.alphabet,
+        names[machine.initial_state],
+        initial_weight,
+        delta0,
+        delta1,
+        final,
+    )
+
+
+class TestMetamorphic:
+    @settings(deadline=None)
+    @given(_machines, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+    def test_scaled_initial_and_final_weights_equivalent(self, machine, num, den):
+        spec = machine.field
+        scale = spec.element(num) * spec.element(den).inverse()
+        assert check_equivalence(machine, rebuild(machine, scale=scale), 8).equivalent
+
+    @settings(deadline=None)
+    @given(_machines, st.integers(0, 10**6), st.data())
+    def test_state_order_keeps_verdict_and_witness(self, machine, seed, data):
+        other = generate(GeneratorConfig(seed=seed, num_states=(1, 4), field=machine.field))
+        permuted = rebuild(machine, states=data.draw(st.permutations(machine.states)))
+        before = check_equivalence(machine, other, 8)
+        after = check_equivalence(permuted, other, 8)
+        assert (after.equivalent, after.witness) == (before.equivalent, before.witness)
 
 
 class TestReplayWitness:

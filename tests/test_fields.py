@@ -127,18 +127,6 @@ _elements = st.one_of(
 
 
 class TestIntOps:
-    @given(_elements)
-    def test_split(self, a):
-        num, den = IntOps(a.spec).split(a)
-        assert type(num) is int and type(den) is int
-        if a.spec == Q:
-            assert den > 0
-            assert Fraction(num, den) == a.value
-        else:
-            assert den == 1
-            assert 0 <= num < a.spec.modulus
-            assert a.spec.element(num) == a
-
     @given(_elements, st.data())
     def test_scale_pair_keeps_the_ray(self, u, data):
         spec = u.spec

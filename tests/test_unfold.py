@@ -12,7 +12,6 @@ from wroca import (
     LazyUnfolding,
     bounds_for_k,
     compute_bounds,
-    dwa_accept_weight,
     rational,
     unfold,
 )
@@ -103,7 +102,7 @@ class TestUnfoldFaithfulness:
             start = WaConfig(wa.initial[0], wa.initial[1])
             for length in range(bound + 1):
                 for w in itertools.product(machine.alphabet.symbols, repeat=length):
-                    assert machine.accept_weight_or_zero(w) == dwa_accept_weight(wa, start, w)
+                    assert machine.accept_weight_or_zero(w) == wa.accept_weight(start, w)
 
 
 class TestLazyUnfolding:
@@ -128,7 +127,7 @@ class TestLazyUnfolding:
                 lazy_value = (
                     machine.field.zero() if state is None else weight * lazy.final_weight(state)
                 )
-                assert lazy_value == dwa_accept_weight(wa, WaConfig(*wa.initial), w)
+                assert lazy_value == wa.accept_weight(WaConfig(*wa.initial), w)
 
     def test_custom_start(self, e1):
         lazy = LazyUnfolding(e1, 10, initial_state=(0, 4), initial_weight=Q.element(5))
