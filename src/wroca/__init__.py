@@ -29,12 +29,9 @@ from .dwa import (
     underlying_wa,
 )
 from .equiv import (
-    ConfigurationPair,
-    SyncTrace,
     WitnessReplay,
     check_equivalence,
     replay_witness,
-    synchronized_run,
 )
 from .errors import (
     AlphabetMismatch,
@@ -69,7 +66,6 @@ __all__ = [
     "BoundTooLarge",
     "BudgetExceeded",
     "Configuration",
-    "ConfigurationPair",
     "CounterProfile",
     "DivisionByZero",
     "Dwa",
@@ -89,7 +85,6 @@ __all__ = [
     "Run",
     "RunStep",
     "SearchStats",
-    "SyncTrace",
     "UnknownSymbol",
     "WaConfig",
     "Witness",
@@ -108,7 +103,6 @@ __all__ = [
     "remove_intervals",
     "render_word",
     "replay_witness",
-    "synchronized_run",
     "underlying_wa",
     "unfold",
 ]

@@ -106,9 +106,9 @@ def _state_cap() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParseError(f"{STATE_CAP_ENV} must be an integer, got {raw!r}") from exc
+        return _natural(raw)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ParseError(f"{STATE_CAP_ENV} must be an integer >= 0, got {raw!r}") from exc
 
 
 def _int_at_least(low: int):

@@ -468,11 +468,8 @@ def _violations(machine, initial_weight, tables) -> list[str]:
     """
     field, states, symbols = machine.field, machine.states, machine.alphabet.symbols
     violations = []
-    if initial_weight is not None:
-        if initial_weight.spec != field:
-            violations.append("initial weight from a different field")
-        elif initial_weight.is_zero:
-            violations.append("zero initial weight")
+    if initial_weight is not None and initial_weight.is_zero:
+        violations.append("zero initial weight")
     for label, table, effects in tables:
         for (src, sym), entry in sorted(table.items()):
             where = f"{label}({states[src]}, {symbols[sym]})"

@@ -15,14 +15,16 @@ reduced by popping its coordinates from a heap in increasing order, so
 keeping or pruning a word costs work in the rows it meets, never a scan of
 the whole basis.
 
-The search computes on Python ints only (``fields.IntOps``), over the
-rationals as over GF(p). A word's vector matters only up to a nonzero
-scalar: its extensions' vectors scale with it, and neither span membership
-nor the witness test changes when a whole vector is scaled. So each
-word carries one int pair, cross-multiplied by the weights' denominators
-and divided by its gcd (reduced mod p over GF(p)), and each kept row is
-stored fraction-free. A reported witness gets its true weights by stepping
-its word once more from the initial configurations.
+The search computes on Python ints only, over the rationals as over GF(p).
+A word's vector matters only up to a nonzero scalar: its extensions'
+vectors scale with it, and neither span membership nor the witness test
+changes when a whole vector is scaled. So each word carries one int pair,
+cross-multiplied by the weights' denominators and divided by its gcd over
+the rationals, reduced mod p over GF(p) (``_pair_scaler``). Every kept row
+has one form in both fields: its pivot value ``d`` and its other
+coordinates, fraction-free with the common factor removed over the
+rationals, residues over GF(p). A reported witness gets its true weights
+by stepping its word once more from the initial configurations.
 
 The worklist works against any object exposing the small stepping interface
 (``initial_config``, ``step_config``, ``final_weight``, ``alphabet``,
@@ -34,6 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import Mapping, Sequence
 
 from .core import (
@@ -53,7 +56,7 @@ from .errors import (
     InternalError,
     ResourceBudgetExceeded,
 )
-from .fields import FieldElement, IntOps
+from .fields import FieldElement, FieldSpec
 
 
 class Dwa:
@@ -242,25 +245,54 @@ def _require_compatible(left, right) -> None:
         raise FieldMismatch("automata must share one field")
 
 
+def _pair_scaler(field: FieldSpec):
+    """The search's one per-field step on a word's int pair.
+
+    ``scale_pair(a, b, u, v)`` is the pair ``(a * u, b * v)`` for ints
+    ``a``, ``b`` and elements ``u``, ``v``, up to a nonzero scalar:
+    cross-multiplied by the denominators and divided by its gcd over the
+    rationals, reduced mod p over GF(p). It is ``(0, 0)`` only when both
+    products are zero, and its two ints are equal exactly when the products
+    are.
+    """
+    p = field.modulus
+    if p is None:
+
+        def scale_pair(a: int, b: int, u: FieldElement, v: FieldElement):
+            u, v = u.value, v.value
+            x = a * u.numerator * v.denominator
+            y = b * v.numerator * u.denominator
+            g = gcd(x, y) or 1
+            return x // g, y // g
+
+    else:
+
+        def scale_pair(a: int, b: int, u: FieldElement, v: FieldElement):
+            # every denominator is 1 here
+            return a * u.value % p, b * v.value % p
+
+    return scale_pair
+
+
 class _EchelonBasis:
-    """Kept difference vectors in echelon form, on ints (see ``IntOps``).
+    """Kept difference vectors in echelon form, on ints.
 
     ``rows`` maps each pivot coordinate to the row's other coordinates,
     which are all above the pivot, and ``scales`` maps it to the row's
-    pivot value ``d`` where that is not 1. Over GF(p) ``d`` is always 1 and
-    every value a residue; over the rationals the values are exact ints
-    with their common factor removed. (A ``(d, coords)`` tuple per row
-    would be one more object per kept row for the garbage collector to
-    walk, which slowed searches keeping 10^5 rows by about 15 %.)
+    pivot value ``d`` where that is not 1. ``modulus`` is p over GF(p),
+    where every value is a residue in [1, p), and None over the rationals,
+    where the values are exact ints with their common factor removed. (A
+    ``(d, coords)`` tuple per row would be one more object per kept row for
+    the garbage collector to walk, which slowed searches keeping 10^5 rows
+    by about 15 %.)
     """
 
-    __slots__ = ("rows", "scales", "modulus", "pivot_form")
+    __slots__ = ("rows", "scales", "modulus")
 
-    def __init__(self, ops: IntOps):
+    def __init__(self, modulus: int | None):
         self.rows: dict = {}
         self.scales: dict = {}
-        self.modulus = ops.modulus
-        self.pivot_form = ops.pivot_form
+        self.modulus = modulus
 
     def insert(self, vec: dict) -> bool:
         """Keep ``vec`` as a new row unless the rows span it; True if kept.
@@ -281,14 +313,24 @@ class _EchelonBasis:
                 continue  # cancelled, or reduced at an earlier entry
             coords = rows.get(coord)
             if coords is None:
-                d, rows[coord] = self.pivot_form(x, vec)
-                if d != 1:
-                    scales[coord] = d
+                if not p:
+                    g = gcd(x, *vec.values())
+                    if g != 1:
+                        x //= g
+                        for c in vec:
+                            vec[c] //= g
+                rows[coord] = vec
+                if x != 1:
+                    scales[coord] = x
                 return True
             d = scales.get(coord, 1)
             if d != 1:
-                for c in vec:
-                    vec[c] *= d
+                if p:
+                    for c in vec:
+                        vec[c] = vec[c] * d % p
+                else:
+                    for c in vec:
+                        vec[c] *= d
             for c, v in coords.items():
                 old = vec.get(c)
                 new = -x * v if old is None else old - x * v
@@ -325,8 +367,7 @@ def _difference_search(
     init_r = right.initial_config()
     if init_l is None or init_r is None:
         raise ValueError("equivalence search needs initialised automata")
-    ops = IntOps(left.field)
-    scale_pair = ops.scale_pair
+    scale_pair = _pair_scaler(left.field)
     zero = left.field.zero()
     symbol_count = len(left.alphabet)
     final_l, final_r = left.final_weight, right.final_weight
@@ -342,7 +383,7 @@ def _difference_search(
     entries: list[tuple[int, int]] = [(-1, -1)]
     a, b = scale_pair(1, 1, init_l[1], init_r[1])
     queue: deque = deque([(0, 0, init_l[0], a, init_r[0], b)])
-    basis = _EchelonBasis(ops)
+    basis = _EchelonBasis(left.field.modulus)
     rows, insert = basis.rows, basis.insert
     explored = 0
     max_row = 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Configuration, Dwroca, Run, Word
+from .core import Dwroca, Run, Word
 from .dwa import (
     EquivalenceVerdict,
     Witness,
@@ -37,23 +37,6 @@ from .unfold import (
 )
 
 DEFAULT_SEARCH_BUDGET = 100_000
-
-
-@dataclass(frozen=True)
-class ConfigurationPair:
-    """Synchronized configurations, one per machine."""
-
-    left: Configuration
-    right: Configuration
-
-
-@dataclass(frozen=True)
-class SyncTrace:
-    """A synchronized run: configuration pairs until a side gets stuck."""
-
-    pairs: tuple[ConfigurationPair, ...]
-    stuck_at: int | None
-    stuck_side: str | None  # "left", "right" or "both"
 
 
 @dataclass(frozen=True)
@@ -133,21 +116,3 @@ def replay_witness(a1: Dwroca, a2: Dwroca, word: Word) -> WitnessReplay:
     f2 = a2.accept_weight_or_zero(word)
     return WitnessReplay(f1, f2, run1, run2)
 
-
-def synchronized_run(a1: Dwroca, a2: Dwroca, word: Word) -> SyncTrace:
-    """Step both machines in lockstep, stopping at the first stuck side."""
-    c1 = a1.initial_configuration()
-    c2 = a2.initial_configuration()
-    pairs = [ConfigurationPair(c1, c2)]
-    for pos, symbol in enumerate(word):
-        n1 = a1.step(c1, symbol)
-        n2 = a2.step(c2, symbol)
-        if n1 is None or n2 is None:
-            if n1 is None and n2 is None:
-                side = "both"
-            else:
-                side = "left" if n1 is None else "right"
-            return SyncTrace(tuple(pairs), pos, side)
-        c1, c2 = n1, n2
-        pairs.append(ConfigurationPair(c1, c2))
-    return SyncTrace(tuple(pairs), None, None)

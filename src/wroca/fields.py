@@ -3,17 +3,13 @@
 All weights in this package are FieldElement values. Elements are immutable,
 always canonical (fully reduced fraction with positive denominator, or
 residue in [0, p)), and may only be combined with elements of the same
-field; mixing fields is a hard error, never a coercion. Inner loops that
-have already checked their fields compute on plain ints instead, through
-IntOps: each value split into numerator and denominator, so no Fraction
-object is made per step.
+field; mixing fields is a hard error, never a coercion.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
 
@@ -229,77 +225,6 @@ class FieldElement:
 
     def __repr__(self):
         return str(self.value)
-
-
-class IntOps:
-    """Field values as Python ints, for fraction-free inner loops.
-
-    A field value is a reduced fraction ``num / den`` with ``den > 0`` over
-    the rationals, and a residue in [0, p) with ``den == 1`` over GF(p). A
-    loop that needs a vector only up to a nonzero scalar can then multiply
-    through by denominators and compute on ints alone.
-
-    ``modulus`` is p over GF(p), where a loop reduces its ints mod p so that
-    they stay small and zero is the only falsy residue, and 0 over the
-    rationals, where the ints are exact and never reduced.
-
-    The per-field normalisation steps work up to a nonzero scalar:
-
-    - ``scale_pair(a, b, u, v)`` is the pair ``(a * u, b * v)`` for ints
-      ``a``, ``b`` and elements ``u``, ``v``, cross-multiplied by the
-      denominators and then divided by its gcd over the rationals, or
-      reduced mod p over GF(p). It is ``(0, 0)`` only when both products
-      are zero, and its two ints are equal exactly when the products are.
-    - ``pivot_form(x, coords)`` turns a vector with nonzero pivot value
-      ``x`` and the other coordinates ``coords`` into ``(d, coords)``:
-      divided by the gcd of all its values over the rationals, scaled to
-      ``d == 1`` over GF(p). It rescales ``coords`` in place.
-    """
-
-    __slots__ = ("modulus", "scale_pair", "pivot_form")
-
-    def __init__(self, spec: FieldSpec):
-        if spec.kind == RATIONAL_KIND:
-            self.modulus = 0
-            self.scale_pair = _scale_rational_pair
-            self.pivot_form = _remove_content
-            return
-        p = spec.modulus
-        self.modulus = p
-
-        def scale_pair(a: int, b: int, u: FieldElement, v: FieldElement):
-            # every denominator is 1 here
-            return a * u.value % p, b * v.value % p
-
-        def pivot_form(x: int, coords: dict) -> tuple[int, dict]:
-            inv = pow(x, -1, p)
-            for c in coords:
-                coords[c] = coords[c] * inv % p
-            return 1, coords
-
-        self.scale_pair, self.pivot_form = scale_pair, pivot_form
-
-
-def _split_fraction(element: FieldElement) -> tuple[int, int]:
-    value = element.value
-    return value.numerator, value.denominator
-
-
-def _scale_rational_pair(a: int, b: int, u: FieldElement, v: FieldElement):
-    un, ud = _split_fraction(u)
-    vn, vd = _split_fraction(v)
-    x = a * un * vd
-    y = b * vn * ud
-    g = gcd(x, y) or 1
-    return x // g, y // g
-
-
-def _remove_content(x: int, coords: dict) -> tuple[int, dict]:
-    g = gcd(x, *coords.values())
-    if g != 1:
-        for c in coords:
-            coords[c] //= g
-    return x // g, coords
 
 
 def parse_element(text: str, spec: FieldSpec) -> FieldElement:

@@ -231,6 +231,13 @@ class TestUnfold:
         code, _, _ = run_cli("unfold", e1_file, str(tmp_path / "x.json"), "--bound", "5")
         assert code == 0
 
+    @pytest.mark.parametrize("raw", ["-3", "ten"])
+    def test_env_cap_rejected(self, e1_file, tmp_path, monkeypatch, raw):
+        monkeypatch.setenv("WROCA_STATE_CAP", raw)
+        code, _, err = run_cli("unfold", e1_file, str(tmp_path / "x.json"), "--bound", "1")
+        assert code == 2
+        assert "WROCA_STATE_CAP" in err
+
 
 class TestBounds:
     def test_k_two_exact(self):

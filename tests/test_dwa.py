@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wroca import (
     AlphabetMismatch,
@@ -18,8 +22,7 @@ from wroca import (
     rational,
     underlying_wa,
 )
-from wroca.dwa import _difference_search, _EchelonBasis
-from wroca.fields import IntOps
+from wroca.dwa import _difference_search, _EchelonBasis, _pair_scaler
 from wroca.testkit import GeneratorConfig, default_weight_pool, generate, random_words
 
 Q = rational()
@@ -344,6 +347,30 @@ class TestDwaEquiv:
             _difference_search(left, right, dimension=1)
 
 
+GF7 = prime_field(7)
+GF_BIG = prime_field(2**31 - 1)
+
+_elements = st.one_of(
+    st.builds(lambda n, d: Q.element(Fraction(n, d)), st.integers(), st.integers(min_value=1)),
+    st.builds(GF7.element, st.integers()),
+    st.builds(GF_BIG.element, st.integers()),
+)
+
+
+class TestPairScaler:
+    @given(_elements, st.data())
+    def test_scale_pair_keeps_the_ray(self, u, data):
+        spec = u.spec
+        v = data.draw(st.integers(-(2**40), 2**40).map(spec.element))
+        a, b = data.draw(st.integers(-50, 50)), data.draw(st.integers(-50, 50))
+        x, y = _pair_scaler(spec)(a, b, u, v)
+        left, right = spec.element(a) * u, spec.element(b) * v
+        # (x, y) is (left, right) times a scalar that is nonzero unless both are zero
+        assert spec.element(x) * right == spec.element(y) * left
+        assert (x == y) == (left == right)
+        assert ((x, y) == (0, 0)) == (left.is_zero and right.is_zero)
+
+
 class TestEchelonBasis:
     COORDS = [(side, state) for side in (0, 1) for state in range(3)]
 
@@ -380,13 +407,22 @@ class TestEchelonBasis:
         rng = random.Random(71)
         for _ in range(150):
             vectors = self.sparse_vectors(rng, field)
-            basis = _EchelonBasis(IntOps(field))
+            basis = _EchelonBasis(field.modulus)
             dense = []
             for vec in vectors:
                 before = dense_rank(dense)
                 dense.append([field.element(vec.get(c, 0)) for c in self.COORDS])
                 assert basis.insert(dict(vec)) == (dense_rank(dense) > before)
             assert len(basis.rows) == dense_rank(dense)
+            # one row form: (d, coords), residues in [1, p) over GF(p) and
+            # content-free ints over Q
+            p = field.modulus
+            for pivot, coords in basis.rows.items():
+                values = [basis.scales.get(pivot, 1), *coords.values()]
+                if p:
+                    assert all(0 < v < p for v in values)
+                else:
+                    assert gcd(*values) == 1
 
 
 class TestBoundedKEquiv:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from wroca import (
     AlphabetMismatch,
-    Configuration,
     Dwroca,
     FieldMismatch,
     InternalError,
@@ -21,7 +20,6 @@ from wroca import (
     prime_field,
     rational,
     replay_witness,
-    synchronized_run,
 )
 from wroca.testkit import GeneratorConfig, brute_force_witness, generate, split_state
 
@@ -270,22 +268,29 @@ _machines = st.builds(
 )
 
 
-def rebuild(machine, states=None, scale=None):
-    """The same machine with its states declared in another order and its
-    initial weight scaled by ``scale``, its final weights by 1/``scale``."""
+def rebuild(machine, states=None, scale=None, rename=None, alphabet=None):
+    """The same machine with its states declared in another order, renamed
+    by ``rename`` (old name -> new name), its symbols declared in the order
+    ``alphabet``, and its initial weight scaled by ``scale``, its final
+    weights by 1/``scale``."""
     names, symbols = machine.states, machine.alphabet.symbols
+    new = dict(zip(names, names)) if rename is None else rename
     delta0, delta1 = (
-        {(names[src], symbols[sym]): (names[dst], ce, w) for (src, sym), (dst, ce, w) in table.items()}
+        {
+            (new[names[src]], symbols[sym]): (new[names[dst]], ce, w)
+            for (src, sym), (dst, ce, w) in table.items()
+        }
         for table in (machine.delta0, machine.delta1)
     )
-    initial_weight, final = machine.initial_weight, dict(zip(names, machine.final_weights))
+    initial_weight = machine.initial_weight
+    final = {new[name]: w for name, w in zip(names, machine.final_weights)}
     if scale is not None:
         initial_weight = initial_weight * scale
         final = {name: w * scale.inverse() for name, w in final.items()}
     return Dwroca(
-        names if states is None else states,
-        machine.alphabet,
-        names[machine.initial_state],
+        [new[name] for name in (names if states is None else states)],
+        machine.alphabet if alphabet is None else alphabet,
+        new[names[machine.initial_state]],
         initial_weight,
         delta0,
         delta1,
@@ -310,6 +315,29 @@ class TestMetamorphic:
         after = check_equivalence(permuted, other, 8)
         assert (after.equivalent, after.witness) == (before.equivalent, before.witness)
 
+    @settings(deadline=None)
+    @given(_machines, st.integers(0, 10**6), st.data())
+    def test_renamed_states_keep_verdict_and_witness(self, machine, seed, data):
+        other = generate(GeneratorConfig(seed=seed, num_states=(1, 4), field=machine.field))
+        # each state takes another one's name; the declared order stays
+        rename = dict(zip(machine.states, data.draw(st.permutations(machine.states))))
+        before = check_equivalence(machine, other, 8)
+        after = check_equivalence(rebuild(machine, rename=rename), other, 8)
+        assert (after.equivalent, after.witness) == (before.equivalent, before.witness)
+
+    @settings(deadline=None)
+    @given(_machines, st.integers(0, 10**6))
+    def test_alphabet_order_keeps_verdict_and_witness_length(self, machine, seed):
+        other = generate(GeneratorConfig(seed=seed, num_states=(1, 4), field=machine.field))
+        order = machine.alphabet.symbols[::-1]
+        before = check_equivalence(machine, other, 8)
+        after = check_equivalence(
+            rebuild(machine, alphabet=order), rebuild(other, alphabet=order), 8
+        )
+        assert after.equivalent == before.equivalent
+        if not before.equivalent:
+            assert len(after.witness.word) == len(before.witness.word)
+
 
 class TestReplayWitness:
     def test_empty_word(self, e1, e1p):
@@ -327,38 +355,3 @@ class TestReplayWitness:
         assert replay.f1 == Q.element(2) and replay.f2 == Q.zero()
         assert not replay.run2.ok and replay.run2.stuck_at == 0
 
-
-class TestSynchronizedRun:
-    def test_empty_word(self, e1, e1p):
-        trace = synchronized_run(e1, e1p, ())
-        assert len(trace.pairs) == 1
-        assert trace.stuck_at is None and trace.stuck_side is None
-        assert trace.pairs[0].left == e1.initial_configuration()
-
-    def test_one_step_pair(self, e1, e1p):
-        trace = synchronized_run(e1, e1p, ("a",))
-        assert [p.left for p in trace.pairs] == [
-            Configuration(0, 0, Q.one()),
-            Configuration(0, 1, Q.element(2)),
-        ]
-        assert trace.pairs[1].right == Configuration(0, 1, Q.element(3))
-
-    def test_stuck_left(self, e1, Q):
-        dead = Dwroca(["q0"], ["a"], "q0", Q.one(), {}, {}, {"q0": Q.one()})
-        trace = synchronized_run(dead, e1, ("a", "a"))
-        assert trace.stuck_at == 0 and trace.stuck_side == "left"
-        assert len(trace.pairs) == 1
-
-    def test_stuck_midword_right(self, e1, Q):
-        one_step = Dwroca(
-            ["q0", "q1"],
-            ["a"],
-            "q0",
-            Q.one(),
-            {("q0", "a"): ("q1", 1, Q.one())},
-            {},
-            {"q0": Q.one(), "q1": Q.one()},
-        )
-        trace = synchronized_run(e1, one_step, ("a", "a", "a"))
-        assert trace.stuck_at == 1 and trace.stuck_side == "right"
-        assert len(trace.pairs) == 2

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wroca import DivisionByZero, FieldMismatch, ParseError, parse_element, prime_field, rational
-from wroca.fields import FieldSpec, IntOps, _is_prime
+from wroca.fields import FieldSpec, _is_prime
 
 Q = rational()
 GF7 = prime_field(7)
@@ -115,29 +115,6 @@ class TestParse:
     def test_roundtrip_gf(self, value):
         element = g7(value)
         assert parse_element(element.render(), GF7) == element
-
-
-GF_BIG = prime_field(2**31 - 1)
-
-_elements = st.one_of(
-    st.builds(lambda n, d: Q.element(Fraction(n, d)), st.integers(), st.integers(min_value=1)),
-    st.builds(GF7.element, st.integers()),
-    st.builds(GF_BIG.element, st.integers()),
-)
-
-
-class TestIntOps:
-    @given(_elements, st.data())
-    def test_scale_pair_keeps_the_ray(self, u, data):
-        spec = u.spec
-        v = data.draw(st.integers(-(2**40), 2**40).map(spec.element))
-        a, b = data.draw(st.integers(-50, 50)), data.draw(st.integers(-50, 50))
-        x, y = IntOps(spec).scale_pair(a, b, u, v)
-        left, right = spec.element(a) * u, spec.element(b) * v
-        # (x, y) is (left, right) times a scalar that is nonzero unless both are zero
-        assert spec.element(x) * right == spec.element(y) * left
-        assert (x == y) == (left == right)
-        assert ((x, y) == (0, 0)) == (left.is_zero and right.is_zero)
 
 
 class TestSpecValidation:
