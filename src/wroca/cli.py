@@ -53,6 +53,23 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _write_machine(args, machine, noun: str) -> int:
+    """Write ``machine``'s JSON to ``args.out`` (``-`` is stdout); for a
+    file, report its size and path."""
+    doc = json.dumps(machine.to_json(), indent=2)
+    if args.out == "-":
+        print(doc)
+    else:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(doc + "\n")
+        _emit(
+            args,
+            {"states": machine.size, "out": args.out},
+            f"wrote {noun} with {machine.size} states to {args.out}",
+        )
+    return 0
+
+
 def _load_automaton(path: str) -> Dwroca:
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -212,18 +229,7 @@ def cmd_equiv(args) -> int:
 def cmd_unfold(args) -> int:
     automaton = _load_valid(args.file)
     result = unfold(automaton, args.bound, state_cap=_state_cap())
-    doc = json.dumps(result.to_json(), indent=2)
-    if args.out == "-":
-        print(doc)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(doc + "\n")
-        _emit(
-            args,
-            {"states": result.size, "out": args.out},
-            f"wrote unfolding with {result.size} states to {args.out}",
-        )
-    return 0
+    return _write_machine(args, result, "unfolding")
 
 
 def cmd_bounds(args) -> int:
@@ -262,19 +268,7 @@ def cmd_random(args) -> int:
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    automaton = testkit.generate(cfg)
-    doc = json.dumps(automaton.to_json(), indent=2)
-    if args.out == "-":
-        print(doc)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(doc + "\n")
-        _emit(
-            args,
-            {"states": automaton.size, "out": args.out},
-            f"wrote automaton with {automaton.size} states to {args.out}",
-        )
-    return 0
+    return _write_machine(args, testkit.generate(cfg), "automaton")
 
 
 def cmd_pumpcheck(args) -> int:

@@ -27,8 +27,11 @@ rationals, residues over GF(p). A reported witness gets its true weights
 by stepping its word once more from the initial configurations.
 
 The worklist works against any object exposing the small stepping interface
-(``initial_config``, ``step_config``, ``final_weight``, ``alphabet``,
-``field``); materialized automata and lazy unfoldings both qualify.
+(``initial_config``, ``step_config``, ``final_weight``, ``row_of``,
+``size``, ``alphabet``, ``field``); materialized automata and lazy
+unfoldings both qualify. ``size`` is the state count, so the two sizes
+bound the kept rows, and ``row_of`` gives a state's counter row (0 for an
+automaton without a counter).
 """
 
 from __future__ import annotations
@@ -133,6 +136,10 @@ class Dwa:
 
     def final_weight(self, state: int) -> FieldElement:
         return self.final_weights[state]
+
+    @staticmethod
+    def row_of(state: int) -> int:
+        return 0  # no counter
 
     # -- acceptance -----------------------------------------------------
 
@@ -351,16 +358,16 @@ def _difference_search(
     *,
     max_len: int | None = None,
     budget: int | None = None,
-    dimension: int | None = None,
     prune: bool = True,
-    row_of=None,
 ):
     """Breadth-first difference-vector search.
 
     Returns ``(witness | None, stats)``; None means no witness among the
     explored words, which with pruning enabled covers every word of length
     up to ``max_len`` (all words, when ``max_len`` is None). Raises
-    ResourceBudgetExceeded when more than ``budget`` words get dequeued.
+    ResourceBudgetExceeded when more than ``budget`` words get dequeued,
+    and InternalError when more vectors get kept than the machines' sizes
+    add up to.
     """
     _require_compatible(left, right)
     init_l = left.initial_config()
@@ -372,6 +379,8 @@ def _difference_search(
     symbol_count = len(left.alphabet)
     final_l, final_r = left.final_weight, right.final_weight
     step_l, step_r = left.step_config, right.step_config
+    row_l, row_r = left.row_of, right.row_of
+    dimension = left.size + right.size
 
     # A queue entry (idx, depth, sl, a, sr, b) holds a word's difference
     # vector up to a nonzero scalar: int a at (0, sl), int b at (1, sr). A
@@ -393,15 +402,14 @@ def _difference_search(
         explored += 1
         if budget is not None and explored > budget:
             raise ResourceBudgetExceeded(explored, budget)
-        if row_of is not None:
-            if sl is not None:
-                row = row_of(sl)
-                if row > max_row:
-                    max_row = row
-            if sr is not None:
-                row = row_of(sr)
-                if row > max_row:
-                    max_row = row
+        if sl is not None:
+            row = row_l(sl)
+            if row > max_row:
+                max_row = row
+        if sr is not None:
+            row = row_r(sr)
+            if row > max_row:
+                max_row = row
         f_left, f_right = scale_pair(
             a,
             b,
@@ -427,7 +435,7 @@ def _difference_search(
                 vec[(1, sr)] = b
             if not insert(vec):
                 continue  # spanned by kept vectors: extensions cannot add witnesses
-            if dimension is not None and len(rows) > dimension:
+            if len(rows) > dimension:
                 raise InternalError(
                     f"kept {len(rows)} vectors in a space of dimension {dimension}"
                 )
@@ -490,11 +498,7 @@ def dwa_equiv(left: Dwa, right: Dwa) -> EquivalenceVerdict:
     The verdict is complete (a proof either way); a reported witness has
     minimal length, ties broken lexicographically by alphabet order.
     """
-    if left.initial is None or right.initial is None:
-        raise ValueError("dwa_equiv needs initialised automata")
-    witness, stats = _difference_search(
-        left, right, dimension=left.size + right.size
-    )
+    witness, stats = _difference_search(left, right)
     return EquivalenceVerdict(witness is None, witness, "theoretical", None, stats)
 
 
@@ -503,10 +507,7 @@ def bounded_k_equiv(left, right, k: int) -> bool:
     at most k. Saturation of the kept-vector basis ends the search early."""
     if k < 0:
         raise ValueError("k must be a natural number")
-    dimension = None
-    if isinstance(left, Dwa) and isinstance(right, Dwa):
-        dimension = left.size + right.size
-    witness, _stats = _difference_search(left, right, max_len=k, dimension=dimension)
+    witness, _stats = _difference_search(left, right, max_len=k)
     return witness is None
 
 
@@ -515,12 +516,13 @@ def find_k_equiv_wa_config(
 ) -> WaConfig | None:
     """Find a weighted-automaton configuration k-equivalent to ``config``.
 
-    For a candidate state q, acceptance from (q, t) is linear in t, so the
-    first word on which both sides accept with nonzero weight pins t
-    exactly; a zero/nonzero mismatch on an earlier word rules q out. The
-    pinned candidate is then verified by a depth-k equivalence run against
-    the counter automaton restricted to the rows reachable within k steps.
-    Returns None when no state of ``wa`` admits any weight.
+    For a candidate state q, a weight c works exactly when every word up to
+    length k weighs c times as much from (q, 1) as from ``config``'s
+    depth-k view of the counter automaton. So one depth-k search against
+    (q, 1) pins c: no witness means 1 works; a witness on which one side
+    weighs zero rules q out; otherwise its weights force c = f1 / f2, which
+    a second depth-k run verifies. Returns the first state that admits a
+    weight, or None when none does.
     """
     from .unfold import LazyUnfolding
 
@@ -535,49 +537,12 @@ def find_k_equiv_wa_config(
     )
     one = automaton.field.one()
     for q in range(wa.size):
-        candidate = _pin_weight(view, wa, q, k, one)
-        if candidate is None:
+        witness, _stats = _difference_search(view, wa.with_initial(q, one), max_len=k)
+        if witness is None:
+            return WaConfig(q, one)
+        if witness.f1.is_zero or witness.f2.is_zero:
             continue
-        initialised = wa.with_initial(q, candidate)
-        if bounded_k_equiv(view, initialised, k):
+        candidate = witness.f1 / witness.f2
+        if bounded_k_equiv(view, wa.with_initial(q, candidate), k):
             return WaConfig(q, candidate)
     return None
-
-
-def _pin_weight(view, wa: Dwa, q: int, k: int, one: FieldElement):
-    """The forced weight for candidate state q, or None when q is ruled out.
-
-    Scans words in shortest-then-lexicographic order for the first one on
-    which either side has nonzero acceptance weight. Nonzero on both sides
-    pins the weight; nonzero on exactly one side rules q out; all-zero up
-    to depth k means any weight works and 1 is returned.
-    """
-    zero = view.field.zero()
-    start_state = view.initial_config()[0]
-    start_weight = view.initial_config()[1]
-    queue = deque([(start_state, q, start_weight, one, 0)])
-    seen = {(start_state, q)}
-    symbol_count = len(view.alphabet)
-    while queue:
-        sa, sb, wa_weight, wb_weight, depth = queue.popleft()
-        fa = wa_weight * view.final_weight(sa) if sa is not None else zero
-        gb = wb_weight * wa.final_weight(sb) if sb is not None else zero
-        if not fa.is_zero or not gb.is_zero:
-            if fa.is_zero or gb.is_zero:
-                return None
-            return fa * gb.inverse()
-        if depth >= k:
-            continue
-        for sym in range(symbol_count):
-            na = view.step_config(sa, sym) if sa is not None else None
-            nb = wa.step_config(sb, sym) if sb is not None else None
-            if na is None and nb is None:
-                continue
-            state_a, weight_a = (na[0], wa_weight * na[1]) if na else (None, wa_weight)
-            state_b, weight_b = (nb[0], wb_weight * nb[1]) if nb else (None, wb_weight)
-            key = (state_a, state_b)
-            if key in seen:
-                continue
-            seen.add(key)
-            queue.append((state_a, state_b, weight_a, weight_b, depth + 1))
-    return one

@@ -29,12 +29,7 @@ from .dwa import (
 )
 from .errors import InternalError, InvalidAutomaton
 from .fields import FieldElement
-from .unfold import (
-    BELT_THICKNESS_COEFF,
-    INITIAL_SPACE_COEFF,
-    LazyUnfolding,
-    compute_bounds,
-)
+from .unfold import LazyUnfolding, compute_bounds
 
 DEFAULT_SEARCH_BUDGET = 100_000
 
@@ -62,8 +57,6 @@ def check_equivalence(
     bound_override: int | None = None,
     *,
     budget: int | None = DEFAULT_SEARCH_BUDGET,
-    initial_coeff: int = INITIAL_SPACE_COEFF,
-    belt_coeff: int = BELT_THICKNESS_COEFF,
 ) -> EquivalenceVerdict:
     """Decide equivalence, or report a minimal distinguishing witness.
 
@@ -75,7 +68,7 @@ def check_equivalence(
     """
     _require_valid(a1, a2)
     _require_compatible(a1, a2)
-    bounds = compute_bounds(a1.size, a2.size, initial_coeff, belt_coeff)
+    bounds = compute_bounds(a1.size, a2.size)
     if bound_override is None:
         limit = bounds.witness_bound
         mode = "theoretical"
@@ -86,14 +79,7 @@ def check_equivalence(
         mode = "theoretical" if bound_override >= bounds.witness_bound else "bounded"
     left = LazyUnfolding(a1, limit)
     right = LazyUnfolding(a2, limit)
-    witness, stats = _difference_search(
-        left,
-        right,
-        max_len=limit,
-        budget=budget,
-        dimension=(a1.size + a2.size) * (limit + 1),
-        row_of=LazyUnfolding.row_of,
-    )
+    witness, stats = _difference_search(left, right, max_len=limit, budget=budget)
     if witness is None:
         return EquivalenceVerdict(True, None, mode, limit, stats)
     f1 = a1.accept_weight_or_zero(witness.word)

@@ -34,7 +34,9 @@ _SYMBOL_POOL = "abcdefghijklmnopqrstuvwxyz"
 
 def default_weight_pool(spec: FieldSpec) -> tuple[FieldElement, ...]:
     """Small nonzero weights; small pools make collisions (and therefore
-    genuinely equivalent random pairs) likely."""
+    genuinely equivalent random pairs) likely. Over GF(p) the pool is the
+    residues 1..min(p - 1, 16), so a large prime costs no more than a small
+    one."""
     if spec.kind == "rational":
         return (
             spec.element(1),
@@ -43,7 +45,7 @@ def default_weight_pool(spec: FieldSpec) -> tuple[FieldElement, ...]:
             spec.element("1/2"),
             spec.element(-1),
         )
-    return tuple(spec.element(i) for i in range(1, spec.modulus))
+    return tuple(spec.element(i) for i in range(1, min(spec.modulus, 17)))
 
 
 @dataclass(frozen=True)

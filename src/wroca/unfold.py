@@ -24,9 +24,10 @@ from .errors import BoundTooLarge, InvalidAutomaton
 
 DEFAULT_STATE_CAP = 10_000_000
 
-# Derived defaults for the two partition polynomials (initial-space size
-# 14 K^6 and belt thickness 6 K^4). Overridable so pipeline correctness
-# never hinges on the exact coefficients.
+# Coefficients of the two partition polynomials (initial-space size 14 K^6
+# and belt thickness 6 K^4). The pipeline always uses these; only
+# ``bounds_for_k``/``compute_bounds`` (and ``wroca bounds``) take others, to
+# show how the bounds scale with them.
 INITIAL_SPACE_COEFF = 14
 BELT_THICKNESS_COEFF = 6
 
@@ -128,6 +129,10 @@ class LazyUnfolding:
     def __setattr__(self, name, value):
         raise AttributeError("LazyUnfolding is immutable")
 
+    @property
+    def size(self) -> int:
+        return self.automaton.size * (self.bound + 1)
+
     def initial_config(self):
         return self._initial
 
@@ -162,9 +167,8 @@ def unfold(automaton: Dwroca, bound: int, state_cap: int | None = None) -> Dwa:
         raise InvalidAutomaton(violations)
     view = LazyUnfolding(automaton, bound)  # rejects a negative bound
     cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
-    required = automaton.size * (bound + 1)
-    if required > cap:
-        raise BoundTooLarge(required, cap)
+    if view.size > cap:
+        raise BoundTooLarge(view.size, cap)
 
     def name(state: int, row: int) -> str:
         return f"{automaton.states[state]}#{row}"

@@ -13,6 +13,7 @@ from wroca import (
     Dwroca,
     FieldMismatch,
     InternalError,
+    LazyUnfolding,
     ParseError,
     WaConfig,
     bounded_k_equiv,
@@ -36,6 +37,25 @@ def one_state_dwa(loop_weight, final_weight=None, initial_weight=None):
         {"q0": Q.one() if final_weight is None else Q.element(final_weight)},
         ("q0", Q.one() if initial_weight is None else Q.element(initial_weight)),
     )
+
+
+class Understated:
+    """Steps like ``machine`` but reports ``size`` states, so a search
+    against it checks its kept rows against a smaller dimension."""
+
+    def __init__(self, machine, size):
+        self.machine, self.size = machine, size
+
+    def __getattr__(self, name):
+        return getattr(self.machine, name)
+
+
+def words_up_to(symbols, k):
+    """Every word of length at most k, shortest first."""
+    words = [()]
+    for length in range(1, k + 1):
+        words += [w + (s,) for w in words if len(w) == length - 1 for s in symbols]
+    return words
 
 
 def brute_dwa_witness(b1, b2, max_len):
@@ -342,9 +362,10 @@ class TestDwaEquiv:
             {"p0": Q.one(), "p1": Q.one()},
             ("p0", Q.one()),
         )
-        assert _difference_search(left, right, dimension=3)[1].basis_size == 2
+        assert left.size + right.size == 3
+        assert _difference_search(left, right)[1].basis_size == 2
         with pytest.raises(InternalError):
-            _difference_search(left, right, dimension=1)
+            _difference_search(left, Understated(right, 0))
 
 
 GF7 = prime_field(7)
@@ -445,6 +466,14 @@ class TestBoundedKEquiv:
             for k in (0, 1, 3):
                 assert bounded_k_equiv(b1, b2, k) == (brute_dwa_witness(b1, b2, k) is None)
 
+    def test_mixed_search_checks_dimension(self, e1):
+        # the unfolding's a^n and the loop's a^n both weigh 2^n, but each
+        # word reaches a new row, so the search keeps one vector per depth
+        view = LazyUnfolding(e1, 4)
+        assert bounded_k_equiv(view, one_state_dwa(2), 4)
+        with pytest.raises(InternalError):
+            bounded_k_equiv(Understated(view, 0), one_state_dwa(2), 4)
+
 
 class TestFindKEquivConfig:
     def test_e1_counter_zero(self, e1):
@@ -471,13 +500,48 @@ class TestFindKEquivConfig:
             found = find_k_equiv_wa_config(machine, config, wa, k)
             if found is None:
                 continue
-            words = [()]
-            for length in range(1, k + 1):
-                words += [
-                    w + (s,) for w in words if len(w) == length - 1 for s in machine.alphabet
-                ]
-            for w in words:
+            for w in words_up_to(machine.alphabet.symbols, k):
                 assert machine.accept_weight_or_zero(w, config) == wa.accept_weight(found, w)
+
+    def test_first_admitting_state_and_forced_weight(self):
+        # Enumerate every word up to length k: state q admits weight c
+        # exactly when each word weighs c times as much from (q, 1) as
+        # from the configuration, so c is forced by any word on which
+        # either side is nonzero, and is 1 when there is none.
+        found = missing = 0
+        for seed in range(400):
+            rng = random.Random(70000 + seed)
+            field = rational() if seed % 2 else prime_field(7)
+            one = field.one()
+            machine = generate(GeneratorConfig(seed=rng.randrange(2**32), field=field, num_states=(1, 3)))
+            source = machine if seed % 3 == 0 else generate(
+                GeneratorConfig(seed=rng.randrange(2**32), field=field, num_states=(1, 3))
+            )
+            wa = underlying_wa(source)
+            if wa.alphabet != machine.alphabet:
+                continue
+            k = rng.randint(0, 3)
+            pool = default_weight_pool(field)
+            config = Configuration(rng.randrange(machine.size), rng.randint(0, 3), rng.choice(pool))
+            words = words_up_to(machine.alphabet.symbols, k)
+            expected = None
+            for q in range(wa.size):
+                ratios = set()
+                for w in words:
+                    f = machine.accept_weight_or_zero(w, config)
+                    g = wa.accept_weight(WaConfig(q, one), w)
+                    if f.is_zero != g.is_zero:
+                        break
+                    if not f.is_zero:
+                        ratios.add(f / g)
+                else:
+                    if len(ratios) <= 1:
+                        expected = WaConfig(q, ratios.pop() if ratios else one)
+                        break
+            assert find_k_equiv_wa_config(machine, config, wa, k) == expected
+            found += expected is not None
+            missing += expected is None
+        assert found > 50 and missing > 50
 
     def test_scaling_property(self, e1):
         wa = underlying_wa(e1)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -214,9 +215,17 @@ def loop(weight):
     table = {("q0", "a"): ("q0", 1, Q.element(weight))}
     return Dwroca(["q0"], ["a"], "q0", Q.one(), table, dict(table), {"q0": Q.one()})
 
+class Understated:
+    def __init__(self, machine, size):
+        self.machine, self.size = machine, size
+
+    def __getattr__(self, name):
+        return getattr(self.machine, name)
+
 two = loop(2)
+view = LazyUnfolding(two, 4)
 try:
-    _difference_search(LazyUnfolding(two, 4), LazyUnfolding(two, 4), dimension=1)
+    _difference_search(Understated(view, 1), Understated(view, 0))
     sys.exit(1)
 except InternalError:
     pass
@@ -237,6 +246,20 @@ except InternalError:
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
+
+    def test_package_has_no_assert_statements(self):
+        # python -O strips assert statements, so an internal check written
+        # as one is no check at all; it must raise InternalError instead.
+        package = Path(__file__).resolve().parents[1] / "src" / "wroca"
+        modules = sorted(package.glob("*.py"))
+        assert modules
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in modules
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
     @pytest.mark.parametrize("field", [rational(), prime_field(2**31 - 1)], ids=["q", "gf"])
     @pytest.mark.parametrize("same", [True, False], ids=["e1-e1", "e1-e2"])

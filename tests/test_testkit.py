@@ -63,6 +63,15 @@ class TestGenerator:
         pool = default_weight_pool(prime_field(5))
         assert sorted(w.value for w in pool) == [1, 2, 3, 4]
 
+    def test_large_prime_pool_is_capped(self):
+        field = prime_field(2**31 - 1)
+        pool = default_weight_pool(field)
+        assert [w.value for w in pool] == list(range(1, 17))
+        machine = generate(GeneratorConfig(seed=1, field=field))
+        assert machine.validate() == []
+        weights = {w for table in (machine.delta0, machine.delta1) for _dst, _ce, w in table.values()}
+        assert weights <= set(pool)
+
 
 class TestSplitState:
     def test_adds_one_state(self):
