@@ -5,12 +5,14 @@ JSON output (--json) is the stable machine interface; the human-readable
 format may change. Exit codes partition outcomes: 0 success/equivalent,
 1 violation/witness/not-a-pumping, 2 usage/parse/mismatch errors, 3 unknown
 symbol, 4 search budget exhausted, 5 unfolding over the state cap, 6 failed
-internal consistency check.
+internal consistency check, 141 (128 + SIGPIPE) output cut off because its
+reader closed the pipe.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -349,9 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs more than most commands, so main builds it
+# once per process, on its first call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UnknownSymbol as exc:
@@ -364,6 +370,13 @@ def main(argv=None) -> int:
         return _fail(f"internal error: {exc}", 6)
     except WrocaError as exc:
         return _fail(str(exc), 2)
+    except BrokenPipeError:
+        # The reader has gone: print nothing, and point stdout at devnull so
+        # that the interpreter's last flush does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except OSError as exc:
         return _fail(str(exc), 2)
 

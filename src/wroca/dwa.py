@@ -24,14 +24,18 @@ the rationals, reduced mod p over GF(p) (``_pair_scaler``). Every kept row
 has one form in both fields: its pivot value ``d`` and its other
 coordinates, fraction-free with the common factor removed over the
 rationals, residues over GF(p). A reported witness gets its true weights
-by stepping its word once more from the initial configurations.
+by stepping its word once more through ``initial_config``, ``step_config``
+and ``final_weight``.
 
-The worklist works against any object exposing the small stepping interface
-(``initial_config``, ``step_config``, ``final_weight``, ``row_of``,
-``size``, ``alphabet``, ``field``); materialized automata and lazy
-unfoldings both qualify. ``size`` is the state count, so the two sizes
-bound the kept rows, and ``row_of`` gives a state's counter row (0 for an
-automaton without a counter).
+The search reads each machine once, through ``search_tables``: its initial
+configuration, its zero-row and positive-row transition tables, its final
+weights and its highest counter row. A lazy unfolding hands over its
+automaton's two tables; a weighted automaton is a machine that stays at row
+0, its one table serving both with counter effect 0. A configuration is then
+a control state and a row, both ints. The search splits a state's steps and
+final weight into int pairs the first time it reaches them, and applies the
+counter effects and the row bound itself. ``size``, the state count (a
+lazy unfolding has |Q| * (M + 1)), bounds the kept rows.
 """
 
 from __future__ import annotations
@@ -137,9 +141,13 @@ class Dwa:
     def final_weight(self, state: int) -> FieldElement:
         return self.final_weights[state]
 
-    @staticmethod
-    def row_of(state: int) -> int:
-        return 0  # no counter
+    def search_tables(self):
+        """The equivalence search's view: a counter machine that stays at
+        row 0. ``(initial, zero_table, positive_table, final_weights,
+        bound)``, ``initial`` being (state, row, weight) or None; the one
+        table serves both rows, its (dst, weight) entries with effect 0."""
+        initial = None if self.initial is None else (self.initial[0], 0, self.initial[1])
+        return initial, self.transitions, self.transitions, self.final_weights, 0
 
     # -- acceptance -----------------------------------------------------
 
@@ -252,33 +260,55 @@ def _require_compatible(left, right) -> None:
         raise FieldMismatch("automata must share one field")
 
 
+def _int_pair(element: FieldElement) -> tuple[int, int]:
+    """An element as ints: ``(numerator, denominator)`` over the rationals,
+    ``(residue, 1)`` over GF(p)."""
+    value = element.value  # a Fraction, or an int residue
+    return value.numerator, value.denominator
+
+
 def _pair_scaler(field: FieldSpec):
     """The search's one per-field step on a word's int pair.
 
     ``scale_pair(a, b, u, v)`` is the pair ``(a * u, b * v)`` for ints
-    ``a``, ``b`` and elements ``u``, ``v``, up to a nonzero scalar:
-    cross-multiplied by the denominators and divided by its gcd over the
-    rationals, reduced mod p over GF(p). It is ``(0, 0)`` only when both
-    products are zero, and its two ints are equal exactly when the products
-    are.
+    ``a``, ``b`` and elements ``u``, ``v`` given as ``_int_pair``s, up to a
+    nonzero scalar: cross-multiplied by the denominators and divided by its
+    gcd over the rationals, reduced mod p over GF(p). It is ``(0, 0)`` only
+    when both products are zero, and its two ints are equal exactly when
+    the products are.
     """
     p = field.modulus
     if p is None:
 
-        def scale_pair(a: int, b: int, u: FieldElement, v: FieldElement):
-            u, v = u.value, v.value
-            x = a * u.numerator * v.denominator
-            y = b * v.numerator * u.denominator
+        def scale_pair(a: int, b: int, u: tuple, v: tuple):
+            x = a * u[0] * v[1]
+            y = b * v[0] * u[1]
             g = gcd(x, y) or 1
             return x // g, y // g
 
     else:
 
-        def scale_pair(a: int, b: int, u: FieldElement, v: FieldElement):
+        def scale_pair(a: int, b: int, u: tuple, v: tuple):
             # every denominator is 1 here
-            return a * u.value % p, b * v.value % p
+            return a * u[0] % p, b * v[0] % p
 
     return scale_pair
+
+
+_STUCK_WEIGHT = (0, 1)  # the int pair of a side whose run is stuck
+
+
+def _int_steps(table, state: int, symbol_count: int) -> tuple:
+    """A control state's steps in one transition table, per symbol: a
+    ``(dst, effect, weight pair)`` tuple, or None where the table has none."""
+    steps = []
+    for sym in range(symbol_count):
+        entry = table.get((state, sym))
+        if entry is not None:
+            # a Dwa's (dst, weight) entries leave the counter alone
+            entry = (entry[0], entry[1] if len(entry) == 3 else 0, _int_pair(entry[-1]))
+        steps.append(entry)
+    return tuple(steps)
 
 
 class _EchelonBasis:
@@ -370,53 +400,54 @@ def _difference_search(
     add up to.
     """
     _require_compatible(left, right)
-    init_l = left.initial_config()
-    init_r = right.initial_config()
+    init_l, zero_l, plus_l, finals_l, bound_l = left.search_tables()
+    init_r, zero_r, plus_r, finals_r, bound_r = right.search_tables()
     if init_l is None or init_r is None:
         raise ValueError("equivalence search needs initialised automata")
     scale_pair = _pair_scaler(left.field)
-    zero = left.field.zero()
+    p = left.field.modulus
     symbol_count = len(left.alphabet)
-    final_l, final_r = left.final_weight, right.final_weight
-    step_l, step_r = left.step_config, right.step_config
-    row_l, row_r = left.row_of, right.row_of
+    states_l, states_r = len(finals_l), len(finals_r)
     dimension = left.size + right.size
 
-    # A queue entry (idx, depth, sl, a, sr, b) holds a word's difference
-    # vector up to a nonzero scalar: int a at (0, sl), int b at (1, sr). A
-    # stuck side has state None and weight 0. Scaling is allowed because
-    # the vectors of a word's extensions scale with it, and neither span
-    # membership nor the witness test (f_left != f_right) changes when the
-    # whole vector is scaled.
-    stuck = (None, zero)
+    # A queue entry (idx, depth, sl, rl, a, sr, rr, b) holds a word's
+    # control state and counter row on each side, and its difference vector
+    # up to a nonzero scalar: int a at the left side's coordinate, int b at
+    # the right side's. A stuck side has state None, row 0 and weight 0.
+    # Scaling is allowed because the vectors of a word's extensions scale
+    # with it, and neither span membership nor the witness test (f_left !=
+    # f_right) changes when the whole vector is scaled. Per side, ``moves``
+    # maps (state, row == 0) to the state's ``_int_steps`` and ``ends`` maps
+    # a state to its final weight pair, each filled when first needed.
+    no_steps = (None,) * symbol_count
+    moves_l, moves_r = {(None, True): no_steps}, {(None, True): no_steps}
+    ends_l, ends_r = {None: _STUCK_WEIGHT}, {None: _STUCK_WEIGHT}
     entries: list[tuple[int, int]] = [(-1, -1)]
-    a, b = scale_pair(1, 1, init_l[1], init_r[1])
-    queue: deque = deque([(0, 0, init_l[0], a, init_r[0], b)])
-    basis = _EchelonBasis(left.field.modulus)
+    (sl, rl, wl), (sr, rr, wr) = init_l, init_r
+    a, b = scale_pair(1, 1, _int_pair(wl), _int_pair(wr))
+    queue: deque = deque([(0, 0, sl, rl, a, sr, rr, b)])
+    basis = _EchelonBasis(p)
     rows, insert = basis.rows, basis.insert
     explored = 0
     max_row = 0
 
     while queue:
-        idx, depth, sl, a, sr, b = queue.popleft()
+        idx, depth, sl, rl, a, sr, rr, b = queue.popleft()
         explored += 1
         if budget is not None and explored > budget:
             raise ResourceBudgetExceeded(explored, budget)
-        if sl is not None:
-            row = row_l(sl)
-            if row > max_row:
-                max_row = row
-        if sr is not None:
-            row = row_r(sr)
-            if row > max_row:
-                max_row = row
-        f_left, f_right = scale_pair(
-            a,
-            b,
-            final_l(sl) if sl is not None else zero,
-            final_r(sr) if sr is not None else zero,
-        )
-        if f_left != f_right:
+        if rl > max_row:
+            max_row = rl
+        if rr > max_row:
+            max_row = rr
+        end_l = ends_l.get(sl)
+        if end_l is None:
+            end_l = ends_l[sl] = _int_pair(finals_l[sl])
+        end_r = ends_r.get(sr)
+        if end_r is None:
+            end_r = ends_r[sr] = _int_pair(finals_r[sr])
+        diff = a * end_l[0] * end_r[1] - b * end_r[0] * end_l[1]
+        if diff and (p is None or diff % p):
             word = _word_of(entries, idx)
             witness = Witness(
                 tuple(left.alphabet.symbols[sym] for sym in word),
@@ -426,13 +457,14 @@ def _difference_search(
             return witness, SearchStats(explored, len(rows), max_row)
 
         if prune:
-            # The right side's weights enter unnegated: negating one side's
+            # Coordinates are 2 * (row * states + state) + side. The right
+            # side's weights enter unnegated: negating one side's
             # coordinates in every vector leaves span membership unchanged.
             vec: dict = {}
             if a:
-                vec[(0, sl)] = a
+                vec[2 * (rl * states_l + sl)] = a
             if b:
-                vec[(1, sr)] = b
+                vec[2 * (rr * states_r + sr) + 1] = b
             if not insert(vec):
                 continue  # spanned by kept vectors: extensions cannot add witnesses
             if len(rows) > dimension:
@@ -442,18 +474,33 @@ def _difference_search(
 
         if max_len is not None and depth >= max_len:
             continue
-        for sym in range(symbol_count):
-            nl = step_l(sl, sym) if sl is not None else None
-            nr = step_r(sr, sym) if sr is not None else None
-            if nl is None:
-                if nr is None:
+        depth += 1
+        steps_l = moves_l.get(key := (sl, rl == 0))
+        if steps_l is None:
+            steps_l = moves_l[key] = _int_steps(zero_l if rl == 0 else plus_l, sl, symbol_count)
+        steps_r = moves_r.get(key := (sr, rr == 0))
+        if steps_r is None:
+            steps_r = moves_r[key] = _int_steps(zero_r if rr == 0 else plus_r, sr, symbol_count)
+        for sym, step_l, step_r in zip(range(symbol_count), steps_l, steps_r):
+            if step_l is not None:
+                sl2, effect, ul = step_l
+                rl2 = rl + effect
+                if not 0 <= rl2 <= bound_l:
+                    step_l = None
+            if step_r is not None:
+                sr2, effect, ur = step_r
+                rr2 = rr + effect
+                if not 0 <= rr2 <= bound_r:
+                    step_r = None
+            if step_l is None:
+                if step_r is None:
                     continue  # both stuck: every extension weighs zero on both sides
-                nl = stuck
-            elif nr is None:
-                nr = stuck
-            ca, cb = scale_pair(a, b, nl[1], nr[1])
+                sl2, rl2, ul = None, 0, _STUCK_WEIGHT
+            elif step_r is None:
+                sr2, rr2, ur = None, 0, _STUCK_WEIGHT
+            ca, cb = scale_pair(a, b, ul, ur)
             entries.append((idx, sym))
-            queue.append((len(entries) - 1, depth + 1, nl[0], ca, nr[0], cb))
+            queue.append((len(entries) - 1, depth, sl2, rl2, ca, sr2, rr2, cb))
 
     return None, SearchStats(explored, len(rows), max_row)
 

@@ -150,9 +150,11 @@ class LazyUnfolding:
     def final_weight(self, state: tuple[int, int]):
         return self.automaton.final_weights[state[0]]
 
-    @staticmethod
-    def row_of(state: tuple[int, int]) -> int:
-        return state[1]
+    def search_tables(self):
+        """The equivalence search's view, as in ``Dwa.search_tables``."""
+        (state, row), weight = self._initial
+        a = self.automaton
+        return (state, row, weight), a.delta0, a.delta1, a.final_weights, self.bound
 
 
 def unfold(automaton: Dwroca, bound: int, state_cap: int | None = None) -> Dwa:

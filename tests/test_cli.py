@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -312,3 +316,28 @@ class TestPumpcheck:
     def test_bad_interval_syntax(self, e1_file):
         code, _, _ = run_cli("pumpcheck", e1_file, "a", "zap")
         assert code == 2
+
+
+class TestProcess:
+    def test_parser_is_built_once_and_calls_stay_independent(self, e1_file, e1p_file):
+        first = run_cli("--json", "equiv", e1_file, e1p_file, "--bound", "3")
+        assert json.loads(first[1])["bound"] == 3
+        # no --json and no --bound carried over from the call before
+        assert run_cli("eval", e1_file, "a,a") == (0, "4\n", "")
+        assert run_cli("--json", "equiv", e1_file, e1p_file, "--bound", "3") == first
+        assert cli._parser() is cli._parser()
+
+    def test_closed_pipe_exits_141_quietly(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["random", "-", "--seed", "1", "--min-states", "40", "--max-states", "40"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wroca.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        proc.stdout.close()  # the reader is gone before the 20 KB document is written
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""

@@ -23,7 +23,7 @@ from wroca import (
     rational,
     underlying_wa,
 )
-from wroca.dwa import _difference_search, _EchelonBasis, _pair_scaler
+from wroca.dwa import _difference_search, _EchelonBasis, _int_pair, _pair_scaler
 from wroca.testkit import GeneratorConfig, default_weight_pool, generate, random_words
 
 Q = rational()
@@ -384,7 +384,7 @@ class TestPairScaler:
         spec = u.spec
         v = data.draw(st.integers(-(2**40), 2**40).map(spec.element))
         a, b = data.draw(st.integers(-50, 50)), data.draw(st.integers(-50, 50))
-        x, y = _pair_scaler(spec)(a, b, u, v)
+        x, y = _pair_scaler(spec)(a, b, _int_pair(u), _int_pair(v))
         left, right = spec.element(a) * u, spec.element(b) * v
         # (x, y) is (left, right) times a scalar that is nonzero unless both are zero
         assert spec.element(x) * right == spec.element(y) * left

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import random
@@ -16,12 +17,14 @@ from wroca import (
     FieldMismatch,
     InternalError,
     InvalidAutomaton,
+    LazyUnfolding,
     ResourceBudgetExceeded,
     check_equivalence,
     prime_field,
     rational,
     replay_witness,
 )
+from wroca.dwa import EquivalenceVerdict, _difference_search
 from wroca.testkit import GeneratorConfig, brute_force_witness, generate, split_state
 
 Q = rational()
@@ -378,3 +381,53 @@ class TestReplayWitness:
         assert replay.f1 == Q.element(2) and replay.f2 == Q.zero()
         assert not replay.run2.ok and replay.run2.stuck_at == 0
 
+
+
+def _pinned_lines(e1, e1p, e2):
+    """One line per search of a fixed seeded set: the verdict JSON, stats
+    included, or the budget message when the search runs out."""
+    fields = (Q, prime_field(7), prime_field(2**31 - 1))
+
+    def line(search, *args, **kwargs):
+        try:
+            verdict = search(*args, **kwargs)
+        except ResourceBudgetExceeded as exc:
+            return f"budget: {exc}"
+        if isinstance(verdict, tuple):
+            witness, stats = verdict
+            verdict = EquivalenceVerdict(witness is None, witness, "bounded", None, stats)
+        return json.dumps(verdict.to_json(), sort_keys=True)
+
+    lines = []
+    for i in range(200):
+        rng = random.Random(52000 + i)
+        sigma = 2 + (i // 2) % 2
+        config = lambda seed: GeneratorConfig(  # noqa: E731
+            seed=seed, field=fields[i % 3], alphabet_size=(sigma, sigma)
+        )
+        left = generate(config(rng.randrange(2**32)))
+        if i % 5 == 4:
+            right = split_state(left, rng.randrange(2**32))
+        else:
+            right = generate(config(rng.randrange(2**32)))
+        lines.append(line(check_equivalence, left, right, 12 if i % 2 else None, budget=300))
+        if i % 4 == 0:
+            # unfoldings below the word length, so the row-bound clip is hit
+            view_l, view_r = LazyUnfolding(left, 1), LazyUnfolding(right, 2)
+            lines.append(line(_difference_search, view_l, view_r, max_len=6, budget=300))
+    for x, y in ((e1, e1), (e1, e1p), (e1, e2), (e2, e1)):
+        for bound in range(4):
+            lines.append(line(check_equivalence, x, y, bound))
+            for other in range(3):
+                view_l, view_r = LazyUnfolding(x, bound), LazyUnfolding(y, other)
+                lines.append(line(_difference_search, view_l, view_r, max_len=5))
+        lines.append(line(check_equivalence, x, y, budget=300))
+    return lines
+
+
+class TestPinnedAnswers:
+    def test_verdict_digest(self, e1, e1p, e2):
+        lines = _pinned_lines(e1, e1p, e2)
+        assert len(lines) == 318
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "7a133163b6679b7912d9ed86071b7e39b7b8a593abc4af9766780db443522a57"

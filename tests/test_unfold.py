@@ -143,10 +143,6 @@ class TestLazyUnfolding:
         with pytest.raises(ValueError):
             LazyUnfolding(e1, 2, initial_state=(0, 3))
 
-    def test_row_of(self, e1):
-        assert LazyUnfolding.row_of((3, 17)) == 17
-        assert unfold(e1, 3).row_of(2) == 0  # a Dwa has no counter
-
     def test_size_matches_materialized_unfolding(self, e1, e2):
         for machine in (e1, e2):
             for bound in (0, 1, 5):
