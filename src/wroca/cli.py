@@ -81,12 +81,15 @@ def _load_automaton(path: str) -> Dwroca:
     return Dwroca.from_json(doc)
 
 
-def _load_valid(path: str) -> Dwroca:
-    automaton = _load_automaton(path)
+def _require_valid(path: str, automaton: Dwroca) -> Dwroca:
     violations = automaton.validate()
     if violations:
         raise InvalidAutomaton([f"{path}: {v}" for v in violations])
     return automaton
+
+
+def _load_valid(path: str) -> Dwroca:
+    return _require_valid(path, _load_automaton(path))
 
 
 def _parse_word(args) -> tuple[str, ...]:
@@ -192,9 +195,11 @@ def cmd_equiv(args) -> int:
         return _fail("--max-len applies to the oracle method only", 2)
     if args.method == "oracle" and args.max_len is None:
         return _fail("--method oracle requires --max-len", 2)
-    a1 = _load_valid(args.file1)
-    a2 = _load_valid(args.file2)
+    a1 = _load_automaton(args.file1)
+    a2 = _load_automaton(args.file2)
     if args.method == "oracle":
+        _require_valid(args.file1, a1)
+        _require_valid(args.file2, a2)
         result = testkit.brute_force_witness(a1, a2, args.max_len)
         if result.shortest_witness is None:
             verdict = EquivalenceVerdict(
@@ -214,7 +219,14 @@ def cmd_equiv(args) -> int:
                 SearchStats(sum(result.agreement_table) + 1, 0, 0),
             )
     else:
-        verdict = check_equivalence(a1, a2, args.bound, budget=args.budget)
+        # check_equivalence validates both machines; only when one is
+        # invalid are they validated again, to name the file in the error.
+        try:
+            verdict = check_equivalence(a1, a2, args.bound, budget=args.budget)
+        except InvalidAutomaton:
+            _require_valid(args.file1, a1)
+            _require_valid(args.file2, a2)
+            raise
     if verdict.equivalent:
         label = "proved" if verdict.mode == "theoretical" else f"no witness of length <= {verdict.bound}"
         _emit(args, verdict.to_json(), f"equivalent ({verdict.mode}: {label})")

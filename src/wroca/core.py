@@ -15,6 +15,7 @@ weight zero (the same machine completed with a zero-final-weight sink).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -346,14 +347,25 @@ class Dwroca:
         configuration), or None when the run is undefined.
 
         The start configuration's weight already includes the initial weight;
-        it is multiplied once, never twice.
+        it is multiplied once, never twice. Steps like ``run_word`` without
+        recording the run: every symbol is checked first, and a negative
+        counter is a ValueError.
         """
         if start is None:
-            start = self.initial_configuration()
-        run = self.run_word(start, word)
-        if not run.ok:
-            return None
-        return run.end.weight * self.final_weights[run.end.state]
+            state, counter, weight = self.initial_state, 0, self.initial_weight
+        else:
+            state, counter, weight = start.state, start.counter, start.weight
+        delta0, delta1 = self.delta0, self.delta1
+        for sym in self.alphabet.word_indices(word):
+            entry = (delta1 if counter else delta0).get((state, sym))
+            if entry is None:
+                return None
+            state, effect, step_weight = entry
+            counter += effect
+            weight = weight * step_weight
+            if counter < 0:
+                raise ValueError("counter values are never negative")
+        return weight * self.final_weights[state]
 
     def accept_weight_or_zero(self, word: Word, start: Configuration | None = None) -> FieldElement:
         """Acceptance weight under the zero-completion convention."""
@@ -463,32 +475,38 @@ def _violations(machine, initial_weight, tables) -> list[str]:
     ``initial_weight`` may be None (an uninitialised weighted automaton).
     ``tables`` holds ``(label, table, effects)``: ``label`` prefixes the
     position in each message, ``effects`` is the tuple of allowed counter
-    effects, or None for a table without a counter. The checks stay inline:
-    a helper call per entry doubled the time of a ``validate`` call.
+    effects, or None for a table without a counter. A valid machine is the
+    common case, so a valid entry costs only type, identity and membership
+    tests: the position text is built, and a table's findings are put in
+    key order, only once an entry breaks a rule. The checks stay inline,
+    since a helper call per entry would cost more than the checks.
     """
     field, states, symbols = machine.field, machine.states, machine.alphabet.symbols
     violations = []
     if initial_weight is not None and initial_weight.is_zero:
         violations.append("zero initial weight")
     for label, table, effects in tables:
-        for (src, sym), entry in sorted(table.items()):
-            where = f"{label}({states[src]}, {symbols[sym]})"
+        found = []  # (key, message without its position), in table order
+        for key, entry in table.items():
             if effects is not None:
                 effect = entry[1]
                 if not isinstance(effect, int) or isinstance(effect, bool) or effect not in effects:
                     if effect == -1 and -1 not in effects:
-                        violations.append(f"zero-test decrement at {where}")
+                        found.append((key, "zero-test decrement"))
                     else:
-                        violations.append(f"counter effect {effect!r} out of range at {where}")
+                        found.append((key, f"counter effect {effect!r} out of range"))
             weight = entry[-1]
             if not isinstance(weight, FieldElement):
-                violations.append(f"non-element weight at {where}")
-            elif weight.spec != field:
-                violations.append(f"weight from a different field at {where}")
-            elif weight.is_zero:
-                violations.append(f"zero transition weight at {where}")
+                found.append((key, "non-element weight"))
+            elif weight.spec is not field and weight.spec != field:
+                found.append((key, "weight from a different field"))
+            elif not weight.value:
+                found.append((key, "zero transition weight"))
+        if found:
+            found.sort(key=itemgetter(0))  # stable: an entry's findings keep their order
+            violations += [f"{what} at {label}({states[s]}, {symbols[a]})" for (s, a), what in found]
     for name, weight in zip(states, machine.final_weights):
-        if not isinstance(weight, FieldElement) or weight.spec != field:
+        if not isinstance(weight, FieldElement) or (weight.spec is not field and weight.spec != field):
             violations.append(f"final weight of {name} from a different field")
     return violations
 

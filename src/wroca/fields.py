@@ -19,7 +19,7 @@ GF_KIND = "gf"
 # Keep residue products inside 64-bit intermediates.
 MAX_GF_MODULUS = 2**31
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 _INTEGER_RE = re.compile(r"[+-]?\d+\Z")
 
 
@@ -213,7 +213,7 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.spec == other.spec and self.value == other.value
+        return (self.spec is other.spec or self.spec == other.spec) and self.value == other.value
 
     def __hash__(self):
         return hash((self.spec, self.value))
@@ -233,10 +233,13 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
         raise ParseError(f"element must be a string, got {type(text).__name__}")
     stripped = text.strip()
     if spec.kind == RATIONAL_KIND:
-        if not _RATIONAL_RE.fullmatch(stripped):
+        match = _RATIONAL_RE.fullmatch(stripped)
+        if not match:
             raise ParseError(f"malformed rational {text!r}")
+        num, den = match.groups()
         try:
-            return FieldElement(spec, Fraction(stripped))
+            # from the matched digits: Fraction(str) would parse the text again
+            return FieldElement(spec, Fraction(int(num), int(den or 1)))
         except ZeroDivisionError as exc:
             raise DivisionByZero(f"zero denominator in {text!r}") from exc
     if not _INTEGER_RE.fullmatch(stripped):

@@ -17,6 +17,7 @@ the unfolding lazily instead of materializing it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import Dwroca
 from .dwa import Dwa
@@ -58,6 +59,7 @@ class BoundReport:
         }
 
 
+@lru_cache(maxsize=256)  # pure, and the report is immutable
 def bounds_for_k(
     k: int,
     initial_coeff: int = INITIAL_SPACE_COEFF,

@@ -134,6 +134,11 @@ class TestEval:
         assert doc == {"word": ["a", "a"], "defined": True, "weight": "4"}
 
 
+EQUIV_METHODS = pytest.mark.parametrize(
+    "method", [[], ["--method", "oracle", "--max-len", "3"]], ids=["pipeline", "oracle"]
+)
+
+
 class TestEquiv:
     def test_equal_files(self, e1_file):
         code, out, _ = run_cli("equiv", e1_file, e1_file, "--bound", "12")
@@ -194,6 +199,27 @@ class TestEquiv:
         code, _, err = run_cli("equiv", e1_file, e1p_file)
         assert code == 6
         assert "internal error" in err
+
+    @EQUIV_METHODS
+    def test_invalid_file_exit_two_names_it(self, e1_file, broken_file, method):
+        message = f"error: invalid automaton: {broken_file}: zero-test decrement at delta0 (q0, a)\n"
+        code, _, err = run_cli("equiv", broken_file, e1_file, *method)
+        assert (code, err) == (2, message)
+        code, _, err = run_cli("equiv", e1_file, broken_file, *method)
+        assert (code, err) == (2, message)
+
+    @EQUIV_METHODS
+    def test_each_machine_validated_once(self, e1_file, e1p_file, method, monkeypatch):
+        validated = []
+        original = Dwroca.validate
+
+        def counting(machine):
+            validated.append(machine)
+            return original(machine)
+
+        monkeypatch.setattr(Dwroca, "validate", counting)
+        code, _, _ = run_cli("equiv", e1_file, e1p_file, *method)
+        assert code == 1 and len(validated) == 2 and validated[0] is not validated[1]
 
     def test_byte_identical_json(self, e1_file, e1p_file):
         _, first, _ = run_cli("--json", "equiv", e1_file, e1p_file, "--bound", "12")

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from wroca import (
     Alphabet,
     Configuration,
+    Dwa,
     Dwroca,
+    FieldSpec,
     IntervalOutOfBounds,
     ParseError,
     PumpingIntervals,
@@ -157,6 +159,47 @@ class TestAcceptWeight:
                 product = product * step.weight
             expected = product * machine.final_weights[run.end.state]
             assert machine.accept_weight(w) == expected
+
+    def test_matches_a_reference_stepping_loop(self):
+        def reference(machine, w, state, counter, weight):
+            symbols = machine.alphabet.symbols
+            if any(s not in symbols for s in w):
+                raise UnknownSymbol(w)
+            for s in w:
+                table = machine.delta0 if counter == 0 else machine.delta1
+                entry = table.get((state, symbols.index(s)))
+                if entry is None:
+                    return None
+                state, counter, weight = entry[0], counter + entry[1], weight * entry[2]
+            return weight * machine.final_weights[state]
+
+        stuck = 0
+        for seed in range(120):
+            field = (Q, prime_field(7))[seed % 2]
+            machine = generate(GeneratorConfig(seed=300 + seed, field=field, density=0.8))
+            rng = random.Random(seed)
+            symbols = machine.alphabet.symbols
+            other = Configuration(
+                rng.randrange(machine.size), rng.randint(0, 4), field.element(rng.randint(1, 6))
+            )
+            for start in (None, other):
+                begin = start or machine.initial_configuration()
+                for _ in range(4):
+                    w = tuple(rng.choice(symbols) for _ in range(rng.randint(0, 12)))
+                    expected = reference(machine, w, begin.state, begin.counter, begin.weight)
+                    assert machine.accept_weight(w, start) == expected
+                    if expected is None:
+                        stuck += 1
+                        with pytest.raises(UnknownSymbol):
+                            machine.accept_weight(w + ("?",), start)
+        assert 300 <= stuck <= 700  # both stuck and complete runs are covered
+
+    def test_negative_counter_rejected(self, Q):
+        machine = Dwroca(
+            ["q0"], ["a"], "q0", Q.one(), {("q0", "a"): ("q0", -1, Q.one())}, {}, {"q0": Q.one()}
+        )
+        with pytest.raises(ValueError):
+            machine.accept_weight(word("a"))
 
 
 class TestCounterProfile:
@@ -360,6 +403,70 @@ class TestValidate:
             ["q0"], ["a"], "q0", Q.one(), {}, {("q0", "a"): ("q0", 2, Q.one())}, {"q0": Q.one()}
         )
         assert any("out of range" in v for v in machine.validate())
+
+    def test_exact_messages_in_key_order(self, Q):
+        # Tables are written out of key order, several entries break more
+        # than one rule, and every kind of violation appears; the list is
+        # pinned word for word. ``twin`` equals the machine's field but is a
+        # different object, so its weights are valid.
+        gf7, twin = prime_field(7), FieldSpec("rational")
+        assert twin is not Q and twin == Q
+        machine = Dwroca(
+            ["p", "q", "r"],
+            ["b", "a"],
+            "p",
+            Q.zero(),
+            {
+                ("r", "a"): ("p", 1, Q.one()),
+                ("q", "b"): ("q", -1, Q.zero()),
+                ("p", "a"): ("q", 2, gf7.element(3)),
+                ("p", "b"): ("r", 0, twin.element(5)),
+            },
+            {
+                ("r", "b"): ("p", True, 3),
+                ("q", "a"): ("r", -2, twin.element(2)),
+                ("p", "b"): ("p", -1, Q.element(2)),
+                ("p", "a"): ("r", 1, Q.zero()),
+            },
+            {"p": twin.one(), "q": gf7.one(), "r": "1"},
+        )
+        assert machine.validate() == [
+            "zero initial weight",
+            "counter effect 2 out of range at delta0 (p, a)",
+            "weight from a different field at delta0 (p, a)",
+            "zero-test decrement at delta0 (q, b)",
+            "zero transition weight at delta0 (q, b)",
+            "zero transition weight at delta1 (p, a)",
+            "counter effect -2 out of range at delta1 (q, a)",
+            "counter effect True out of range at delta1 (r, b)",
+            "non-element weight at delta1 (r, b)",
+            "final weight of q from a different field",
+            "final weight of r from a different field",
+        ]
+
+    def test_exact_messages_of_a_weighted_automaton(self, Q):
+        gf7, twin = prime_field(7), FieldSpec("rational")
+        machine = Dwa(
+            ["s", "t"],
+            ["x", "y"],
+            {
+                ("t", "y"): ("s", "2"),
+                ("t", "x"): ("t", twin.element(4)),
+                ("s", "y"): ("t", gf7.element(1)),
+                ("s", "x"): ("s", Q.zero()),
+            },
+            {"s": Q.one(), "t": gf7.zero()},
+            initial=("t", Q.zero()),
+        )
+        assert machine.validate() == [
+            "zero initial weight",
+            "zero transition weight at (s, x)",
+            "weight from a different field at (s, y)",
+            "non-element weight at (t, y)",
+            "final weight of t from a different field",
+        ]
+        uninitialised = Dwa(["s"], ["x"], {("s", "x"): ("s", twin.one())}, {"s": twin.one()})
+        assert uninitialised.validate() == []
 
 
 class TestJson:

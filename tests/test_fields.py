@@ -111,6 +111,38 @@ class TestParse:
         element = Q.element(Fraction(num, den))
         assert parse_element(element.render(), Q) == element
 
+    @given(
+        st.sampled_from(["", "+", "-"]),
+        st.text("0123456789", min_size=1, max_size=30),
+        st.none() | st.text("0123456789", min_size=1, max_size=30),
+        st.text(" \t\n", max_size=3),
+        st.text(" \t\n", max_size=3),
+    )
+    def test_rational_parse_matches_fraction(self, sign, num, den, before, after):
+        # signs, leading zeros and surrounding whitespace, as Fraction reads them
+        text = before + sign + num + ("" if den is None else "/" + den) + after
+        if den is not None and int(den) == 0:
+            with pytest.raises(DivisionByZero):
+                parse_element(text, Q)
+        else:
+            assert parse_element(text, Q) == Q.element(Fraction(text))
+
+    @given(st.text("0123456789+-/.e_ \tx", max_size=12))
+    def test_rational_parse_rejects_what_fraction_rejects(self, text):
+        try:
+            expected = Fraction(text)
+        except ValueError:
+            with pytest.raises(ParseError):
+                parse_element(text, Q)
+        except ZeroDivisionError:
+            with pytest.raises(DivisionByZero):
+                parse_element(text, Q)
+        else:
+            try:
+                assert parse_element(text, Q).value == expected
+            except ParseError:
+                pass  # Fraction also reads decimals and exponents; elements do not
+
     @given(st.integers())
     def test_roundtrip_gf(self, value):
         element = g7(value)
