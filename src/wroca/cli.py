@@ -241,8 +241,12 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_unfold(args) -> int:
-    automaton = _load_valid(args.file)
-    result = unfold(automaton, args.bound, state_cap=_state_cap())
+    automaton = _load_automaton(args.file)
+    try:  # unfold validates; an invalid machine is validated again, to name the file
+        result = unfold(automaton, args.bound, state_cap=_state_cap())
+    except InvalidAutomaton:
+        _require_valid(args.file, automaton)
+        raise
     return _write_machine(args, result, "unfolding")
 
 

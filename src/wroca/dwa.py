@@ -9,11 +9,12 @@ kept ones are pruned and never extended, so at most dim = |Q1| + |Q2|
 vectors are ever kept and the first witness reported is shortest, with ties
 broken by the alphabet's declared symbol order.
 
-The kept vectors form a basis in echelon form: one row per pivot
-coordinate, holding only coordinates above its pivot. A new vector is
-reduced by popping its coordinates from a heap in increasing order, so
-keeping or pruning a word costs work in the rows it meets, never a scan of
-the whole basis.
+A word's vector has at most two nonzero coordinates, one per side whose
+run is not stuck. The kept vectors form an echelon basis whose rows have at
+most one coordinate besides the pivot, above it, so reducing a vector at
+its smallest coordinate leaves at most two. A new vector walks the rows
+this way, keeping it at the first coordinate without a row and pruning its
+word if it cancels; it costs work in the rows met, never a basis scan.
 
 The search computes on Python ints only, over the rationals as over GF(p).
 A word's vector matters only up to a nonzero scalar: its extensions'
@@ -21,8 +22,8 @@ vectors scale with it, and neither span membership nor the witness test
 changes when a whole vector is scaled. So each word carries one int pair,
 cross-multiplied by the weights' denominators and divided by its gcd over
 the rationals, reduced mod p over GF(p) (``_pair_scaler``). Every kept row
-has one form in both fields: its pivot value ``d`` and its other
-coordinates, fraction-free with the common factor removed over the
+has one form in both fields: its pivot value ``d`` and the value at its
+other coordinate, fraction-free with the common factor removed over the
 rationals, residues over GF(p). A reported witness gets its true weights
 by stepping its word once more through ``initial_config``, ``step_config``
 and ``final_weight``.
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -311,75 +311,65 @@ def _int_steps(table, state: int, symbol_count: int) -> tuple:
     return tuple(steps)
 
 
-class _EchelonBasis:
-    """Kept difference vectors in echelon form, on ints.
+class _PairBasis:
+    """Kept difference vectors of at most two coordinates, in echelon form.
 
-    ``rows`` maps each pivot coordinate to the row's other coordinates,
-    which are all above the pivot, and ``scales`` maps it to the row's
-    pivot value ``d`` where that is not 1. ``modulus`` is p over GF(p),
-    where every value is a residue in [1, p), and None over the rationals,
-    where the values are exact ints with their common factor removed. (A
-    ``(d, coords)`` tuple per row would be one more object per kept row for
-    the garbage collector to walk, which slowed searches keeping 10^5 rows
-    by about 15 %.)
+    ``others`` maps each pivot to its row's other coordinate, above the
+    pivot, or to None for a row ``e_u``. For a two-coordinate row,
+    ``values`` holds the value there and ``scales`` the pivot value where it
+    is not 1: residues in [1, p) over GF(p) (``modulus`` p), ints with no
+    common factor over the rationals (``modulus`` None). Flat dicts give
+    the garbage collector no object per row to walk.
     """
 
-    __slots__ = ("rows", "scales", "modulus")
+    __slots__ = ("others", "values", "scales", "modulus")
 
     def __init__(self, modulus: int | None):
-        self.rows: dict = {}
+        self.others: dict = {}
+        self.values: dict = {}
         self.scales: dict = {}
         self.modulus = modulus
 
-    def insert(self, vec: dict) -> bool:
-        """Keep ``vec`` as a new row unless the rows span it; True if kept.
-
-        ``vec`` maps coordinates to nonzero ints and is consumed. Its
-        coordinates are popped from a heap in increasing order. One with a
-        row is cancelled by ``vec = d * vec - x * row``, where ``x`` is its
-        value: the row only adds coordinates above it, which are still to be
-        popped. The first one without a row becomes the new row's pivot.
+    def insert(self, u: int, x: int, v: int | None, z: int) -> bool:
+        """Keep ``x * e_u + z * e_v`` as a new row unless the rows span it;
+        True if kept. ``x`` and ``z`` are nonzero, residues over GF(p), and
+        ``v`` is None or above ``u``. While ``u`` has a row, the vector
+        becomes ``d * vec - x * row``, which cancels ``u`` and leaves at most
+        two coordinates, both above it. A one-coordinate vector matters only
+        up to a scalar, so it walks without arithmetic and is kept as ``e_u``.
         """
-        rows, scales, p = self.rows, self.scales, self.modulus
-        heap = list(vec)
-        heapify(heap)
-        while heap:
-            coord = heappop(heap)
-            x = vec.pop(coord, None)
-            if x is None:
-                continue  # cancelled, or reduced at an earlier entry
-            coords = rows.get(coord)
-            if coords is None:
-                if not p:
-                    g = gcd(x, *vec.values())
-                    if g != 1:
-                        x //= g
-                        for c in vec:
-                            vec[c] //= g
-                rows[coord] = vec
-                if x != 1:
-                    scales[coord] = x
+        others, values, scales, p = self.others, self.values, self.scales, self.modulus
+        while True:
+            w = others.get(u, -1)
+            if w == -1:  # no row at u: keep the vector
+                others[u] = v
+                if v is not None:
+                    if not p:
+                        g = gcd(x, z)
+                        x, z = x // g, z // g
+                    values[u] = z
+                    if x != 1:
+                        scales[u] = x
                 return True
-            d = scales.get(coord, 1)
-            if d != 1:
-                if p:
-                    for c in vec:
-                        vec[c] = vec[c] * d % p
+            if w is None:  # the row e_u cancels u and leaves z * e_v
+                if v is None:
+                    return False
+                u, v = v, None
+            elif v is None:
+                u = w  # x * e_u less a multiple of the row: a multiple of e_w
+            else:
+                y = -x * values[u]
+                z *= scales.get(u, 1)
+                if w == v:
+                    z += y
+                    if not (z % p if p else z):
+                        return False  # both coordinates cancelled
+                    u, v = v, None
                 else:
-                    for c in vec:
-                        vec[c] *= d
-            for c, v in coords.items():
-                old = vec.get(c)
-                new = -x * v if old is None else old - x * v
-                if p:
-                    new %= p
-                if new:
-                    if old is None:
-                        heappush(heap, c)
-                    vec[c] = new
-                elif old is not None:
-                    del vec[c]
-        return False
+                    if p:
+                        y %= p
+                        z %= p
+                    u, x, v, z = (w, y, v, z) if w < v else (v, z, w, y)
 
 
 def _difference_search(
@@ -426,8 +416,8 @@ def _difference_search(
     (sl, rl, wl), (sr, rr, wr) = init_l, init_r
     a, b = scale_pair(1, 1, _int_pair(wl), _int_pair(wr))
     queue: deque = deque([(0, 0, sl, rl, a, sr, rr, b)])
-    basis = _EchelonBasis(p)
-    rows, insert = basis.rows, basis.insert
+    basis = _PairBasis(p)
+    rows, insert = basis.others, basis.insert
     explored = 0
     max_row = 0
 
@@ -460,12 +450,18 @@ def _difference_search(
             # Coordinates are 2 * (row * states + state) + side. The right
             # side's weights enter unnegated: negating one side's
             # coordinates in every vector leaves span membership unchanged.
-            vec: dict = {}
-            if a:
-                vec[2 * (rl * states_l + sl)] = a
-            if b:
-                vec[2 * (rr * states_r + sr) + 1] = b
-            if not insert(vec):
+            # A side enters only with a nonzero weight (a stuck side has 0),
+            # and the basis takes the smaller coordinate first.
+            if a and b:
+                u, v = 2 * (rl * states_l + sl), 2 * (rr * states_r + sr) + 1
+                kept = insert(u, a, v, b) if u < v else insert(v, b, u, a)
+            elif a:
+                kept = insert(2 * (rl * states_l + sl), a, None, 0)
+            elif b:
+                kept = insert(2 * (rr * states_r + sr) + 1, b, None, 0)
+            else:
+                kept = False  # a zero weight made the whole vector zero
+            if not kept:
                 continue  # spanned by kept vectors: extensions cannot add witnesses
             if len(rows) > dimension:
                 raise InternalError(

@@ -268,6 +268,28 @@ class TestUnfold:
         assert code == 2
         assert "WROCA_STATE_CAP" in err
 
+    def test_machine_validated_once(self, e1_file, monkeypatch):
+        validated = []
+        original = Dwroca.validate
+
+        def counting(machine):
+            validated.append(machine)
+            return original(machine)
+
+        monkeypatch.setattr(Dwroca, "validate", counting)
+        code, _, _ = run_cli("unfold", e1_file, "-", "--bound", "2")
+        assert code == 0 and len(validated) == 1
+
+    def test_invalid_file_exit_two_names_it(self, broken_file, tmp_path):
+        message = f"error: invalid automaton: {broken_file}: zero-test decrement at delta0 (q0, a)\n"
+        code, _, err = run_cli("unfold", broken_file, str(tmp_path / "x.json"), "--bound", "1")
+        assert (code, err) == (2, message)
+
+    def test_bad_env_cap_reported_before_violations(self, broken_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("WROCA_STATE_CAP", "ten")
+        code, _, err = run_cli("unfold", broken_file, str(tmp_path / "x.json"), "--bound", "1")
+        assert code == 2 and "WROCA_STATE_CAP" in err and broken_file not in err
+
 
 class TestBounds:
     def test_k_two_exact(self):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -15,16 +16,24 @@ from wroca import (
     InternalError,
     LazyUnfolding,
     ParseError,
+    ResourceBudgetExceeded,
     WaConfig,
     bounded_k_equiv,
+    check_equivalence,
     dwa_equiv,
     find_k_equiv_wa_config,
     prime_field,
     rational,
     underlying_wa,
 )
-from wroca.dwa import _difference_search, _EchelonBasis, _int_pair, _pair_scaler
-from wroca.testkit import GeneratorConfig, default_weight_pool, generate, random_words
+from wroca.dwa import _difference_search, _int_pair, _pair_scaler, _PairBasis
+from wroca.testkit import (
+    GeneratorConfig,
+    default_weight_pool,
+    generate,
+    random_words,
+    split_state,
+)
 
 Q = rational()
 
@@ -392,58 +401,177 @@ class TestPairScaler:
         assert ((x, y) == (0, 0)) == (left.is_zero and right.is_zero)
 
 
-class TestEchelonBasis:
-    COORDS = [(side, state) for side in (0, 1) for state in range(3)]
+def lines_run(func, call):
+    """The source lines of ``func`` that run while ``call()`` runs."""
+    code, hit = func.__code__, set()
 
-    def sparse_vectors(self, rng, field):
-        """Vectors with 3-6 nonzero int coordinates, as the search stores
-        them: residues in [1, p) over GF(p), any nonzero int over Q. Three
-        random ones and combinations of pairs of them, so the set has rank
-        at most 3 in a space of dimension 6 and most vectors are spanned by
-        earlier ones."""
-        p = field.modulus
+    def local(frame, event, arg):
+        if event == "line":
+            hit.add(frame.f_lineno)
+        return local
 
-        def reduced(values):
-            return {c: v % p if p else v for c, v in values.items() if (v % p if p else v)}
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return hit
 
-        base = []
-        while len(base) < 3:
-            coords = rng.sample(self.COORDS, rng.randint(3, 6))
-            base.append(reduced({c: rng.choice([-3, -2, -1, 1, 2, 3]) for c in coords}))
-        vectors = list(base)
-        while len(vectors) < 10:
-            u, w = rng.sample(base, 2)
-            cu, cw = rng.choice([-2, -1, 1, 2, 3]), rng.choice([-3, -1, 1, 2])
-            combo = reduced({c: cu * u.get(c, 0) + cw * w.get(c, 0) for c in self.COORDS})
-            if len(combo) >= 3:
-                vectors.append(combo)
-        rng.shuffle(vectors)
-        return vectors
 
-    @pytest.mark.parametrize("field", [rational(), prime_field(7)], ids=["q", "gf7"])
-    def test_kept_rows_are_rank(self, field):
-        # Reductions here fill in (a row adds coordinates the vector lacks)
-        # and, over Q, meet rows whose pivot value is not 1, which the
-        # vectors of deterministic pairs rarely do.
+class TestPairBasis:
+    SIZE = 6
+
+    def stream(self, rng, p):
+        """Twelve vectors as the search passes them, ``(u, x, v, z)`` with
+        ``v`` None or above ``u``: one or two coordinates, nonzero values,
+        residues over GF(p). About a quarter are multiples of earlier ones, so
+        that walks also end in a cancellation, at an equal coordinate or on a
+        one-coordinate row. The values' prime factors are 2 and 3, so none
+        vanishes mod 7."""
+        vectors = []
+        while len(vectors) < 12:
+            if vectors and rng.random() < 0.25:
+                u, x, v, z = rng.choice(vectors)
+                c = rng.choice([-2, 2, 3])
+                vectors.append((u, c * x, v, c * z))
+            elif rng.random() < 0.3:
+                vectors.append((rng.randrange(self.SIZE), rng.choice([-2, 1, 3]), None, 0))
+            else:
+                u, v = sorted(rng.sample(range(self.SIZE), 2))
+                x, z = rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([-3, -2, -1, 1, 2, 3])
+                vectors.append((u, x, v, z))
+        return [(u, x % p, v, z % p) if p else (u, x, v, z) for u, x, v, z in vectors]
+
+    def dense(self, field, coords):
+        row = [field.zero()] * self.SIZE
+        for c, value in coords.items():
+            row[c] = field.element(value)
+        return row
+
+    def streams(self, field):
         rng = random.Random(71)
-        for _ in range(150):
-            vectors = self.sparse_vectors(rng, field)
-            basis = _EchelonBasis(field.modulus)
-            dense = []
-            for vec in vectors:
-                before = dense_rank(dense)
-                dense.append([field.element(vec.get(c, 0)) for c in self.COORDS])
-                assert basis.insert(dict(vec)) == (dense_rank(dense) > before)
-            assert len(basis.rows) == dense_rank(dense)
-            # one row form: (d, coords), residues in [1, p) over GF(p) and
-            # content-free ints over Q
-            p = field.modulus
-            for pivot, coords in basis.rows.items():
-                values = [basis.scales.get(pivot, 1), *coords.values()]
+        return [self.stream(rng, field.modulus) for _ in range(150)]
+
+    @pytest.mark.parametrize("field", [Q, GF7, GF_BIG], ids=["q", "gf7", "gf_big"])
+    def test_keeps_exactly_the_independent_vectors(self, field):
+        p, scaled = field.modulus, 0
+        for stream in self.streams(field):
+            basis, dense, rank = _PairBasis(p), [], 0
+            for u, x, v, z in stream:
+                dense.append(self.dense(field, {u: x} if v is None else {u: x, v: z}))
+                kept, rank = rank, dense_rank(dense)
+                assert basis.insert(u, x, v, z) == (rank > kept)
+            rows = []
+            for pivot, other in basis.others.items():
+                if other is None:  # e_u
+                    assert pivot not in basis.values and pivot not in basis.scales
+                    rows.append(self.dense(field, {pivot: 1}))
+                    continue
+                assert other > pivot
+                d, y = basis.scales.get(pivot, 1), basis.values[pivot]
                 if p:
-                    assert all(0 < v < p for v in values)
+                    assert 0 < d < p and 0 < y < p
                 else:
-                    assert gcd(*values) == 1
+                    assert y and gcd(d, y) == 1
+                rows.append(self.dense(field, {pivot: d, other: y}))
+            # the rows span exactly what was inserted
+            assert dense_rank(rows) == len(rows) == rank == dense_rank(rows + dense)
+            scaled += bool(basis.scales)
+        assert scaled > 0
+
+    def test_streams_reach_every_line_of_the_walk(self):
+        # a new pivot, a one-coordinate row, and a two-coordinate row whose
+        # other coordinate is below, above or at v, cancelling or not
+        streams = [(f.modulus, s) for f in (Q, GF7, GF_BIG) for s in self.streams(f)]
+
+        def run():
+            for p, stream in streams:
+                basis = _PairBasis(p)
+                for vec in stream:
+                    basis.insert(*vec)
+
+        code = _PairBasis.insert.__code__
+        body = {line for _, _, line in code.co_lines() if line} - {code.co_firstlineno}
+        assert body - lines_run(_PairBasis.insert, run) == set()
+
+    @pytest.mark.parametrize("other, v", [(2, 3), (3, 2)], ids=["below_v", "above_v"])
+    def test_walk_orders_the_two_coordinates(self, other, v):
+        # line coverage cannot tell these two apart: both leave e_2 - e_3
+        basis = _PairBasis(None)
+        basis.insert(0, 1, other, 1)
+        assert basis.insert(0, 1, v, 1)
+        assert basis.others[2] == 3
+        assert basis.scales.get(2, 1) == -basis.values[2]
+
+    @staticmethod
+    def independent(vec, kept, field):
+        """Whether ``vec`` is outside the span of the ``kept`` vectors, by
+        dense_rank. The span splits over the connected components of
+        coordinates that kept vectors link, so only the vectors linked to
+        ``vec``'s coordinates enter the matrix."""
+        coords, near, rest = set(vec), [], kept
+        while linked := [w for w in rest if coords.intersection(w)]:
+            rest = [w for w in rest if not coords.intersection(w)]
+            near += linked
+            for w in linked:
+                coords.update(w)
+        columns = sorted(coords)
+        matrix = [[field.element(w.get(c, 0)) for c in columns] for w in near]
+        row = [field.element(vec.get(c, 0)) for c in columns]
+        return dense_rank(matrix + [row]) > dense_rank(matrix)
+
+    def test_search_decisions_match_dense_rank(self, monkeypatch):
+        # Budget runs report no stats, so no verdict shows their decisions;
+        # record every vector the searches insert instead.
+        logs = []
+
+        class Recording(_PairBasis):
+            __slots__ = ("log",)
+
+            def __init__(self, modulus):
+                super().__init__(modulus)
+                self.log = []
+                logs.append(self.log)
+
+            def insert(self, u, x, v, z):
+                assert v is None or u < v  # the walk needs its smaller coordinate first
+                kept = super().insert(u, x, v, z)
+                self.log.append(({u: x} if v is None else {u: x, v: z}, kept))
+                return kept
+
+        monkeypatch.setattr("wroca.dwa._PairBasis", Recording)
+        fields = (Q, GF7, GF_BIG)
+        budget_runs = inserts = 0
+        for i in range(24):
+            # the acceptance stream's shape; every other pair a split_state
+            # copy, on the right or, so the larger coordinate comes first
+            # sometimes, on the left
+            rng = random.Random(61000 + i)
+            field, sigma = fields[i % 3], 2 + (i // 2) % 2
+            config = lambda seed: GeneratorConfig(  # noqa: E731
+                seed=seed, field=field, alphabet_size=(sigma, sigma)
+            )
+            left = generate(config(rng.randrange(2**32)))
+            if i % 2:
+                right = split_state(left, rng.randrange(2**32))
+                if i % 4 == 3:
+                    left, right = right, left
+            else:
+                right = generate(config(rng.randrange(2**32)))
+            logs.clear()
+            try:
+                check_equivalence(left, right, budget=200)
+            except ResourceBudgetExceeded:
+                budget_runs += 1
+            for log in logs:
+                kept = []
+                for vec, was_kept in log:
+                    assert was_kept == self.independent(vec, kept, field)
+                    if was_kept:
+                        kept.append(vec)
+                inserts += len(log)
+        assert budget_runs == 8 and inserts == 1630
 
 
 class TestBoundedKEquiv:
