@@ -17,7 +17,6 @@ import json
 import os
 import sys
 
-from . import testkit
 from .core import Dwroca, PumpingIntervals
 from .dwa import EquivalenceVerdict, SearchStats, Witness, render_word
 from .equiv import DEFAULT_SEARCH_BUDGET, check_equivalence, replay_witness
@@ -198,6 +197,8 @@ def cmd_equiv(args) -> int:
     a1 = _load_automaton(args.file1)
     a2 = _load_automaton(args.file2)
     if args.method == "oracle":
+        from . import testkit  # imported where it is used: most commands never need it
+
         _require_valid(args.file1, a1)
         _require_valid(args.file2, a2)
         result = testkit.brute_force_witness(a1, a2, args.max_len)
@@ -275,6 +276,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_random(args) -> int:
+    from . import testkit
+
     try:
         cfg = testkit.GeneratorConfig(
             seed=args.seed,

@@ -10,6 +10,12 @@ initial weight * transition weights * final weight of the ending state.
 Transition tables may be partial. A word whose run gets stuck has no
 acceptance weight; for equivalence purposes an undefined run counts as
 weight zero (the same machine completed with a zero-final-weight sink).
+
+Loading a JSON document (``Dwroca.from_json`` here, ``Dwa.from_json`` in
+``dwa``) takes one pass: each table entry is checked and keyed by (state
+index, symbol index) as it is read, and the parts are set on the new
+instance directly, without the constructor's second lookup of every name.
+Equal weight texts in one document share one parsed element.
 """
 
 from __future__ import annotations
@@ -424,8 +430,20 @@ class Dwroca:
     @classmethod
     def from_json(cls, obj) -> "Dwroca":
         """Parse the automaton JSON format; unknown keys are rejected."""
-        states, alphabet, initial, (delta0, delta1), final = _document_from_json(obj, counter=True)
-        return cls(states, alphabet, initial[0], initial[1], delta0, delta1, final)
+        states, alphabet, field, initial, (delta0, delta1), finals = _document_from_json(obj, counter=True)
+        machine = cls.__new__(cls)
+        _freeze(
+            machine,
+            states=states,
+            alphabet=alphabet,
+            field=field,
+            initial_state=initial[0],
+            initial_weight=initial[1],
+            delta0=delta0,
+            delta1=delta1,
+            final_weights=finals,
+        )
+        return machine
 
 
 # -- model plumbing shared with the weighted automata of ``dwa`` ----------
@@ -538,9 +556,11 @@ def _document_from_json(obj, counter: bool):
 
     With ``counter``: tables ``delta0`` and ``delta1`` whose entries carry
     ``ce``, and a required ``initial``. Without: one table ``delta`` with no
-    ``ce`` and an optional ``initial``. Returns ``(states, alphabet,
-    initial, tables, final)``, where ``initial`` is ``(state, weight)`` or
-    None and ``tables`` lists the name-keyed tables in that order.
+    ``ce`` and an optional ``initial``. One pass builds the final parts:
+    returns ``(states, alphabet, field, initial, tables, finals)``, where
+    ``initial`` is ``(state_index, weight)`` or None, ``tables`` lists the
+    index-keyed tables in that order and ``finals`` is in state order. Equal
+    weight texts share one element.
     """
     if not isinstance(obj, dict):
         raise ParseError("automaton document must be an object")
@@ -551,32 +571,46 @@ def _document_from_json(obj, counter: bool):
     _check_keys(obj, keys, "automaton" if counter else "weighted automaton")
     field = FieldSpec.from_json(obj["field"])
     states = _string_list(obj["states"], "states")
-    if len(set(states)) != len(states) or not states:
+    index = {name: i for i, name in enumerate(states)}
+    if len(index) != len(states) or not states:
         raise ParseError("states must be a non-empty list of distinct names")
     try:
         alphabet = Alphabet(_string_list(obj["alphabet"], "alphabet"))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    element = _element_reader(field)
     initial = None
     if "initial" in keys:
         init = obj["initial"]
         if not isinstance(init, dict):
             raise ParseError("initial must be an object")
         _check_keys(init, {"state", "weight"}, "initial")
-        if init["state"] not in states:
+        if init["state"] not in states:  # a list test: an unhashable name is a ParseError too
             raise ParseError(f"initial state {init['state']!r} is not a state")
-        initial = (init["state"], parse_element(init["weight"], field))
-    state_set = set(states)
-    tables = [
-        _table_from_json(obj[key], key, state_set, alphabet, field, counter) for key in table_keys
-    ]
+        initial = (index[init["state"]], element(init["weight"]))
+    tables = [_table_from_json(obj[key], key, index, alphabet, element, counter) for key in table_keys]
     final_obj = obj["final"]
     if not isinstance(final_obj, dict):
         raise ParseError("final must be an object")
-    if set(final_obj) != state_set:
+    if final_obj.keys() != index.keys():
         raise ParseError("final must assign a weight to exactly the declared states")
-    final = {name: parse_element(final_obj[name], field) for name in states}
-    return states, alphabet, initial, tables, final
+    finals = tuple(element(final_obj[name]) for name in states)
+    return tuple(states), alphabet, field, initial, tables, finals
+
+
+def _element_reader(field: FieldSpec):
+    """``parse_element`` over ``field`` with a memo of the texts read so far.
+    Elements are immutable, so equal texts share one; only a string is
+    looked up, so any other value still gets its ParseError."""
+    elements: dict = {}
+
+    def element(text) -> FieldElement:
+        found = elements.get(text) if isinstance(text, str) else None
+        if found is None:
+            found = elements[text] = parse_element(text, field)
+        return found
+
+    return element
 
 
 def _check_keys(obj: dict, expected: set, what: str) -> None:
@@ -595,13 +629,15 @@ def _string_list(value, what: str) -> list[str]:
 
 
 def _table_from_json(
-    entries, what: str, states: set, alphabet: Alphabet, field: FieldSpec, counter: bool
+    entries, what: str, index: dict, alphabet: Alphabet, element, counter: bool
 ) -> dict:
-    """A name-keyed table from a JSON list; ``ce`` is required exactly when
+    """An index-keyed table from a JSON list; ``index`` maps state names to
+    indices, ``element`` reads a weight, and ``ce`` is required exactly when
     the table has a counter."""
     if not isinstance(entries, list):
         raise ParseError(f"{what} must be a list")
     keys = {"from", "on", "to", "ce", "weight"} if counter else {"from", "on", "to", "weight"}
+    symbols = alphabet._index
     table = {}
     for entry in entries:
         if not isinstance(entry, dict):
@@ -611,18 +647,20 @@ def _table_from_json(
         src, symbol, dst = entry["from"], entry["on"], entry["to"]
         if not (isinstance(src, str) and isinstance(symbol, str) and isinstance(dst, str)):
             raise ParseError(f"{what} entry from/on/to must be strings: {entry!r}")
-        if src not in states or dst not in states:
+        s, d = index.get(src), index.get(dst)
+        if s is None or d is None:
             raise ParseError(f"{what} entry names unknown state: {entry!r}")
-        if symbol not in alphabet:
+        a = symbols.get(symbol)
+        if a is None:
             raise ParseError(f"{what} entry uses unknown symbol {symbol!r}")
-        if (src, symbol) in table:
+        if (s, a) in table:
             raise ParseError(f"duplicate {what} transition for ({src!r}, {symbol!r})")
-        weight = parse_element(entry["weight"], field)
+        weight = element(entry["weight"])
         if counter:
             effect = entry["ce"]
             if not isinstance(effect, int) or isinstance(effect, bool):
                 raise ParseError(f"{what} entry counter effect must be an integer")
-            table[(src, symbol)] = (dst, effect, weight)
+            table[s, a] = (d, effect, weight)
         else:
-            table[(src, symbol)] = (dst, weight)
+            table[s, a] = (d, weight)
     return table

@@ -14,7 +14,10 @@ run is not stuck. The kept vectors form an echelon basis whose rows have at
 most one coordinate besides the pivot, above it, so reducing a vector at
 its smallest coordinate leaves at most two. A new vector walks the rows
 this way, keeping it at the first coordinate without a row and pruning its
-word if it cancels; it costs work in the rows met, never a basis scan.
+word if it cancels; it costs work in the rows met, never a basis scan. A
+walk that follows one chain of row links past ``_SHORTCUT_AFTER`` rows
+re-points the chain's first row to the chain's end, so walks stay short
+even when one side's counter climbs while the other's stays put.
 
 The search computes on Python ints only, over the rationals as over GF(p).
 A word's vector matters only up to a nonzero scalar: its extensions'
@@ -176,8 +179,18 @@ class Dwa:
     def from_json(cls, obj) -> "Dwa":
         """Parse the weighted-automaton JSON format: one ``delta`` table
         without ``ce``, optional ``initial``; unknown keys are rejected."""
-        states, alphabet, initial, (delta,), final = _document_from_json(obj, counter=False)
-        return cls(states, alphabet, delta, final, initial)
+        states, alphabet, field, initial, (delta,), finals = _document_from_json(obj, counter=False)
+        machine = cls.__new__(cls)
+        _freeze(
+            machine,
+            states=states,
+            alphabet=alphabet,
+            field=field,
+            transitions=delta,
+            final_weights=finals,
+            initial=initial,
+        )
+        return machine
 
 
 @dataclass(frozen=True)
@@ -311,6 +324,11 @@ def _int_steps(table, state: int, symbol_count: int) -> tuple:
     return tuple(steps)
 
 
+# Rows a walk passes along one chain of links before it re-points the
+# chain's first row to the chain's end.
+_SHORTCUT_AFTER = 8
+
+
 class _PairBasis:
     """Kept difference vectors of at most two coordinates, in echelon form.
 
@@ -320,6 +338,13 @@ class _PairBasis:
     is not 1: residues in [1, p) over GF(p) (``modulus`` p), ints with no
     common factor over the rationals (``modulus`` None). Flat dicts give
     the garbage collector no object per row to walk.
+
+    Each row's other coordinate links it to the row there, if any, so the
+    rows form chains of links. A walk that follows one chain past
+    ``_SHORTCUT_AFTER`` rows re-points the chain's first row to the chain's
+    end (``_shortcut``), so the next walk from that row skips the chain. A
+    pair whose counter climbs on one side only builds such a chain, one row
+    longer per word, and every word's walk starts at its first row.
     """
 
     __slots__ = ("others", "values", "scales", "modulus")
@@ -337,8 +362,11 @@ class _PairBasis:
         becomes ``d * vec - x * row``, which cancels ``u`` and leaves at most
         two coordinates, both above it. A one-coordinate vector matters only
         up to a scalar, so it walks without arithmetic and is kept as ``e_u``.
+        The walk follows the chain of links from ``start`` until the
+        vector's other coordinate comes first; ``steps`` counts its rows.
         """
         others, values, scales, p = self.others, self.values, self.scales, self.modulus
+        start, steps = u, 0
         while True:
             w = others.get(u, -1)
             if w == -1:  # no row at u: keep the vector
@@ -351,10 +379,14 @@ class _PairBasis:
                     if x != 1:
                         scales[u] = x
                 return True
+            steps += 1
+            if steps == _SHORTCUT_AFTER:
+                self._shortcut(start)  # start is behind u: the walk does not meet it again
             if w is None:  # the row e_u cancels u and leaves z * e_v
                 if v is None:
                     return False
                 u, v = v, None
+                start, steps = u, 0
             elif v is None:
                 u = w  # x * e_u less a multiple of the row: a multiple of e_w
             else:
@@ -369,7 +401,39 @@ class _PairBasis:
                     if p:
                         y %= p
                         z %= p
-                    u, x, v, z = (w, y, v, z) if w < v else (v, z, w, y)
+                    if w < v:
+                        u, x = w, y
+                    else:
+                        u, x, v, z = v, z, w, y
+                        start, steps = u, 0
+
+    def _shortcut(self, u: int) -> None:
+        """Re-point the row at ``u`` to the end of its chain of links: the
+        first coordinate without a row, or ``e_u`` when the chain meets a
+        one-coordinate row. The span and the pivots stay as they were. A
+        walk's chain starts at a two-coordinate row: a walk leaves a row
+        ``e_u`` for a new chain."""
+        others, values, scales, p = self.others, self.values, self.scales, self.modulus
+        w, d, z = others[u], scales.get(u, 1), values[u]
+        while (nxt := others.get(w, -1)) != -1:
+            if nxt is None:  # the row e_w cancels w, leaving d * e_u
+                others[u] = None
+                del values[u]
+                scales.pop(u, None)
+                return
+            # d * e_u + z * e_w times the row's pivot value, less z times the row
+            d, z = d * scales.get(w, 1), -z * values[w]
+            if p:
+                d, z = d % p, z % p
+            else:
+                g = gcd(d, z)
+                d, z = d // g, z // g
+            w = nxt
+        others[u], values[u] = w, z
+        if d == 1:
+            scales.pop(u, None)
+        else:
+            scales[u] = d
 
 
 def _difference_search(

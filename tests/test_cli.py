@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -10,6 +11,12 @@ import pytest
 
 from wroca import Dwa, Dwroca, InternalError, cli
 from wroca.cli import main
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+)
 
 
 def run_cli(*argv):
@@ -376,16 +383,41 @@ class TestProcess:
         assert cli._parser() is cli._parser()
 
     def test_closed_pipe_exits_141_quietly(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         argv = ["random", "-", "--seed", "1", "--min-states", "40", "--max-states", "40"]
         proc = subprocess.Popen(
             [sys.executable, "-m", "wroca.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=SRC_ENV,
         )
         proc.stdout.close()  # the reader is gone before the 20 KB document is written
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 141
         assert err == b""
+
+    def test_testkit_is_imported_only_by_the_commands_that_use_it(self, e1_file):
+        script = f"""
+import io, sys
+from contextlib import redirect_stdout
+import wroca.cli
+loaded = ["wroca.testkit" in sys.modules]
+with redirect_stdout(io.StringIO()):
+    codes = [wroca.cli.main(["equiv", {e1_file!r}, {e1_file!r}, "--bound", "3"])]
+    loaded.append("wroca.testkit" in sys.modules)
+    codes.append(wroca.cli.main(["equiv", {e1_file!r}, {e1_file!r}, "--method", "oracle", "--max-len", "3"]))
+    codes.append(wroca.cli.main(["random", "-", "--seed", "1"]))
+print(loaded, codes, "wroca.testkit" in sys.modules)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=SRC_ENV, timeout=60
+        )
+        assert proc.stdout == "[False, False] [0, 0, 0] True\n", proc.stderr
+
+    def test_perfbench_tracer_sees_the_oracle_calls(self, e1_file, e1p_file):
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        with tracing.Tracer().installed() as tracer:
+            assert run_cli("equiv", e1_file, e1p_file, "--method", "oracle", "--max-len", "4")[0] == 1
+            assert run_cli("equiv", e1_file, e1_file, "--method", "oracle", "--max-len", "4")[0] == 0
+        assert tracer.totals()["testkit.brute_force_witness"][0] == 2

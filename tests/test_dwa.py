@@ -26,7 +26,7 @@ from wroca import (
     rational,
     underlying_wa,
 )
-from wroca.dwa import _difference_search, _int_pair, _pair_scaler, _PairBasis
+from wroca.dwa import _SHORTCUT_AFTER, _difference_search, _int_pair, _pair_scaler, _PairBasis
 from wroca.testkit import (
     GeneratorConfig,
     default_weight_pool,
@@ -420,7 +420,8 @@ def lines_run(func, call):
 
 
 class TestPairBasis:
-    SIZE = 6
+    SIZE = 6  # coordinates of the random streams
+    WIDTH = 13  # coordinates of every stream, the chained ones included
 
     def stream(self, rng, p):
         """Twelve vectors as the search passes them, ``(u, x, v, z)`` with
@@ -444,7 +445,7 @@ class TestPairBasis:
         return [(u, x % p, v, z % p) if p else (u, x, v, z) for u, x, v, z in vectors]
 
     def dense(self, field, coords):
-        row = [field.zero()] * self.SIZE
+        row = [field.zero()] * self.WIDTH
         for c, value in coords.items():
             row[c] = field.element(value)
         return row
@@ -453,12 +454,27 @@ class TestPairBasis:
         rng = random.Random(71)
         return [self.stream(rng, field.modulus) for _ in range(150)]
 
+    @staticmethod
+    def chained_streams():
+        """Walks along one chain of links past ``_SHORTCUT_AFTER`` rows: the
+        rows ``s * e_i + e_(i+1)`` for i < 10, with or without ``e_10`` to
+        close the chain, then vectors at 0 and 11 or 12 that walk it."""
+        streams = []
+        for scale in (1, 2):
+            for closed in ([], [(10, 1, None, 0)]):
+                rows = [(i, scale, i + 1, 1) for i in range(10)] + closed
+                streams.append(rows + [(0, 1, 12, 1), (0, 3, 12, 3), (0, 1, 11, 2), (1, 1, 12, 1)])
+        assert _SHORTCUT_AFTER < 10
+        return streams
+
     @pytest.mark.parametrize("field", [Q, GF7, GF_BIG], ids=["q", "gf7", "gf_big"])
     def test_keeps_exactly_the_independent_vectors(self, field):
         p, scaled = field.modulus, 0
-        for stream in self.streams(field):
+        for stream in self.streams(field) + self.chained_streams():
             basis, dense, rank = _PairBasis(p), [], 0
             for u, x, v, z in stream:
+                if p:
+                    x, z = x % p, z % p
                 dense.append(self.dense(field, {u: x} if v is None else {u: x, v: z}))
                 kept, rank = rank, dense_rank(dense)
                 assert basis.insert(u, x, v, z) == (rank > kept)
@@ -469,6 +485,7 @@ class TestPairBasis:
                     rows.append(self.dense(field, {pivot: 1}))
                     continue
                 assert other > pivot
+                assert basis.scales.get(pivot) != 1  # a pivot value of 1 is not stored
                 d, y = basis.scales.get(pivot, 1), basis.values[pivot]
                 if p:
                     assert 0 < d < p and 0 < y < p
@@ -482,18 +499,22 @@ class TestPairBasis:
 
     def test_streams_reach_every_line_of_the_walk(self):
         # a new pivot, a one-coordinate row, and a two-coordinate row whose
-        # other coordinate is below, above or at v, cancelling or not
-        streams = [(f.modulus, s) for f in (Q, GF7, GF_BIG) for s in self.streams(f)]
+        # other coordinate is below, above or at v, cancelling or not; the
+        # chained streams add long walks, whose chain ends at a coordinate
+        # without a row or at a one-coordinate row, with pivot value 1 or not
+        fields = (Q, GF7, GF_BIG)
+        streams = [(f.modulus, s) for f in fields for s in self.streams(f) + self.chained_streams()]
 
         def run():
             for p, stream in streams:
                 basis = _PairBasis(p)
-                for vec in stream:
-                    basis.insert(*vec)
+                for u, x, v, z in stream:
+                    basis.insert(u, x % p if p else x, v, z % p if p else z)
 
-        code = _PairBasis.insert.__code__
-        body = {line for _, _, line in code.co_lines() if line} - {code.co_firstlineno}
-        assert body - lines_run(_PairBasis.insert, run) == set()
+        for method in (_PairBasis.insert, _PairBasis._shortcut):
+            code = method.__code__
+            body = {line for _, _, line in code.co_lines() if line} - {code.co_firstlineno}
+            assert body - lines_run(method, run) == set(), method.__name__
 
     @pytest.mark.parametrize("other, v", [(2, 3), (3, 2)], ids=["below_v", "above_v"])
     def test_walk_orders_the_two_coordinates(self, other, v):
@@ -572,6 +593,114 @@ class TestPairBasis:
                         kept.append(vec)
                 inserts += len(log)
         assert budget_runs == 8 and inserts == 1630
+
+
+    @pytest.mark.parametrize("first_row", [(0, 1, None, 0), (0, 1, 20, 1)], ids=["e_0", "link_above_v"])
+    def test_shortcut_reaches_the_chain_the_walk_moved_to(self, first_row):
+        # e_0 + e_2 leaves row 0 at once, for 2's chain 2 -> 3 -> ... -> 13;
+        # the walk re-points row 2, where it began on that chain
+        basis = _PairBasis(None)
+        for vec in [first_row] + [(i, 1, i + 1, 1) for i in range(2, 13)]:
+            assert basis.insert(*vec)
+        assert basis.insert(0, 1, 2, 1)
+        assert basis.others[2] == 13 and basis.others[3] == 4
+
+    @staticmethod
+    def counting_flat(field):
+        """``e1`` over ``field``, and its copy whose counter stays put: both
+        weigh a^n 2^n, but only one side's coordinate climbs."""
+        one, two = field.one(), field.element(2)
+        step = {("q0", "a"): ("q0", 1, two)}
+        flat = {("q0", "a"): ("q0", 0, two)}
+        e1 = Dwroca(["q0"], ["a"], "q0", one, step, step, {"q0": one})
+        return e1, Dwroca(["q0"], ["a"], "q0", one, flat, flat, {"q0": one})
+
+    @pytest.mark.parametrize("field", [Q, GF_BIG], ids=["q", "gf_big"])
+    @pytest.mark.parametrize("flat_left", [False, True], ids=["e1_left", "flat_left"])
+    def test_walks_stay_short_when_one_counter_stays_put(self, field, flat_left, monkeypatch):
+        # Word a^n's vector links the flat side's one coordinate to the
+        # climbing side's n-th, so without shortcuts every insert walks a
+        # chain of all n rows kept before it: 4.5 million row lookups here.
+        # Counted as work, not time: every row the walk or a shortcut looks up.
+        counts = {"inserts": 0, "lookups": 0}
+
+        class Lookups(dict):
+            def get(self, key, default=None):
+                counts["lookups"] += 1
+                return super().get(key, default)
+
+        class Counting(_PairBasis):
+            __slots__ = ()
+
+            def __init__(self, modulus):
+                super().__init__(modulus)
+                self.others = Lookups()
+
+            def insert(self, u, x, v, z):
+                counts["inserts"] += 1
+                return super().insert(u, x, v, z)
+
+        monkeypatch.setattr("wroca.dwa._PairBasis", Counting)
+        e1, flat = self.counting_flat(field)
+        left, right = (flat, e1) if flat_left else (e1, flat)
+        with pytest.raises(ResourceBudgetExceeded):
+            check_equivalence(left, right, budget=3000)
+        assert counts["inserts"] == 3000
+        assert counts["lookups"] <= 2 * _SHORTCUT_AFTER * counts["inserts"]
+
+
+    @staticmethod
+    def counter_blind_pair(seed, field):
+        """A random machine whose two tables agree, so its counter never
+        changes a weight, and a copy of it whose counter stays at 0: the
+        two are equivalent, and the copy's coordinates never climb."""
+        rng = random.Random(seed)
+        cfg = GeneratorConfig(seed=seed, field=field, num_states=(1, 3), alphabet_size=(1, 2), density=1.0)
+        machine = generate(cfg)
+        states, symbols = machine.states, machine.alphabet.symbols
+        entries = {(states[s], symbols[a]): (states[d], w) for (s, a), (d, _, w) in machine.delta1.items()}
+        climbing = {key: (d, rng.choice((0, 1)), w) for key, (d, w) in entries.items()}
+        flat = {key: (d, 0, w) for key, (d, w) in entries.items()}
+        start, finals = states[machine.initial_state], dict(zip(states, machine.final_weights))
+        return tuple(
+            Dwroca(states, symbols, start, machine.initial_weight, table, table, finals)
+            for table in (climbing, flat)
+        )
+
+    def test_shortcuts_keep_every_decision(self, monkeypatch):
+        # The same searches with and without shortcuts insert the same
+        # vectors, keep the same ones and end with the same pivots.
+        def searches():
+            log, fired = [], [0]
+
+            class Logging(_PairBasis):
+                __slots__ = ()
+
+                def insert(self, u, x, v, z):
+                    log.append((u, x, v, z, super().insert(u, x, v, z)))
+                    return log[-1][-1]
+
+                def _shortcut(self, u):
+                    fired[0] += 1
+                    super()._shortcut(u)
+
+            with monkeypatch.context() as patch:
+                patch.setattr("wroca.dwa._PairBasis", Logging)
+                for i in range(18):
+                    left, right = self.counter_blind_pair(9100 + i, (Q, GF7, GF_BIG)[i % 3])
+                    if i % 2:
+                        left, right = right, left
+                    try:
+                        check_equivalence(left, right, budget=400)
+                    except ResourceBudgetExceeded:
+                        pass
+            return log, fired[0]
+
+        with_shortcuts, fired = searches()
+        monkeypatch.setattr("wroca.dwa._SHORTCUT_AFTER", 10**9)
+        without, none = searches()
+        assert fired > 100 and none == 0
+        assert with_shortcuts == without
 
 
 class TestBoundedKEquiv:
