@@ -25,6 +25,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    DivisionByZero,
     IntervalOutOfBounds,
     ParseError,
     UnknownSymbol,
@@ -601,13 +602,17 @@ def _document_from_json(obj, counter: bool):
 def _element_reader(field: FieldSpec):
     """``parse_element`` over ``field`` with a memo of the texts read so far.
     Elements are immutable, so equal texts share one; only a string is
-    looked up, so any other value still gets its ParseError."""
+    looked up, so any other value still gets its ParseError. A zero
+    denominator is malformed input here too: a ParseError."""
     elements: dict = {}
 
     def element(text) -> FieldElement:
         found = elements.get(text) if isinstance(text, str) else None
         if found is None:
-            found = elements[text] = parse_element(text, field)
+            try:
+                found = elements[text] = parse_element(text, field)
+            except DivisionByZero as exc:
+                raise ParseError(str(exc)) from exc
         return found
 
     return element

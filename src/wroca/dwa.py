@@ -23,9 +23,8 @@ The search computes on Python ints only, over the rationals as over GF(p).
 A word's vector matters only up to a nonzero scalar: its extensions'
 vectors scale with it, and neither span membership nor the witness test
 changes when a whole vector is scaled. So each word carries one int pair,
-cross-multiplied by the weights' denominators and divided by its gcd over
-the rationals, reduced mod p over GF(p) (``_pair_scaler``). Every kept row
-has one form in both fields: its pivot value ``d`` and the value at its
+divided by its gcd over the rationals, reduced mod p over GF(p). Every kept
+row has one form in both fields: its pivot value ``d`` and the value at its
 other coordinate, fraction-free with the common factor removed over the
 rationals, residues over GF(p). A reported witness gets its true weights
 by stepping its word once more through ``initial_config``, ``step_config``
@@ -36,10 +35,21 @@ configuration, its zero-row and positive-row transition tables, its final
 weights and its highest counter row. A lazy unfolding hands over its
 automaton's two tables; a weighted automaton is a machine that stays at row
 0, its one table serving both with counter effect 0. A configuration is then
-a control state and a row, both ints. The search splits a state's steps and
-final weight into int pairs the first time it reaches them, and applies the
-counter effects and the row bound itself. ``size``, the state count (a
-lazy unfolding has |Q| * (M + 1)), bounds the kept rows.
+a control state and a row, both ints, and the search applies the counter
+effects and the row bound itself. ``size``, the state count (a lazy
+unfolding has |Q| * (M + 1)), bounds the kept rows.
+
+Each word costs one table lookup, for its pair of states and whether each
+side's row is 0. The first word there fills in the two final weights
+cross-multiplied by each other's denominators, so the witness test is two
+products. The first word there that is kept and extended fills in its
+children (``_children``): per symbol, both sides' next states and counter
+effects, and the two step weights cross-multiplied the same way, so a
+child's pair is the parent's times these, divided by the gcd or reduced mod
+p. The table also records the rows from which no child leaves its row
+range; a word outside them builds its children again, the clipped sides
+stuck. A queue entry links to its parent's entry, and a witness's word is
+read back along these links.
 """
 
 from __future__ import annotations
@@ -281,7 +291,10 @@ def _int_pair(element: FieldElement) -> tuple[int, int]:
 
 
 def _pair_scaler(field: FieldSpec):
-    """The search's one per-field step on a word's int pair.
+    """The search's per-field step on a word's int pair. The search takes
+    the empty word's pair ``scale_pair(1, 1, ...)`` of the two initial
+    weights, and inlines the step for every child, from the child's
+    cross-multipliers (``_children``).
 
     ``scale_pair(a, b, u, v)`` is the pair ``(a * u, b * v)`` for ints
     ``a``, ``b`` and elements ``u``, ``v`` given as ``_int_pair``s, up to a
@@ -308,20 +321,52 @@ def _pair_scaler(field: FieldSpec):
     return scale_pair
 
 
-_STUCK_WEIGHT = (0, 1)  # the int pair of a side whose run is stuck
-
-
-def _int_steps(table, state: int, symbol_count: int) -> tuple:
-    """A control state's steps in one transition table, per symbol: a
-    ``(dst, effect, weight pair)`` tuple, or None where the table has none."""
-    steps = []
+def _children(side_l, sl, rl, side_r, sr, rr, symbol_count: int, clip: bool) -> tuple:
+    """The children of a word whose sides are at (state, row) ``(sl, rl)``
+    and ``(sr, rr)``, one per symbol on which a side steps, as ``(sym,
+    sl2, effect_l, sr2, effect_r, ml, mr)``; each side is its machine's
+    (zero-row table, positive-row table, row bound). A child of
+    the word pair (a, b) has the pair (a * ml, b * mr) up to a nonzero
+    scalar: ``ml, mr`` are the two step weights cross-multiplied by each
+    other's denominators, so the residues over GF(p). A side without a
+    step gets stuck, with state None, effect 0 and weight 0; with ``clip``,
+    so does a side whose step would leave its row range [0, bound].
+    Returns ``(lo_l, hi_l, lo_r, hi_r, children)``: no step leaves its row
+    range from rows lo <= row <= hi."""
+    zero_l, plus_l, bound_l = side_l
+    zero_r, plus_r, bound_r = side_r
+    table_l, table_r = zero_l if rl == 0 else plus_l, zero_r if rr == 0 else plus_r
+    low_l = high_l = low_r = high_r = 0
+    children = []
     for sym in range(symbol_count):
-        entry = table.get((state, sym))
-        if entry is not None:
+        step_l, step_r = table_l.get((sl, sym)), table_r.get((sr, sym))
+        if step_l is not None:
             # a Dwa's (dst, weight) entries leave the counter alone
-            entry = (entry[0], entry[1] if len(entry) == 3 else 0, _int_pair(entry[-1]))
-        steps.append(entry)
-    return tuple(steps)
+            sl2, el, ul = step_l[0], step_l[1] if len(step_l) == 3 else 0, step_l[-1].value
+            if el < low_l:
+                low_l = el
+            elif el > high_l:
+                high_l = el
+            if clip and not 0 <= rl + el <= bound_l:
+                step_l = None
+        if step_r is not None:
+            sr2, er, ur = step_r[0], step_r[1] if len(step_r) == 3 else 0, step_r[-1].value
+            if er < low_r:
+                low_r = er
+            elif er > high_r:
+                high_r = er
+            if clip and not 0 <= rr + er <= bound_r:
+                step_r = None
+        if step_l is None:
+            if step_r is None:
+                continue  # both stuck: every extension weighs zero on both sides
+            sl2, el, ul = None, 0, 0
+        elif step_r is None:
+            sr2, er, ur = None, 0, 0
+        # a Fraction, an int residue or the int 0: each has both attributes
+        ml, mr = ul.numerator * ur.denominator, ur.numerator * ul.denominator
+        children.append((sym, sl2, el, sr2, er, ml, mr))
+    return -low_l, bound_l - high_l, -low_r, bound_r - high_r, children
 
 
 # Rows a walk passes along one chain of links before it re-points the
@@ -464,45 +509,56 @@ def _difference_search(
     states_l, states_r = len(finals_l), len(finals_r)
     dimension = left.size + right.size
 
-    # A queue entry (idx, depth, sl, rl, a, sr, rr, b) holds a word's
-    # control state and counter row on each side, and its difference vector
-    # up to a nonzero scalar: int a at the left side's coordinate, int b at
-    # the right side's. A stuck side has state None, row 0 and weight 0.
-    # Scaling is allowed because the vectors of a word's extensions scale
-    # with it, and neither span membership nor the witness test (f_left !=
-    # f_right) changes when the whole vector is scaled. Per side, ``moves``
-    # maps (state, row == 0) to the state's ``_int_steps`` and ``ends`` maps
-    # a state to its final weight pair, each filled when first needed.
-    no_steps = (None,) * symbol_count
-    moves_l, moves_r = {(None, True): no_steps}, {(None, True): no_steps}
-    ends_l, ends_r = {None: _STUCK_WEIGHT}, {None: _STUCK_WEIGHT}
-    entries: list[tuple[int, int]] = [(-1, -1)]
+    # A queue entry (parent, sym, depth, sl, rl, a, sr, rr, b) holds a
+    # word's control state and counter row on each side, and its difference
+    # vector up to a nonzero scalar: int a at the left side's coordinate,
+    # int b at the right side's. The word is ``parent``'s word and symbol
+    # ``sym``; the empty word's parent is None. A stuck side has state None
+    # and weight 0, and keeps a row that no longer matters. Scaling is
+    # allowed because the vectors of a word's extensions scale with it, and
+    # neither span membership nor the witness test (f_left != f_right)
+    # changes when the whole vector is scaled. ``pairs`` maps (sl, rl == 0,
+    # sr, rr == 0) to [ea, eb, kids]: the final weights cross-multiplied,
+    # so the word is a witness when a * ea != b * eb, and, from the first
+    # time a word there is extended, its ``_children`` with the rows from
+    # which none of them leaves its row range.
+    side_l, side_r = (zero_l, plus_l, bound_l), (zero_r, plus_r, bound_r)
+    pairs: dict = {}
     (sl, rl, wl), (sr, rr, wr) = init_l, init_r
     a, b = scale_pair(1, 1, _int_pair(wl), _int_pair(wr))
-    queue: deque = deque([(0, 0, sl, rl, a, sr, rr, b)])
+    queue: deque = deque([(None, None, 0, sl, rl, a, sr, rr, b)])
     basis = _PairBasis(p)
     rows, insert = basis.others, basis.insert
     explored = 0
     max_row = 0
 
     while queue:
-        idx, depth, sl, rl, a, sr, rr, b = queue.popleft()
+        entry = queue.popleft()
+        _, _, depth, sl, rl, a, sr, rr, b = entry
         explored += 1
         if budget is not None and explored > budget:
-            raise ResourceBudgetExceeded(explored, budget)
+            raise ResourceBudgetExceeded(explored, budget, SearchStats(explored, len(rows), max_row))
         if rl > max_row:
             max_row = rl
         if rr > max_row:
             max_row = rr
-        end_l = ends_l.get(sl)
-        if end_l is None:
-            end_l = ends_l[sl] = _int_pair(finals_l[sl])
-        end_r = ends_r.get(sr)
-        if end_r is None:
-            end_r = ends_r[sr] = _int_pair(finals_r[sr])
-        diff = a * end_l[0] * end_r[1] - b * end_r[0] * end_l[1]
+        pair = pairs.get(key := (sl, rl == 0, sr, rr == 0))
+        if pair is None:
+            end_l = 0 if sl is None else finals_l[sl].value
+            end_r = 0 if sr is None else finals_r[sr].value
+            pair = pairs[key] = [
+                end_l.numerator * end_r.denominator,
+                end_r.numerator * end_l.denominator,
+                None,
+            ]
+        ea, eb, kids = pair
+        diff = a * ea - b * eb
         if diff and (p is None or diff % p):
-            word = _word_of(entries, idx)
+            word = []
+            while entry[0] is not None:
+                word.append(entry[1])
+                entry = entry[0]
+            word.reverse()
             witness = Witness(
                 tuple(left.alphabet.symbols[sym] for sym in word),
                 _weight_of(left, word),
@@ -534,45 +590,22 @@ def _difference_search(
 
         if max_len is not None and depth >= max_len:
             continue
+        if kids is None:
+            kids = pair[2] = _children(side_l, sl, rl, side_r, sr, rr, symbol_count, False)
+        lo_l, hi_l, lo_r, hi_r, children = kids
+        if not (lo_l <= rl <= hi_l and lo_r <= rr <= hi_r):
+            children = _children(side_l, sl, rl, side_r, sr, rr, symbol_count, True)[4]
         depth += 1
-        steps_l = moves_l.get(key := (sl, rl == 0))
-        if steps_l is None:
-            steps_l = moves_l[key] = _int_steps(zero_l if rl == 0 else plus_l, sl, symbol_count)
-        steps_r = moves_r.get(key := (sr, rr == 0))
-        if steps_r is None:
-            steps_r = moves_r[key] = _int_steps(zero_r if rr == 0 else plus_r, sr, symbol_count)
-        for sym, step_l, step_r in zip(range(symbol_count), steps_l, steps_r):
-            if step_l is not None:
-                sl2, effect, ul = step_l
-                rl2 = rl + effect
-                if not 0 <= rl2 <= bound_l:
-                    step_l = None
-            if step_r is not None:
-                sr2, effect, ur = step_r
-                rr2 = rr + effect
-                if not 0 <= rr2 <= bound_r:
-                    step_r = None
-            if step_l is None:
-                if step_r is None:
-                    continue  # both stuck: every extension weighs zero on both sides
-                sl2, rl2, ul = None, 0, _STUCK_WEIGHT
-            elif step_r is None:
-                sr2, rr2, ur = None, 0, _STUCK_WEIGHT
-            ca, cb = scale_pair(a, b, ul, ur)
-            entries.append((idx, sym))
-            queue.append((len(entries) - 1, depth, sl2, rl2, ca, sr2, rr2, cb))
+        for sym, sl2, el, sr2, er, ml, mr in children:
+            ca, cb = a * ml, b * mr
+            if p:
+                ca, cb = ca % p, cb % p
+            else:
+                g = gcd(ca, cb) or 1
+                ca, cb = ca // g, cb // g
+            queue.append((entry, sym, depth, sl2, rl + el, ca, sr2, rr + er, cb))
 
     return None, SearchStats(explored, len(rows), max_row)
-
-
-def _word_of(entries: list[tuple[int, int]], idx: int) -> list[int]:
-    """Symbol indices of the word at queue entry ``idx``."""
-    word = []
-    while idx != 0:
-        idx, sym = entries[idx]
-        word.append(sym)
-    word.reverse()
-    return word
 
 
 def _weight_of(machine, word: list[int]) -> FieldElement:

@@ -50,11 +50,14 @@ class ResourceBudgetExceeded(WrocaError):
     """The equivalence search gave up after exhausting its exploration budget.
 
     This is deliberately distinct from any verdict: nothing was decided.
+    ``stats`` is the search's ``SearchStats`` at the point it gave up, the
+    word over budget counted in ``explored_words`` but not yet tested.
     """
 
-    def __init__(self, explored, budget):
+    def __init__(self, explored, budget, stats=None):
         self.explored = explored
         self.budget = budget
+        self.stats = stats
         super().__init__(f"explored {explored} words, budget is {budget}")
 
 

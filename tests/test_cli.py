@@ -191,6 +191,12 @@ class TestEquiv:
         code, _, err = run_cli("equiv", e1_file, e1_file, "--budget", "100")
         assert code == 4
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_budget_message(self, e1_file, json_flag):
+        # the exception now also carries the search's stats; the text stays
+        code, out, err = run_cli(*json_flag, "equiv", e1_file, e1_file, "--budget", "100")
+        assert (code, out, err) == (4, "", "error: explored 101 words, budget is 100\n")
+
     def test_alphabet_mismatch_exit_two(self, e1_file, tmp_path, Q):
         other = Dwroca(["q0"], ["b"], "q0", Q.one(), {}, {}, {"q0": Q.one()})
         path = tmp_path / "other.json"

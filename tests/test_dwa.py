@@ -26,7 +26,14 @@ from wroca import (
     rational,
     underlying_wa,
 )
-from wroca.dwa import _SHORTCUT_AFTER, _difference_search, _int_pair, _pair_scaler, _PairBasis
+from wroca.dwa import (
+    _SHORTCUT_AFTER,
+    SearchStats,
+    _difference_search,
+    _int_pair,
+    _pair_scaler,
+    _PairBasis,
+)
 from wroca.testkit import (
     GeneratorConfig,
     default_weight_pool,
@@ -400,6 +407,38 @@ class TestPairScaler:
         assert (x == y) == (left == right)
         assert ((x, y) == (0, 0)) == (left.is_zero and right.is_zero)
 
+    def test_search_pairs_are_in_normal_form(self, monkeypatch):
+        # Every word's pair reaches the basis divided by its gcd over Q and
+        # as residues over GF(p), the clipped searches' words included.
+        pairs = []
+
+        class Recording(_PairBasis):
+            __slots__ = ()
+
+            def insert(self, u, x, v, z):
+                pairs.append((self.modulus, x, z))
+                return super().insert(u, x, v, z)
+
+        monkeypatch.setattr("wroca.dwa._PairBasis", Recording)
+        for i in range(30):
+            field, sigma = (Q, GF7, GF_BIG)[i % 3], 2 + i % 2
+            left = generate(GeneratorConfig(seed=70500 + i, field=field, alphabet_size=(sigma, sigma)))
+            right = split_state(left, 71500 + i)  # equivalent: the searches run long
+            for view_l, view_r, max_len in (
+                (LazyUnfolding(left, 40), LazyUnfolding(right, 40), 40),
+                (LazyUnfolding(left, 1), LazyUnfolding(right, 2), 6),
+            ):
+                try:
+                    _difference_search(view_l, view_r, max_len=max_len, budget=300)
+                except ResourceBudgetExceeded:
+                    pass
+        assert len(pairs) > 1000 and {p for p, _, _ in pairs} == {None, 7, GF_BIG.modulus}
+        for p, x, z in pairs:
+            if p is None:
+                assert gcd(x, z) == 1
+            else:
+                assert 0 < x < p and 0 <= z < p
+
 
 def lines_run(func, call):
     """The source lines of ``func`` that run while ``call()`` runs."""
@@ -701,6 +740,73 @@ class TestPairBasis:
         without, none = searches()
         assert fired > 100 and none == 0
         assert with_shortcuts == without
+
+
+class TestLongSearchShapes:
+    """Exact ``(explored_words, basis_size, max_counter_row)`` of long
+    searches, the shapes the pair tables serve most: the counting pairs at
+    bound 2000 keep every word, ``e1`` against its counter-free copy climbs
+    on one side only, and ``split_state`` copies mostly run out of budget.
+    A budget run's shape is read from its ResourceBudgetExceeded."""
+
+    @staticmethod
+    def shape(*args, **kwargs):
+        try:
+            stats = check_equivalence(*args, **kwargs).stats
+        except ResourceBudgetExceeded as exc:
+            stats = exc.stats
+        return stats.explored_words, stats.basis_size, stats.max_counter_row
+
+    @pytest.mark.parametrize("field", [Q, GF_BIG], ids=["q", "gf_big"])
+    def test_counting_pairs(self, field):
+        e1, flat = TestPairBasis.counting_flat(field)
+        one, two = field.one(), field.element(2)
+        e2 = Dwroca(
+            ["q0", "q1"],
+            ["a"],
+            "q0",
+            one,
+            {("q0", "a"): ("q1", 1, field.element(4)), ("q1", "a"): ("q1", 1, two)},
+            {("q1", "a"): ("q1", 1, two)},
+            {"q0": one, "q1": two.inverse()},
+        )
+        assert self.shape(e1, e1, 2000) == (2001, 2001, 2000)
+        assert self.shape(e1, e2, 2000) == (2001, 2001, 2000)
+        assert self.shape(e1, flat, budget=3000) == (3001, 3000, 2999)
+        assert self.shape(flat, e1, budget=3000) == (3001, 3000, 2999)
+
+    def test_split_state_copies(self):
+        shapes = []
+        for i in range(12):
+            rng = random.Random(7300 + i)
+            config = GeneratorConfig(seed=rng.randrange(2**32), field=(Q, GF7, GF_BIG)[i % 3], alphabet_size=(2, 3))
+            left = generate(config)
+            shapes.append(self.shape(left, split_state(left, rng.randrange(2**32)), budget=2000))
+        assert shapes == [
+            (9, 3, 0),
+            (2001, 802, 398),
+            (14, 7, 2),
+            (2001, 891, 223),
+            (2001, 999, 996),
+            (2001, 1003, 335),
+            (6, 3, 0),
+            (2001, 1334, 667),
+            (1, 1, 0),
+            (8, 4, 1),
+            (2001, 1001, 998),
+            (12, 8, 3),
+        ]
+
+    @pytest.mark.parametrize("field", [Q, GF_BIG], ids=["q", "gf_big"])
+    def test_budget_run_reports_its_stats(self, field):
+        # a^0 .. a^199 are kept, a^199 reaching row 199 on the side that
+        # climbs; a^200 is dequeued over the budget, counted and not tested
+        e1, flat = TestPairBasis.counting_flat(field)
+        for left, right in ((e1, e1), (e1, flat), (flat, e1)):
+            with pytest.raises(ResourceBudgetExceeded) as info:
+                check_equivalence(left, right, budget=200)
+            assert str(info.value) == "explored 201 words, budget is 200"
+            assert info.value.stats == SearchStats(201, 200, 199)
 
 
 class TestBoundedKEquiv:

@@ -10,13 +10,15 @@ from wroca import (
     Dwroca,
     InvalidAutomaton,
     LazyUnfolding,
+    ResourceBudgetExceeded,
     bounds_for_k,
     compute_bounds,
+    prime_field,
     rational,
     unfold,
 )
-from wroca.dwa import WaConfig
-from wroca.testkit import GeneratorConfig, generate
+from wroca.dwa import WaConfig, _difference_search
+from wroca.testkit import GeneratorConfig, generate, split_state
 
 Q = rational()
 
@@ -147,6 +149,103 @@ class TestLazyUnfolding:
         for machine in (e1, e2):
             for bound in (0, 1, 5):
                 assert LazyUnfolding(machine, bound).size == unfold(machine, bound).size
+
+
+class TestSearchClip:
+    """The search applies the row bound itself; a materialized unfolding
+    has it built in by ``step_config``'s own row rule, and the same
+    coordinates. So searches on both agree word for word."""
+
+    @staticmethod
+    def outcome(left, right, max_len):
+        try:
+            witness, stats = _difference_search(left, right, max_len=max_len, budget=400)
+        except ResourceBudgetExceeded as exc:
+            return "budget", exc.stats.explored_words, exc.stats.basis_size
+        word = None if witness is None else (witness.word, witness.f1, witness.f2)
+        return word, stats.explored_words, stats.basis_size, stats.max_counter_row
+
+    @pytest.mark.parametrize("field", [rational(), prime_field(7)], ids=["q", "gf7"])
+    def test_lazy_rows_clip_like_the_materialized_unfolding(self, field):
+        rng = random.Random(4242 if field.modulus is None else 4343)
+        clipped = witnesses = 0
+        for i in range(40):
+            sigma = 2 + i % 2
+            config = lambda: GeneratorConfig(  # noqa: E731
+                seed=rng.randrange(2**32), field=field, alphabet_size=(sigma, sigma)
+            )
+            left = generate(config())
+            right = split_state(left, rng.randrange(2**32)) if i % 2 else generate(config())
+            bound = rng.randrange(3)
+            max_len = bound + 1 + rng.randrange(4)
+            lazy = self.outcome(LazyUnfolding(left, bound), LazyUnfolding(right, bound), max_len)
+            wa = self.outcome(unfold(left, bound), unfold(right, bound), max_len)
+            assert lazy[:3] == wa[:3]
+            if lazy[0] != "budget":
+                # a side the clip makes stuck does not keep the row it left for
+                assert lazy[3] <= bound and wa[3] == 0
+                clipped += 0 < lazy[3] == bound
+                witnesses += lazy[0] is not None
+        assert clipped >= 10 and witnesses >= 10
+
+    @staticmethod
+    def wild(machine, rng):
+        """``machine`` with counter effects from -2 to 2 in both tables, a
+        zero-test decrement among them: invalid, so ``unfold`` refuses it,
+        but a lazy unfolding steps it, clipping rows at both ends."""
+        states, symbols = machine.states, machine.alphabet.symbols
+
+        def table(delta):
+            return {
+                (states[s], symbols[a]): (states[d], rng.choice((-2, -1, 0, 1, 2)), w)
+                for (s, a), (d, _, w) in delta.items()
+            }
+
+        start, finals = states[machine.initial_state], dict(zip(states, machine.final_weights))
+        return Dwroca(states, symbols, start, machine.initial_weight, table(machine.delta0), table(machine.delta1), finals)
+
+    @staticmethod
+    def stepped_witness(left, right, max_len):
+        """The first word, shortest and then in symbol order, on which the
+        two views' own ``step_config`` runs weigh differently, with both
+        weights; None when they agree up to ``max_len``."""
+        zero = left.field.zero()
+
+        def weight(view, config):
+            return zero if config is None else config[1] * view.final_weight(config[0])
+
+        def step(view, config, sym):
+            nxt = None if config is None else view.step_config(config[0], sym)
+            return None if nxt is None else (nxt[0], config[1] * nxt[1])
+
+        level = [((), left.initial_config(), right.initial_config())]
+        for depth in range(max_len + 1):
+            for word, c1, c2 in level:
+                if weight(left, c1) != weight(right, c2):
+                    return word, weight(left, c1), weight(right, c2)
+            level = [
+                (word + (symbol,), step(left, c1, sym), step(right, c2, sym))
+                for word, c1, c2 in level
+                for sym, symbol in enumerate(left.alphabet.symbols)
+            ]
+        return None
+
+    @pytest.mark.parametrize("field", [rational(), prime_field(7)], ids=["q", "gf7"])
+    def test_rows_clip_at_both_ends_on_invalid_machines(self, field):
+        rng = random.Random(4545 if field.modulus is None else 4646)
+        clipped_below = 0
+        for i in range(40):
+            left = generate(GeneratorConfig(seed=rng.randrange(2**32), field=field, alphabet_size=(2, 2)))
+            wild = self.wild(left, rng)
+            bound, max_len = rng.randrange(1, 4), 5
+            views = LazyUnfolding(wild, bound), LazyUnfolding(split_state(left, rng.randrange(2**32)), bound)
+            if i % 2:
+                views = views[::-1]
+            witness, _stats = _difference_search(*views, max_len=max_len)
+            found = None if witness is None else (witness.word, witness.f1, witness.f2)
+            assert found == self.stepped_witness(*views, max_len)
+            clipped_below += any(e < 0 for _, e, _ in wild.delta0.values())
+        assert clipped_below >= 20
 
 
 class TestBounds:
