@@ -75,7 +75,7 @@ def _load_automaton(path: str) -> Dwroca:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, not UTF-8, or a number over int()'s digit limit
             raise ParseError(f"{path}: {exc}") from exc
     return Dwroca.from_json(doc)
 

@@ -20,7 +20,6 @@ Equal weight texts in one document share one parsed element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -92,27 +91,70 @@ class Alphabet:
         return tuple(self.index_of(s) for s in word)
 
 
-@dataclass(frozen=True)
-class Configuration:
+# A record's own __setattr__ refuses every assignment, so its __init__ sets
+# its slots through object.__setattr__, bound once here to save a lookup.
+_setattr = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable records, which behave like frozen dataclasses.
+
+    A record's fields are its class's ``__slots__``, in order. Records are
+    equal only to records of the same class with equal fields, hash as the
+    tuple of their fields, and repr as ``Name(field=value, ...)``. They copy
+    and pickle by calling the class with their fields.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Configuration(_Record):
     """A point in a run: control state, counter value, accumulated weight."""
 
-    state: int
-    counter: int
-    weight: FieldElement
+    __slots__ = ("state", "counter", "weight")
 
-    def __post_init__(self):
-        if self.counter < 0:
+    def __init__(self, state: int, counter: int, weight: FieldElement):
+        if counter < 0:
             raise ValueError("counter values are never negative")
+        _setattr(self, "state", state)
+        _setattr(self, "counter", counter)
+        _setattr(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class RunStep:
+class RunStep(_Record):
     """One consumed symbol: which table fired, its counter move and weight."""
 
-    symbol: str
-    table: int  # ZERO_TABLE or PLUS_TABLE
-    counter_effect: int
-    weight: FieldElement
+    __slots__ = ("symbol", "table", "counter_effect", "weight")
+
+    def __init__(self, symbol: str, table: int, counter_effect: int, weight: FieldElement):
+        _setattr(self, "symbol", symbol)
+        _setattr(self, "table", table)  # ZERO_TABLE or PLUS_TABLE
+        _setattr(self, "counter_effect", counter_effect)
+        _setattr(self, "weight", weight)
 
 
 class Run:
@@ -159,14 +201,16 @@ class Run:
         return f"Run({'.'.join(s.symbol for s in self.steps)!r}, end={self.end}{tail})"
 
 
-@dataclass(frozen=True)
-class CounterProfile:
+class CounterProfile(_Record):
     """Prefix counter-effects of a run, their extremes, and groundedness."""
 
-    prefix_effects: tuple[int, ...]
-    min_effect: int
-    max_effect: int
-    grounded: bool
+    __slots__ = ("prefix_effects", "min_effect", "max_effect", "grounded")
+
+    def __init__(self, prefix_effects: tuple[int, ...], min_effect: int, max_effect: int, grounded: bool):
+        _setattr(self, "prefix_effects", prefix_effects)
+        _setattr(self, "min_effect", min_effect)
+        _setattr(self, "max_effect", max_effect)
+        _setattr(self, "grounded", grounded)
 
 
 def counter_effect_profile(run: Run) -> CounterProfile:

@@ -55,7 +55,6 @@ read back along these links.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -63,11 +62,13 @@ from .core import (
     Configuration,
     Dwroca,
     Word,
+    _Record,
     _document_from_json,
     _document_to_json,
     _freeze,
     _intern_states,
     _intern_table,
+    _setattr,
     _violations,
 )
 from .errors import (
@@ -203,36 +204,39 @@ class Dwa:
         return machine
 
 
-@dataclass(frozen=True)
-class WaConfig:
+class WaConfig(_Record):
     """A weighted-automaton configuration: state index and nonzero weight."""
 
-    state: int
-    weight: FieldElement
+    __slots__ = ("state", "weight")
 
-    def __post_init__(self):
-        if self.weight.is_zero:
+    def __init__(self, state: int, weight: FieldElement):
+        if weight.is_zero:
             raise ValueError("configuration weight must be nonzero")
+        _setattr(self, "state", state)
+        _setattr(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """A word on which the two machines produce different weights."""
 
-    word: tuple[str, ...]
-    f1: FieldElement
-    f2: FieldElement
+    __slots__ = ("word", "f1", "f2")
+
+    def __init__(self, word: tuple[str, ...], f1: FieldElement, f2: FieldElement):
+        _setattr(self, "word", word)
+        _setattr(self, "f1", f1)
+        _setattr(self, "f2", f2)
 
 
-@dataclass(frozen=True)
-class SearchStats:
-    explored_words: int
-    basis_size: int
-    max_counter_row: int
+class SearchStats(_Record):
+    __slots__ = ("explored_words", "basis_size", "max_counter_row")
+
+    def __init__(self, explored_words: int, basis_size: int, max_counter_row: int):
+        _setattr(self, "explored_words", explored_words)
+        _setattr(self, "basis_size", basis_size)
+        _setattr(self, "max_counter_row", max_counter_row)
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(_Record):
     """Outcome of an equivalence check.
 
     ``mode`` is "theoretical" when the search limit covers the proven witness
@@ -240,11 +244,16 @@ class EquivalenceVerdict:
     truncated the search (Equivalent then means: no witness up to ``bound``).
     """
 
-    equivalent: bool
-    witness: Witness | None
-    mode: str
-    bound: int | None
-    stats: SearchStats
+    __slots__ = ("equivalent", "witness", "mode", "bound", "stats")
+
+    def __init__(
+        self, equivalent: bool, witness: Witness | None, mode: str, bound: int | None, stats: SearchStats
+    ):
+        _setattr(self, "equivalent", equivalent)
+        _setattr(self, "witness", witness)
+        _setattr(self, "mode", mode)
+        _setattr(self, "bound", bound)
+        _setattr(self, "stats", stats)
 
     @property
     def outcome(self) -> str:

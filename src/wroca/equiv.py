@@ -18,9 +18,7 @@ turns the run into a bounded search that always terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Dwroca, Run, Word
+from .core import Dwroca, Run, Word, _Record, _setattr
 from .dwa import (
     EquivalenceVerdict,
     Witness,
@@ -34,14 +32,16 @@ from .unfold import LazyUnfolding, compute_bounds
 DEFAULT_SEARCH_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class WitnessReplay:
+class WitnessReplay(_Record):
     """Both acceptance weights of a word plus the full runs behind them."""
 
-    f1: FieldElement
-    f2: FieldElement
-    run1: Run
-    run2: Run
+    __slots__ = ("f1", "f2", "run1", "run2")
+
+    def __init__(self, f1: FieldElement, f2: FieldElement, run1: Run, run2: Run):
+        _setattr(self, "f1", f1)
+        _setattr(self, "f2", f2)
+        _setattr(self, "run1", run1)
+        _setattr(self, "run2", run2)
 
 
 def _require_valid(a1: Dwroca, a2: Dwroca) -> None:

@@ -9,6 +9,7 @@ field; mixing fields is a hard error, never a coercion.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
@@ -242,6 +243,19 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
             return FieldElement(spec, Fraction(int(num), int(den or 1)))
         except ZeroDivisionError as exc:
             raise DivisionByZero(f"zero denominator in {text!r}") from exc
+        except ValueError as exc:
+            raise _too_many_digits(stripped) from exc
     if not _INTEGER_RE.fullmatch(stripped):
         raise ParseError(f"malformed GF({spec.modulus}) element {text!r}")
-    return FieldElement(spec, int(stripped) % spec.modulus)
+    try:
+        return FieldElement(spec, int(stripped) % spec.modulus)
+    except ValueError as exc:
+        raise _too_many_digits(stripped) from exc
+
+
+def _too_many_digits(text: str) -> ParseError:
+    """``int()`` refuses a decimal text over the interpreter's digit limit
+    (``sys.get_int_max_str_digits()``); the limit stays as it is."""
+    return ParseError(
+        f"element of {len(text)} characters has more digits than the limit of {sys.get_int_max_str_digits()}"
+    )

@@ -16,10 +16,9 @@ the unfolding lazily instead of materializing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Dwroca
+from .core import Dwroca, _Record, _setattr
 from .dwa import Dwa
 from .errors import BoundTooLarge, InvalidAutomaton
 
@@ -33,8 +32,7 @@ INITIAL_SPACE_COEFF = 14
 BELT_THICKNESS_COEFF = 6
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """The exact integer bounds for a combined state count k.
 
     ``witness_bound`` caps the length of a minimal distinguishing word of
@@ -43,11 +41,14 @@ class BoundReport:
     polynomials those are assembled from.
     """
 
-    k: int
-    initial_space: int
-    belt_thickness: int
-    counter_bound: int
-    witness_bound: int
+    __slots__ = ("k", "initial_space", "belt_thickness", "counter_bound", "witness_bound")
+
+    def __init__(self, k: int, initial_space: int, belt_thickness: int, counter_bound: int, witness_bound: int):
+        _setattr(self, "k", k)
+        _setattr(self, "initial_space", initial_space)
+        _setattr(self, "belt_thickness", belt_thickness)
+        _setattr(self, "counter_bound", counter_bound)
+        _setattr(self, "witness_bound", witness_bound)
 
     def to_json(self) -> dict:
         return {

@@ -69,6 +69,26 @@ class TestValidate:
         code, _, err = run_cli("validate", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.replace('"1"', '"' + "1" * 5000 + '"', 1), "element of 5000 characters has more digits"),
+            (
+                lambda t: t.replace('"rational"}', '"gf", "p": 7}').replace('"2"}]', '"-' + "2" * 4400 + '"}]'),
+                "element of 4401 characters has more digits",
+            ),
+            (lambda t: t.replace('"ce": 1', '"ce": ' + "1" * 4301, 1), "{path}: Exceeds the limit (4300 digits)"),
+            (lambda t: "\udcff" + t, "{path}: 'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["q_weight", "gf_weight", "json_number", "not_utf8"],
+    )
+    def test_unconvertible_input_exit_two(self, tmp_path, e1, edit, message):
+        path = tmp_path / "big.json"
+        path.write_bytes(edit(json.dumps(e1.to_json())).encode("utf-8", "surrogateescape"))
+        code, out, err = run_cli("validate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message.format(path=path)) and err.count("\n") == 1
+
     def test_non_string_entry_name_exit_two(self, tmp_path, e1):
         doc = e1.to_json()
         doc["delta0"][0]["on"] = ["a"]
@@ -418,6 +438,18 @@ print(loaded, codes, "wroca.testkit" in sys.modules)
             [sys.executable, "-c", script], capture_output=True, text=True, env=SRC_ENV, timeout=60
         )
         assert proc.stdout == "[False, False] [0, 0, 0] True\n", proc.stderr
+
+    def test_equiv_loads_neither_dataclasses_nor_inspect(self, e1_file, e1p_file):
+        script = f"""
+import sys
+import wroca.cli
+code = wroca.cli.main(["--json", "equiv", {e1_file!r}, {e1p_file!r}, "--bound", "3"])
+print(code, [m for m in ("dataclasses", "inspect") if m in sys.modules])
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=SRC_ENV, timeout=60
+        )
+        assert proc.stdout.endswith("\n1 []\n"), proc.stderr
 
     def test_perfbench_tracer_sees_the_oracle_calls(self, e1_file, e1p_file):
         spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")

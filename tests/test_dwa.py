@@ -582,8 +582,9 @@ class TestPairBasis:
         return dense_rank(matrix + [row]) > dense_rank(matrix)
 
     def test_search_decisions_match_dense_rank(self, monkeypatch):
-        # Budget runs report no stats, so no verdict shows their decisions;
-        # record every vector the searches insert instead.
+        # A verdict's stats, or a budget run's ResourceBudgetExceeded.stats,
+        # count the kept vectors but do not show which were kept; record
+        # every vector the searches insert instead.
         logs = []
 
         class Recording(_PairBasis):

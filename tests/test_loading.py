@@ -125,6 +125,25 @@ PINNED = [
     (Dwroca, e1_doc, lambda d: d["delta0"][0].update(weight=3), "ParseError: element must be a string, got int"),
     (Dwroca, e1_doc, lambda d: d["delta0"][0].update(weight=[1]), "ParseError: element must be a string, got list"),
     (Dwroca, e1_doc, lambda d: d["delta0"][0].update(weight="1/0"), "ParseError: zero denominator in '1/0'"),
+    # int() converts at most 4,300 digits (sys.get_int_max_str_digits())
+    (
+        Dwroca,
+        e1_doc,
+        lambda d: d["initial"].update(weight="1" * 5000),
+        "ParseError: element of 5000 characters has more digits than the limit of 4300",
+    ),
+    (
+        Dwroca,
+        e1_doc,
+        lambda d: d["final"].update(q0="1/" + "3" * 4301),
+        "ParseError: element of 4303 characters has more digits than the limit of 4300",
+    ),
+    (
+        Dwa,
+        dwa_doc,
+        lambda d: (d.update(field={"kind": "gf", "p": 7}), d["delta"][0].update(weight=" -" + "2" * 4400)),
+        "ParseError: element of 4401 characters has more digits than the limit of 4300",
+    ),
     (Dwa, dwa_doc, lambda d: d.update(ce=1), "ParseError: unknown key(s) in weighted automaton: ['ce']"),
     (
         Dwa,
