@@ -262,6 +262,11 @@ def cmd_bounds(args) -> int:
         a1 = _load_automaton(args.files[0])
         a2 = _load_automaton(args.files[1])
         report = compute_bounds(a1.size, a2.size, args.initial_coeff, args.belt_coeff)
+    try:
+        str(report.witness_bound)  # the largest of the five
+    except ValueError:  # json.load could not read such a number back either
+        limit = sys.get_int_max_str_digits()
+        return _fail(f"the witness-length bound has more than {limit} digits, the limit for printing an int", 2)
     human = "\n".join(
         (
             f"combined size k: {report.k}",

@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     UnknownSymbol,
 )
-from .fields import FieldElement, FieldSpec, parse_element
+from .fields import FieldElement, FieldSpec, _from_slots, _Frozen, _setattr, parse_element
 
 Word = Sequence[str]
 
@@ -37,7 +37,7 @@ ZERO_TABLE = 0  # transition taken with the counter at zero
 PLUS_TABLE = 1  # transition taken with the counter positive
 
 
-class Alphabet:
+class Alphabet(_Frozen):
     """Ordered list of distinct, non-empty symbols.
 
     The declared order is significant: witness ties are broken
@@ -55,11 +55,8 @@ class Alphabet:
                 raise ValueError(f"alphabet symbols must be non-empty strings, got {s!r}")
         if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Alphabet is immutable")
+        _setattr(self, "symbols", symbols)
+        _setattr(self, "_index", {s: i for i, s in enumerate(symbols)})
 
     def __len__(self):
         return len(self.symbols)
@@ -91,30 +88,17 @@ class Alphabet:
         return tuple(self.index_of(s) for s in word)
 
 
-# A record's own __setattr__ refuses every assignment, so its __init__ sets
-# its slots through object.__setattr__, bound once here to save a lookup.
-_setattr = object.__setattr__
-
-
-class _Record:
-    """Base of the immutable records, which behave like frozen dataclasses.
+class _Record(_Frozen):
+    """Base of the records a run returns, which behave like frozen dataclasses.
 
     A record's fields are its class's ``__slots__``, in order. Records are
     equal only to records of the same class with equal fields, hash as the
-    tuple of their fields, and repr as ``Name(field=value, ...)``. They copy
-    and pickle by calling the class with their fields.
+    tuple of their fields, and repr as ``Name(field=value, ...)``. Like
+    every ``_Frozen`` value they refuse assignment and deletion, and copy
+    and pickle by their slot values.
     """
 
     __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -127,9 +111,6 @@ class _Record:
     def __repr__(self):
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
         return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
 
 
 class Configuration(_Record):
@@ -157,7 +138,7 @@ class RunStep(_Record):
         _setattr(self, "weight", weight)
 
 
-class Run:
+class Run(_Frozen):
     """A maximal replay of a word from a start configuration.
 
     ``configurations`` has one entry more than ``steps``. If the word could
@@ -168,9 +149,9 @@ class Run:
     __slots__ = ("configurations", "steps", "stuck_at")
 
     def __init__(self, configurations, steps, stuck_at=None):
-        self.configurations = tuple(configurations)
-        self.steps = tuple(steps)
-        self.stuck_at = stuck_at
+        _setattr(self, "configurations", tuple(configurations))
+        _setattr(self, "steps", tuple(steps))
+        _setattr(self, "stuck_at", stuck_at)
 
     @property
     def ok(self) -> bool:
@@ -229,7 +210,7 @@ def counter_effect_profile(run: Run) -> CounterProfile:
     return CounterProfile(tuple(effects), lo, hi, grounded)
 
 
-class PumpingIntervals:
+class PumpingIntervals(_Frozen):
     """A sorted list of pairwise disjoint, inclusive index intervals."""
 
     __slots__ = ("intervals",)
@@ -242,10 +223,7 @@ class PumpingIntervals:
         for (_, j0), (i1, _) in zip(ivs, ivs[1:]):
             if i1 <= j0:
                 raise ValueError("intervals must be pairwise disjoint")
-        object.__setattr__(self, "intervals", tuple(ivs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PumpingIntervals is immutable")
+        _setattr(self, "intervals", tuple(ivs))
 
     def __len__(self):
         return len(self.intervals)
@@ -289,7 +267,7 @@ def remove_intervals(word: Word, intervals: PumpingIntervals) -> tuple[str, ...]
     return tuple(s for p, s in enumerate(word) if p not in removed)
 
 
-class Dwroca:
+class Dwroca(_Frozen):
     """A deterministic weighted real-time one-counter automaton.
 
     State and symbol names are interned to dense indices at construction;
@@ -323,20 +301,14 @@ class Dwroca:
         states, alphabet, index, finals = _intern_states(states, alphabet, final_weights)
         if initial_state not in index:
             raise ValueError(f"unknown initial state {initial_state!r}")
-        _freeze(
-            self,
-            states=states,
-            alphabet=alphabet,
-            field=initial_weight.spec,
-            initial_state=index[initial_state],
-            initial_weight=initial_weight,
-            delta0=_intern_table(delta0, index, alphabet),
-            delta1=_intern_table(delta1, index, alphabet),
-            final_weights=finals,
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dwroca is immutable")
+        _setattr(self, "states", states)
+        _setattr(self, "alphabet", alphabet)
+        _setattr(self, "field", initial_weight.spec)
+        _setattr(self, "initial_state", index[initial_state])
+        _setattr(self, "initial_weight", initial_weight)
+        _setattr(self, "delta0", _intern_table(delta0, index, alphabet))
+        _setattr(self, "delta1", _intern_table(delta1, index, alphabet))
+        _setattr(self, "final_weights", finals)
 
     @property
     def size(self) -> int:
@@ -476,28 +448,10 @@ class Dwroca:
     def from_json(cls, obj) -> "Dwroca":
         """Parse the automaton JSON format; unknown keys are rejected."""
         states, alphabet, field, initial, (delta0, delta1), finals = _document_from_json(obj, counter=True)
-        machine = cls.__new__(cls)
-        _freeze(
-            machine,
-            states=states,
-            alphabet=alphabet,
-            field=field,
-            initial_state=initial[0],
-            initial_weight=initial[1],
-            delta0=delta0,
-            delta1=delta1,
-            final_weights=finals,
-        )
-        return machine
+        return _from_slots(cls, (states, alphabet, field, *initial, delta0, delta1, finals))
 
 
 # -- model plumbing shared with the weighted automata of ``dwa`` ----------
-
-
-def _freeze(obj, **attrs) -> None:
-    """Set the slots of an immutable model object."""
-    for name, value in attrs.items():
-        object.__setattr__(obj, name, value)
 
 
 def _intern_states(states: Sequence[str], alphabet, final_weights: Mapping):

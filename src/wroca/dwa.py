@@ -65,10 +65,8 @@ from .core import (
     _Record,
     _document_from_json,
     _document_to_json,
-    _freeze,
     _intern_states,
     _intern_table,
-    _setattr,
     _violations,
 )
 from .errors import (
@@ -77,10 +75,10 @@ from .errors import (
     InternalError,
     ResourceBudgetExceeded,
 )
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, _from_slots, _Frozen, _setattr
 
 
-class Dwa:
+class Dwa(_Frozen):
     """A deterministic weighted automaton, optionally initialised.
 
     No counter: a partial transition table (state, symbol) -> (state, weight),
@@ -104,18 +102,12 @@ class Dwa:
             if name not in index:
                 raise ValueError(f"unknown initial state {name!r}")
             initial = (index[name], weight)
-        _freeze(
-            self,
-            states=states,
-            alphabet=alphabet,
-            field=finals[0].spec if initial is None else initial[1].spec,
-            transitions=_intern_table(transitions, index, alphabet),
-            final_weights=finals,
-            initial=initial,
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dwa is immutable")
+        _setattr(self, "states", states)
+        _setattr(self, "alphabet", alphabet)
+        _setattr(self, "field", finals[0].spec if initial is None else initial[1].spec)
+        _setattr(self, "transitions", _intern_table(transitions, index, alphabet))
+        _setattr(self, "final_weights", finals)
+        _setattr(self, "initial", initial)
 
     @property
     def size(self) -> int:
@@ -133,11 +125,9 @@ class Dwa:
 
     def with_initial(self, state, weight: FieldElement) -> "Dwa":
         """A copy of this automaton initialised at the given state and weight."""
-        idx = self.state_index(state)
-        clone = Dwa.__new__(Dwa)
-        _freeze(clone, **{slot: getattr(self, slot) for slot in Dwa.__slots__})
-        _freeze(clone, field=weight.spec, initial=(idx, weight))
-        return clone
+        initial = (self.state_index(state), weight)
+        parts = (self.states, self.alphabet, weight.spec, self.transitions, self.final_weights, initial)
+        return _from_slots(Dwa, parts)
 
     def validate(self) -> list[str]:
         """Return every invariant violation; an empty list means valid."""
@@ -191,17 +181,7 @@ class Dwa:
         """Parse the weighted-automaton JSON format: one ``delta`` table
         without ``ce``, optional ``initial``; unknown keys are rejected."""
         states, alphabet, field, initial, (delta,), finals = _document_from_json(obj, counter=False)
-        machine = cls.__new__(cls)
-        _freeze(
-            machine,
-            states=states,
-            alphabet=alphabet,
-            field=field,
-            transitions=delta,
-            final_weights=finals,
-            initial=initial,
-        )
-        return machine
+        return _from_slots(cls, (states, alphabet, field, delta, finals, initial))
 
 
 class WaConfig(_Record):
@@ -505,7 +485,8 @@ def _difference_search(
     up to ``max_len`` (all words, when ``max_len`` is None). Raises
     ResourceBudgetExceeded when more than ``budget`` words get dequeued,
     and InternalError when more vectors get kept than the machines' sizes
-    add up to.
+    add up to, or when a witness's true weights, stepped once more, are
+    equal.
     """
     _require_compatible(left, right)
     init_l, zero_l, plus_l, finals_l, bound_l = left.search_tables()
@@ -568,12 +549,11 @@ def _difference_search(
                 word.append(entry[1])
                 entry = entry[0]
             word.reverse()
-            witness = Witness(
-                tuple(left.alphabet.symbols[sym] for sym in word),
-                _weight_of(left, word),
-                _weight_of(right, word),
-            )
-            return witness, SearchStats(explored, len(rows), max_row)
+            symbols = tuple(left.alphabet.symbols[sym] for sym in word)
+            f1, f2 = _weight_of(left, word), _weight_of(right, word)
+            if f1 == f2:  # the int pair says the word separates the machines
+                raise InternalError(f"search reported witness {symbols!r}, but both machines weigh it {f1}")
+            return Witness(symbols, f1, f2), SearchStats(explored, len(rows), max_row)
 
         if prune:
             # Coordinates are 2 * (row * states + state) + side. The right

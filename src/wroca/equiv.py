@@ -18,7 +18,7 @@ turns the run into a bounded search that always terminates.
 
 from __future__ import annotations
 
-from .core import Dwroca, Run, Word, _Record, _setattr
+from .core import Dwroca, Run, Word, _Record
 from .dwa import (
     EquivalenceVerdict,
     Witness,
@@ -26,7 +26,7 @@ from .dwa import (
     _require_compatible,
 )
 from .errors import InternalError, InvalidAutomaton
-from .fields import FieldElement
+from .fields import FieldElement, _setattr
 from .unfold import LazyUnfolding, compute_bounds
 
 DEFAULT_SEARCH_BUDGET = 100_000

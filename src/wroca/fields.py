@@ -50,7 +50,47 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class FieldSpec:
+# A frozen object's __setattr__ refuses every assignment, so its
+# constructor sets its slots through object.__setattr__, bound once here to
+# save a lookup.
+_setattr = object.__setattr__
+
+
+def _from_slots(cls, values: tuple):
+    """A new ``cls`` whose slots, in ``cls.__slots__`` order, hold
+    ``values``; ``__init__`` is not called."""
+    obj = cls.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        _setattr(obj, name, value)
+    return obj
+
+
+class _Frozen:
+    """Base of every immutable value in the package.
+
+    A subclass lists its fields in ``__slots__`` and its constructor sets
+    each once, through ``_setattr``; assigning or deleting an attribute
+    afterwards raises AttributeError. Copies and pickles rebuild an object
+    from its slot values (``_from_slots``), so they take no second pass
+    through the constructor's checks.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return _from_slots, (type(self), self._values())
+
+
+class FieldSpec(_Frozen):
     """Identifies a field: the rationals, or GF(p) for a prime modulus."""
 
     __slots__ = ("kind", "modulus")
@@ -68,11 +108,14 @@ class FieldSpec:
                 raise ValueError(f"GF modulus must be prime, got {modulus}")
         else:
             raise ValueError(f"unknown field kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "modulus", modulus)
+        _setattr(self, "kind", kind)
+        _setattr(self, "modulus", modulus)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldSpec is immutable")
+    def __reduce__(self):
+        # through the factories: the shared rational spec stays shared
+        if self.kind == RATIONAL_KIND:
+            return rational, ()
+        return prime_field, (self.modulus,)
 
     def __eq__(self, other):
         if not isinstance(other, FieldSpec):
@@ -151,17 +194,14 @@ def prime_field(p: int) -> FieldSpec:
     return FieldSpec(GF_KIND, p)
 
 
-class FieldElement:
+class FieldElement(_Frozen):
     """An immutable exact element of a FieldSpec, always in canonical form."""
 
     __slots__ = ("spec", "value")
 
     def __init__(self, spec: FieldSpec, value):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
+        _setattr(self, "spec", spec)
+        _setattr(self, "value", value)
 
     def _check(self, other) -> "FieldElement":
         if not isinstance(other, FieldElement):
@@ -220,12 +260,17 @@ class FieldElement:
         return hash((self.spec, self.value))
 
     def render(self) -> str:
-        return str(self.value)
+        """The exact decimal text: ``n`` or ``n/d``, of any length."""
+        try:
+            return str(self.value)
+        except ValueError:  # more digits than str() converts; the limit stays as it is
+            from decimal import Decimal  # exact, and not bound by that limit
 
-    __str__ = render
+            num, den = self.value.numerator, self.value.denominator
+            text = str(Decimal(num))
+            return text if den == 1 else f"{text}/{Decimal(den)}"
 
-    def __repr__(self):
-        return str(self.value)
+    __str__ = __repr__ = render
 
 
 def parse_element(text: str, spec: FieldSpec) -> FieldElement:

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Dwroca, _Record, _setattr
+from .core import Dwroca, _Record
 from .dwa import Dwa
 from .errors import BoundTooLarge, InvalidAutomaton
+from .fields import _Frozen, _setattr
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -95,7 +96,7 @@ def compute_bounds(
     return bounds_for_k(size1 + size2, initial_coeff, belt_coeff)
 
 
-class LazyUnfolding:
+class LazyUnfolding(_Frozen):
     """On-demand view of the unfolding: states are (state, row) pairs.
 
     Exposes the same stepping interface as a materialized automaton, so the
@@ -115,10 +116,10 @@ class LazyUnfolding:
     ):
         if bound < 0:
             raise ValueError("unfold bound must be a natural number")
-        object.__setattr__(self, "automaton", automaton)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "alphabet", automaton.alphabet)
-        object.__setattr__(self, "field", automaton.field)
+        _setattr(self, "automaton", automaton)
+        _setattr(self, "bound", bound)
+        _setattr(self, "alphabet", automaton.alphabet)
+        _setattr(self, "field", automaton.field)
         if initial_state is None:
             initial = ((automaton.initial_state, 0), automaton.initial_weight)
         else:
@@ -127,10 +128,7 @@ class LazyUnfolding:
                 raise ValueError(f"initial row {row} outside [0, {bound}]")
             weight = automaton.initial_weight if initial_weight is None else initial_weight
             initial = ((state, row), weight)
-        object.__setattr__(self, "_initial", initial)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LazyUnfolding is immutable")
+        _setattr(self, "_initial", initial)
 
     @property
     def size(self) -> int:

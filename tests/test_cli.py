@@ -160,6 +160,15 @@ class TestEval:
         doc = json.loads(out)
         assert doc == {"word": ["a", "a"], "defined": True, "weight": "4"}
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_weight_over_the_digit_limit(self, e1_file, json_flag):
+        # a^15000 weighs 2^15000: 4,516 digits, more than str() converts
+        code, out, err = run_cli(*json_flag, "eval", e1_file, "a" * 15000, "--letters")
+        assert code == 0 and err == ""
+        weight = json.loads(out)["weight"] if json_flag else out.strip()
+        assert len(weight) == 4516 and weight.isdigit()
+        assert int(weight[:4000]) * 10**516 + int(weight[4000:]) == 2**15000
+
 
 EQUIV_METHODS = pytest.mark.parametrize(
     "method", [[], ["--method", "oracle", "--max-len", "3"]], ids=["pipeline", "oracle"]
@@ -356,6 +365,15 @@ class TestBounds:
     def test_human_output_has_exact_integers(self):
         code, out, _ = run_cli("bounds", "--k", "2")
         assert "295810" in out and "700028448800" in out
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_bound_over_the_digit_limit_exit_two(self, json_flag):
+        # k = 10^200 gives a witness bound of over 5,000 digits, which
+        # neither str() nor json.load converts
+        code, out, err = run_cli(*json_flag, "bounds", "--k", "1" + "0" * 200)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
 
 class TestRandom:

@@ -26,6 +26,7 @@ from wroca import (
     rational,
     underlying_wa,
 )
+from wroca import dwa
 from wroca.dwa import (
     _SHORTCUT_AFTER,
     SearchStats,
@@ -289,6 +290,36 @@ class TestDwaEquiv:
         other = Dwa(["q0"], ["a"], {}, {"q0": gf.one()}, ("q0", gf.one()))
         with pytest.raises(FieldMismatch):
             dwa_equiv(one_state_dwa(2), other)
+
+    def test_witness_with_equal_weights_raises_internal_error(self, monkeypatch):
+        # a weighs 2 on both sides, through step weights 2 and 1; a kernel
+        # fault that swaps each child's cross-multipliers gives the word a
+        # the int pair (1, 2), which the witness test reads as a difference
+        left = Dwa(["p", "q"], ["a"], {("p", "a"): ("q", Q.element(2))}, {"p": Q.one(), "q": Q.one()}, ("p", Q.one()))
+        right = Dwa(
+            ["p", "q"], ["a"], {("p", "a"): ("q", Q.one())}, {"p": Q.one(), "q": Q.element(2)}, ("p", Q.one())
+        )
+        table = {("p", "a"): ("q", 1, Q.element(2))}
+        counting = Dwroca(["p", "q"], ["a"], "p", Q.one(), table, {}, {"p": Q.one(), "q": Q.one()})
+        table = {("p", "a"): ("q", 1, Q.one())}
+        counting_twin = Dwroca(["p", "q"], ["a"], "p", Q.one(), table, {}, {"p": Q.one(), "q": Q.element(2)})
+        assert dwa_equiv(left, right).equivalent
+        assert check_equivalence(counting, counting_twin, 5).equivalent
+        honest = dwa._children
+
+        def swapped(*args):
+            *ranges, children = honest(*args)
+            return (*ranges, [(sym, sl, el, sr, er, mr, ml) for sym, sl, el, sr, er, ml, mr in children])
+
+        monkeypatch.setattr(dwa, "_children", swapped)
+        for search in (
+            lambda: dwa_equiv(left, right),
+            lambda: bounded_k_equiv(left, right, 3),
+            lambda: check_equivalence(counting, counting_twin, 5),
+            lambda: check_equivalence(counting, counting_twin),
+        ):
+            with pytest.raises(InternalError, match="both machines weigh it 2"):
+                search()
 
     def test_witness_matches_brute_force(self):
         for seed in range(120):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,38 @@ class TestParse:
     def test_roundtrip_gf(self, value):
         element = g7(value)
         assert parse_element(element.render(), GF7) == element
+
+
+def read_digits(text: str) -> int:
+    """An int from decimal text of any length, read in chunks that stay
+    under the interpreter's digit limit."""
+    digits = text.lstrip("-")
+    assert digits.isdigit() and (digits == "0" or not digits.startswith("0"))
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
+class TestRender:
+    @pytest.mark.parametrize(
+        "value",
+        [2**15000, -(3**9100), Fraction(1, 3**9100), Fraction(-(5**7000), 3**9100), Fraction(2**15000, 7)],
+        ids=["int", "negative-int", "long-denominator", "both-long", "long-numerator"],
+    )
+    def test_exact_text_over_the_digit_limit(self, value):
+        element = Q.element(value)
+        text = element.render()
+        assert len(text) > sys.get_int_max_str_digits()
+        assert str(element) == repr(element) == text
+        num, slash, den = text.partition("/")
+        assert read_digits(num) == value.numerator
+        assert (read_digits(den) if slash else 1) == value.denominator
+
+    @pytest.mark.parametrize("value", [0, -7, Fraction(-3, 4), 10**4299])
+    def test_short_values_render_as_str(self, value):
+        assert Q.element(value).render() == str(Fraction(value)) == repr(Q.element(value))
 
 
 class TestSpecValidation:
