@@ -31,13 +31,7 @@ from .errors import (
     WrocaError,
 )
 from .fields import FieldSpec, prime_field, rational
-from .unfold import (
-    BELT_THICKNESS_COEFF,
-    INITIAL_SPACE_COEFF,
-    bounds_for_k,
-    compute_bounds,
-    unfold,
-)
+from .unfold import bounds_for_k, compute_bounds, unfold
 
 STATE_CAP_ENV = "WROCA_STATE_CAP"
 
@@ -133,7 +127,7 @@ def _state_cap() -> int | None:
 
 
 def _int_at_least(low: int):
-    """argparse type for counts, bounds and coefficients: an integer >= ``low``."""
+    """argparse type for counts and bounds: an integer >= ``low``."""
 
     def integer(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as "invalid integer value"
@@ -188,12 +182,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    if args.method == "oracle" and args.bound is not None:
-        return _fail("--bound applies to the pipeline method only", 2)
-    if args.method == "pipeline" and args.max_len is not None:
-        return _fail("--max-len applies to the oracle method only", 2)
-    if args.method == "oracle" and args.max_len is None:
-        return _fail("--method oracle requires --max-len", 2)
+    if args.method == "oracle" and args.bound is None:
+        return _fail("--method oracle requires --bound", 2)
     a1 = _load_automaton(args.file1)
     a2 = _load_automaton(args.file2)
     if args.method == "oracle":
@@ -201,24 +191,14 @@ def cmd_equiv(args) -> int:
 
         _require_valid(args.file1, a1)
         _require_valid(args.file2, a2)
-        result = testkit.brute_force_witness(a1, a2, args.max_len)
-        if result.shortest_witness is None:
-            verdict = EquivalenceVerdict(
-                True,
-                None,
-                "bounded",
-                args.max_len,
-                SearchStats(sum(result.agreement_table), 0, 0),
-            )
-        else:
-            replay = replay_witness(a1, a2, result.shortest_witness)
-            verdict = EquivalenceVerdict(
-                False,
-                Witness(result.shortest_witness, replay.f1, replay.f2),
-                "bounded",
-                args.max_len,
-                SearchStats(sum(result.agreement_table) + 1, 0, 0),
-            )
+        result = testkit.brute_force_witness(a1, a2, args.bound)
+        word, witness = result.shortest_witness, None
+        if word is not None:
+            replay = replay_witness(a1, a2, word)
+            witness = Witness(word, replay.f1, replay.f2)
+        explored = sum(result.agreement_table) + (witness is not None)  # the witness word too
+        stats = SearchStats(explored, 0, 0)
+        verdict = EquivalenceVerdict(witness is None, witness, "bounded", args.bound, stats)
     else:
         # check_equivalence validates both machines; only when one is
         # invalid are they validated again, to name the file in the error.
@@ -255,13 +235,13 @@ def cmd_bounds(args) -> int:
     if args.k is not None:
         if args.files:
             return _fail("give either --k or two automaton files, not both", 2)
-        report = bounds_for_k(args.k, args.initial_coeff, args.belt_coeff)
+        report = bounds_for_k(args.k)
     else:
         if len(args.files) != 2:
             return _fail("give either --k or exactly two automaton files", 2)
         a1 = _load_automaton(args.files[0])
         a2 = _load_automaton(args.files[1])
-        report = compute_bounds(a1.size, a2.size, args.initial_coeff, args.belt_coeff)
+        report = compute_bounds(a1.size, a2.size)
     try:
         str(report.witness_bound)  # the largest of the five
     except ValueError:  # json.load could not read such a number back either
@@ -334,9 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="decide equivalence of two automata")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--bound", type=_natural, default=None, help="word-length limit for the pipeline search")
+    p.add_argument("--bound", type=_natural, default=None, help="word-length limit (required by the oracle)")
     p.add_argument("--method", choices=("pipeline", "oracle"), default="pipeline")
-    p.add_argument("--max-len", type=_natural, default=None, help="enumeration depth for the oracle method")
     p.add_argument("--budget", type=_natural, default=DEFAULT_SEARCH_BUDGET, help="explored-word ceiling")
     p.set_defaults(func=cmd_equiv)
 
@@ -349,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="print the search bounds for a combined size")
     p.add_argument("files", nargs="*", help="two automaton files (alternative to --k)")
     p.add_argument("--k", type=_positive, default=None, help="combined state count")
-    p.add_argument("--initial-coeff", type=_positive, default=INITIAL_SPACE_COEFF)
-    p.add_argument("--belt-coeff", type=_positive, default=BELT_THICKNESS_COEFF)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("random", help="generate a seeded random automaton")

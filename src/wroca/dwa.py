@@ -46,10 +46,11 @@ products. The first word there that is kept and extended fills in its
 children (``_children``): per symbol, both sides' next states and counter
 effects, and the two step weights cross-multiplied the same way, so a
 child's pair is the parent's times these, divided by the gcd or reduced mod
-p. The table also records the rows from which no child leaves its row
-range; a word outside them builds its children again, the clipped sides
-stuck. A queue entry links to its parent's entry, and a witness's word is
-read back along these links.
+p. The empty word's pair is the two initial weights, cross-multiplied and
+divided or reduced the same way. The table also records the rows from
+which no child leaves its row range; a word outside them builds its
+children again, the clipped sides stuck. A queue entry links to its
+parent's entry, and a witness's word is read back along these links.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .errors import (
     InternalError,
     ResourceBudgetExceeded,
 )
-from .fields import FieldElement, FieldSpec, _from_slots, _Frozen, _setattr
+from .fields import FieldElement, _from_slots, _Frozen, _setattr
 
 
 class Dwa(_Frozen):
@@ -156,10 +157,11 @@ class Dwa(_Frozen):
     # -- acceptance -----------------------------------------------------
 
     def accept_weight(self, start: "WaConfig", word: Word) -> FieldElement:
-        """Acceptance weight from a configuration; undefined paths give zero."""
+        """Acceptance weight from a configuration; undefined paths give zero.
+        Every symbol is checked first, as in ``Dwroca.accept_weight``."""
         state, weight = start.state, start.weight
-        for symbol in word:
-            entry = self.transitions.get((state, self.alphabet.index_of(symbol)))
+        for sym in self.alphabet.word_indices(word):
+            entry = self.transitions.get((state, sym))
             if entry is None:
                 return self.field.zero()
             state, w = entry
@@ -270,44 +272,6 @@ def _require_compatible(left, right) -> None:
         raise AlphabetMismatch("automata must share one alphabet (same symbols, same order)")
     if left.field != right.field:
         raise FieldMismatch("automata must share one field")
-
-
-def _int_pair(element: FieldElement) -> tuple[int, int]:
-    """An element as ints: ``(numerator, denominator)`` over the rationals,
-    ``(residue, 1)`` over GF(p)."""
-    value = element.value  # a Fraction, or an int residue
-    return value.numerator, value.denominator
-
-
-def _pair_scaler(field: FieldSpec):
-    """The search's per-field step on a word's int pair. The search takes
-    the empty word's pair ``scale_pair(1, 1, ...)`` of the two initial
-    weights, and inlines the step for every child, from the child's
-    cross-multipliers (``_children``).
-
-    ``scale_pair(a, b, u, v)`` is the pair ``(a * u, b * v)`` for ints
-    ``a``, ``b`` and elements ``u``, ``v`` given as ``_int_pair``s, up to a
-    nonzero scalar: cross-multiplied by the denominators and divided by its
-    gcd over the rationals, reduced mod p over GF(p). It is ``(0, 0)`` only
-    when both products are zero, and its two ints are equal exactly when
-    the products are.
-    """
-    p = field.modulus
-    if p is None:
-
-        def scale_pair(a: int, b: int, u: tuple, v: tuple):
-            x = a * u[0] * v[1]
-            y = b * v[0] * u[1]
-            g = gcd(x, y) or 1
-            return x // g, y // g
-
-    else:
-
-        def scale_pair(a: int, b: int, u: tuple, v: tuple):
-            # every denominator is 1 here
-            return a * u[0] % p, b * v[0] % p
-
-    return scale_pair
 
 
 def _children(side_l, sl, rl, side_r, sr, rr, symbol_count: int, clip: bool) -> tuple:
@@ -493,7 +457,6 @@ def _difference_search(
     init_r, zero_r, plus_r, finals_r, bound_r = right.search_tables()
     if init_l is None or init_r is None:
         raise ValueError("equivalence search needs initialised automata")
-    scale_pair = _pair_scaler(left.field)
     p = left.field.modulus
     symbol_count = len(left.alphabet)
     states_l, states_r = len(finals_l), len(finals_r)
@@ -515,7 +478,13 @@ def _difference_search(
     side_l, side_r = (zero_l, plus_l, bound_l), (zero_r, plus_r, bound_r)
     pairs: dict = {}
     (sl, rl, wl), (sr, rr, wr) = init_l, init_r
-    a, b = scale_pair(1, 1, _int_pair(wl), _int_pair(wr))
+    vl, vr = wl.value, wr.value
+    a, b = vl.numerator * vr.denominator, vr.numerator * vl.denominator
+    if p:
+        a, b = a % p, b % p
+    else:
+        g = gcd(a, b) or 1
+        a, b = a // g, b // g
     queue: deque = deque([(None, None, 0, sl, rl, a, sr, rr, b)])
     basis = _PairBasis(p)
     rows, insert = basis.others, basis.insert
@@ -658,12 +627,7 @@ def find_k_equiv_wa_config(
     _require_compatible(automaton, wa)
     if k < 0:
         raise ValueError("k must be a natural number")
-    view = LazyUnfolding(
-        automaton,
-        config.counter + k,
-        initial_state=(config.state, config.counter),
-        initial_weight=config.weight,
-    )
+    view = LazyUnfolding(automaton, config.counter + k, config)
     one = automaton.field.one()
     for q in range(wa.size):
         witness, _stats = _difference_search(view, wa.with_initial(q, one), max_len=k)

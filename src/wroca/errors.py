@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import sys
+
 
 class WrocaError(Exception):
     """Base class for all errors raised by this package."""
@@ -43,7 +45,16 @@ class BoundTooLarge(WrocaError):
     def __init__(self, required, cap):
         self.required = required
         self.cap = cap
-        super().__init__(f"unfolding needs {required} states, cap is {cap}")
+        super().__init__(f"unfolding needs {_count(required)} states, cap is {_count(cap)}")
+
+
+def _count(n: int) -> str:
+    """``n`` in decimal, or, past the digits that ``str()`` converts, a
+    lower bound that needs no conversion of ``n``."""
+    try:
+        return str(n)
+    except ValueError:  # the interpreter's limit stays as it is
+        return f"at least 10^{sys.get_int_max_str_digits()}"
 
 
 class ResourceBudgetExceeded(WrocaError):

@@ -7,28 +7,28 @@ that would leave the row range is dropped, making the word undefined there.
 Words whose run never pushes the counter above M keep their exact
 acceptance weight.
 
-Also computes the polynomial bounds that make bounded search complete: the
-witness-length bound grows like K^26 and the counter-value bound like K^12
-in the combined state count K, so the theoretical bound is a completeness
-guarantee rather than a practical loop count; equivalence search explores
-the unfolding lazily instead of materializing it.
+Also computes the polynomial bounds that make bounded search complete,
+from two fixed coefficients (``INITIAL_SPACE_COEFF``,
+``BELT_THICKNESS_COEFF``): the witness-length bound grows like K^26 and the
+counter-value bound like K^12 in the combined state count K, so the
+theoretical bound is a completeness guarantee rather than a practical loop
+count; equivalence search explores the unfolding lazily instead of
+materializing it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Dwroca, _Record
+from .core import Configuration, Dwroca, _Record
 from .dwa import Dwa
-from .errors import BoundTooLarge, InvalidAutomaton
+from .errors import BoundTooLarge, FieldMismatch, InvalidAutomaton
 from .fields import _Frozen, _setattr
 
 DEFAULT_STATE_CAP = 10_000_000
 
-# Coefficients of the two partition polynomials (initial-space size 14 K^6
-# and belt thickness 6 K^4). The pipeline always uses these; only
-# ``bounds_for_k``/``compute_bounds`` (and ``wroca bounds``) take others, to
-# show how the bounds scale with them.
+# Coefficients of the two partition polynomials: initial-space size 14 K^6
+# and belt thickness 6 K^4.
 INITIAL_SPACE_COEFF = 14
 BELT_THICKNESS_COEFF = 6
 
@@ -62,71 +62,59 @@ class BoundReport(_Record):
 
 
 @lru_cache(maxsize=256)  # pure, and the report is immutable
-def bounds_for_k(
-    k: int,
-    initial_coeff: int = INITIAL_SPACE_COEFF,
-    belt_coeff: int = BELT_THICKNESS_COEFF,
-) -> BoundReport:
+def bounds_for_k(k: int) -> BoundReport:
     """Evaluate the bound polynomials at a combined state count k >= 1.
 
-    Initial space ``c1 * k^6``, belt thickness ``c2 * k^4``, counter bound
+    Initial space ``14 k^6``, belt thickness ``6 k^4``, counter bound
     ``P1 + 2 ((k^2 P2)^2 + 1)``, witness bound ``2 (k * P3)^2``; all exact
     big integers.
     """
     if k < 1:
         raise ValueError("combined size must be at least 1")
-    if initial_coeff < 1 or belt_coeff < 1:
-        raise ValueError("polynomial coefficients must be at least 1")
-    initial_space = initial_coeff * k**6
-    belt_thickness = belt_coeff * k**4
+    initial_space = INITIAL_SPACE_COEFF * k**6
+    belt_thickness = BELT_THICKNESS_COEFF * k**4
     counter_bound = initial_space + 2 * ((k * k * belt_thickness) ** 2 + 1)
     witness_bound = 2 * (k * counter_bound) ** 2
     return BoundReport(k, initial_space, belt_thickness, counter_bound, witness_bound)
 
 
-def compute_bounds(
-    size1: int,
-    size2: int,
-    initial_coeff: int = INITIAL_SPACE_COEFF,
-    belt_coeff: int = BELT_THICKNESS_COEFF,
-) -> BoundReport:
+def compute_bounds(size1: int, size2: int) -> BoundReport:
     """Exact bounds for a pair of machines of the given sizes."""
     if size1 < 1 or size2 < 1:
         raise ValueError("automaton sizes must be at least 1")
-    return bounds_for_k(size1 + size2, initial_coeff, belt_coeff)
+    return bounds_for_k(size1 + size2)
 
 
 class LazyUnfolding(_Frozen):
     """On-demand view of the unfolding: states are (state, row) pairs.
 
     Exposes the same stepping interface as a materialized automaton, so the
-    equivalence worklist can explore reachable rows only. The default
-    initial configuration is ((q0, 0), s0); a different start is available
-    for runs from arbitrary configurations.
+    equivalence worklist can explore reachable rows only. The view starts
+    from ``start``, a counter configuration whose counter is the row,
+    by default the automaton's initial configuration ((q0, 0), s0). A start
+    outside the automaton's states, over another field or above ``bound``
+    is rejected.
     """
 
     __slots__ = ("automaton", "bound", "alphabet", "field", "_initial")
 
-    def __init__(
-        self,
-        automaton: Dwroca,
-        bound: int,
-        initial_state: tuple[int, int] | None = None,
-        initial_weight=None,
-    ):
+    def __init__(self, automaton: Dwroca, bound: int, start: Configuration | None = None):
         if bound < 0:
             raise ValueError("unfold bound must be a natural number")
         _setattr(self, "automaton", automaton)
         _setattr(self, "bound", bound)
         _setattr(self, "alphabet", automaton.alphabet)
         _setattr(self, "field", automaton.field)
-        if initial_state is None:
+        if start is None:
             initial = ((automaton.initial_state, 0), automaton.initial_weight)
         else:
-            state, row = initial_state
-            if not 0 <= row <= bound:
+            state, row, weight = start.state, start.counter, start.weight
+            if not 0 <= state < automaton.size:
+                raise ValueError(f"initial state {state} outside [0, {automaton.size - 1}]")
+            if weight.spec != automaton.field:
+                raise FieldMismatch(f"initial weight of {weight.spec} for a machine over {automaton.field}")
+            if row > bound:
                 raise ValueError(f"initial row {row} outside [0, {bound}]")
-            weight = automaton.initial_weight if initial_weight is None else initial_weight
             initial = ((state, row), weight)
         _setattr(self, "_initial", initial)
 

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import io
 import json
@@ -107,14 +108,12 @@ class TestValidate:
     "argv",
     [
         ["equiv", "{f}", "{f}", "--bound", "-1"],
-        ["equiv", "{f}", "{f}", "--method", "oracle", "--max-len", "-1"],
         ["equiv", "{f}", "{f}", "--budget", "-5"],
         ["unfold", "{f}", "-", "--bound", "-1"],
-        ["bounds", "--k", "2", "--initial-coeff", "0"],
         ["random", "-", "--seed", "1", "--min-states", "0"],
         ["random", "-", "--seed", "1", "--density", "2"],
     ],
-    ids=["bound", "max-len", "budget", "unfold-bound", "coeff", "min-states", "density"],
+    ids=["bound", "budget", "unfold-bound", "min-states", "density"],
 )
 def test_out_of_range_number_exit_two(argv, e1_file):
     err = io.StringIO()
@@ -125,6 +124,46 @@ def test_out_of_range_number_exit_two(argv, e1_file):
             code = exc.code
     assert code == 2
     assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equiv", "{f}", "{f}", "--method", "oracle", "--max-len", "3"],
+        ["bounds", "--k", "2", "--initial-coeff", "1"],
+        ["bounds", "--k", "2", "--belt-coeff", "1"],
+    ],
+    ids=["max-len", "initial-coeff", "belt-coeff"],
+)
+def test_removed_options_are_unknown_arguments(argv, e1_file):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main([arg.format(f=e1_file) for arg in argv])
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {argv[-2]}" in err.getvalue()
+
+
+def test_option_inventory():
+    # Every option the CLI takes, per subcommand: a new knob shows up here
+    # as a diff that its change has to justify.
+    def options(parser):
+        return sorted(flag for action in parser._actions for flag in action.option_strings)
+
+    parser = cli.build_parser()
+    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    assert options(parser) == ["--help", "--json", "-h"]
+    assert {name: options(sub) for name, sub in commands.choices.items()} == {
+        "validate": ["--help", "-h"],
+        "eval": ["--empty", "--help", "--letters", "-h"],
+        "equiv": ["--bound", "--budget", "--help", "--method", "-h"],
+        "unfold": ["--bound", "--help", "-h"],
+        "bounds": ["--help", "--k", "-h"],
+        "random": [
+            "--alphabet-size", "--density", "--field", "--help", "--max-states", "--min-states", "--seed",
+            "--zero-final-prob", "-h",
+        ],
+        "pumpcheck": ["--empty", "--help", "--letters", "-h"],
+    }
 
 
 class TestEval:
@@ -171,7 +210,7 @@ class TestEval:
 
 
 EQUIV_METHODS = pytest.mark.parametrize(
-    "method", [[], ["--method", "oracle", "--max-len", "3"]], ids=["pipeline", "oracle"]
+    "method", [[], ["--method", "oracle", "--bound", "3"]], ids=["pipeline", "oracle"]
 )
 
 
@@ -197,24 +236,31 @@ class TestEquiv:
         assert set(doc["stats"]) == {"explored_words", "basis_size", "max_counter_row"}
 
     def test_oracle_method(self, e1_file):
-        code, out, _ = run_cli("--json", "equiv", e1_file, e1_file, "--method", "oracle", "--max-len", "6")
+        code, out, _ = run_cli("--json", "equiv", e1_file, e1_file, "--method", "oracle", "--bound", "6")
         doc = json.loads(out)
         assert code == 0
         assert doc["outcome"] == "equivalent" and doc["mode"] == "bounded" and doc["bound"] == 6
 
     def test_oracle_witness(self, e1_file, e1p_file):
-        code, out, _ = run_cli("--json", "equiv", e1_file, e1p_file, "--method", "oracle", "--max-len", "6")
+        code, out, _ = run_cli("--json", "equiv", e1_file, e1p_file, "--method", "oracle", "--bound", "6")
         doc = json.loads(out)
         assert code == 1 and doc["witness"] == "a"
         assert doc["f1"] == "2" and doc["f2"] == "3"
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_oracle_reads_the_pipelines_bound(self, e1_file, e1p_file, json_flag):
+        # same verdict under the one --bound, bar the stats only the pipeline keeps
+        for files in ((e1_file, e1_file), (e1_file, e1p_file)):
+            runs = [
+                run_cli(*json_flag, "equiv", *files, "--bound", "5", *method) for method in ([], ["--method", "oracle"])
+            ]
+            if json_flag:
+                runs = [(code, dict(json.loads(out), stats=None), err) for code, out, err in runs]
+            assert runs[0] == runs[1]
+
     def test_conflicting_flags(self, e1_file):
-        code, _, err = run_cli("equiv", e1_file, e1_file, "--method", "oracle", "--bound", "3", "--max-len", "3")
-        assert code == 2
-        code, _, err = run_cli("equiv", e1_file, e1_file, "--max-len", "3")
-        assert code == 2
-        code, _, err = run_cli("equiv", e1_file, e1_file, "--method", "oracle")
-        assert code == 2
+        code, out, err = run_cli("equiv", e1_file, e1_file, "--method", "oracle")
+        assert (code, out, err) == (2, "", "error: --method oracle requires --bound\n")
 
     def test_budget_exit_four(self, e1_file):
         code, _, err = run_cli("equiv", e1_file, e1_file, "--budget", "100")
@@ -295,6 +341,14 @@ class TestUnfold:
         code, _, err = run_cli("unfold", e1_file, str(tmp_path / "x.json"), "--bound", str(10**8))
         assert code == 5
 
+    def test_state_count_over_the_digit_limit_exit_five(self, e1_file):
+        # the bound has 4,300 digits, as many as int() takes; the unfolding's
+        # state count, bound + 1 here, has one more, which str() refuses
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli("unfold", e1_file, "-", "--bound", "9" * limit)
+        assert (code, out) == (5, "")
+        assert err == f"error: unfolding needs at least 10^{limit} states, cap is 10000000\n"
+
     def test_env_cap_override(self, e1_file, tmp_path, monkeypatch):
         monkeypatch.setenv("WROCA_STATE_CAP", "3")
         code, _, _ = run_cli("unfold", e1_file, str(tmp_path / "x.json"), "--bound", "5")
@@ -350,11 +404,6 @@ class TestBounds:
         code, out, _ = run_cli("--json", "bounds", e1_file, e1p_file)
         doc = json.loads(out)
         assert code == 0 and doc["k"] == 2 and doc["witness_bound"] == 700028448800
-
-    def test_custom_coefficients(self):
-        code, out, _ = run_cli("--json", "bounds", "--k", "2", "--initial-coeff", "1", "--belt-coeff", "1")
-        doc = json.loads(out)
-        assert doc["initial_space"] == 64 and doc["belt_thickness"] == 16
 
     def test_conflicting_usage(self, e1_file):
         code, _, _ = run_cli("bounds", e1_file, "--k", "2")
@@ -448,7 +497,7 @@ loaded = ["wroca.testkit" in sys.modules]
 with redirect_stdout(io.StringIO()):
     codes = [wroca.cli.main(["equiv", {e1_file!r}, {e1_file!r}, "--bound", "3"])]
     loaded.append("wroca.testkit" in sys.modules)
-    codes.append(wroca.cli.main(["equiv", {e1_file!r}, {e1_file!r}, "--method", "oracle", "--max-len", "3"]))
+    codes.append(wroca.cli.main(["equiv", {e1_file!r}, {e1_file!r}, "--method", "oracle", "--bound", "3"]))
     codes.append(wroca.cli.main(["random", "-", "--seed", "1"]))
 print(loaded, codes, "wroca.testkit" in sys.modules)
 """
@@ -474,6 +523,6 @@ print(code, [m for m in ("dataclasses", "inspect") if m in sys.modules])
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
         with tracing.Tracer().installed() as tracer:
-            assert run_cli("equiv", e1_file, e1p_file, "--method", "oracle", "--max-len", "4")[0] == 1
-            assert run_cli("equiv", e1_file, e1_file, "--method", "oracle", "--max-len", "4")[0] == 0
+            assert run_cli("equiv", e1_file, e1p_file, "--method", "oracle", "--bound", "4")[0] == 1
+            assert run_cli("equiv", e1_file, e1_file, "--method", "oracle", "--bound", "4")[0] == 0
         assert tracer.totals()["testkit.brute_force_witness"][0] == 2

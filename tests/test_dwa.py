@@ -17,6 +17,7 @@ from wroca import (
     LazyUnfolding,
     ParseError,
     ResourceBudgetExceeded,
+    UnknownSymbol,
     WaConfig,
     bounded_k_equiv,
     check_equivalence,
@@ -30,9 +31,8 @@ from wroca import dwa
 from wroca.dwa import (
     _SHORTCUT_AFTER,
     SearchStats,
+    Witness,
     _difference_search,
-    _int_pair,
-    _pair_scaler,
     _PairBasis,
 )
 from wroca.testkit import (
@@ -250,6 +250,21 @@ class TestDwaAcceptWeight:
         with pytest.raises(ValueError):
             WaConfig(0, Q.zero())
 
+    def test_every_symbol_is_checked_before_stepping(self):
+        # b has no transition: the run gets stuck before it reaches zzz
+        two = Q.element(2)
+        loop = {("q0", "a"): ("q0", 1, two)}
+        machine = Dwroca(["q0"], ["a", "b"], "q0", Q.one(), loop, loop, {"q0": Q.one()})
+        wa = underlying_wa(machine).with_initial(0, Q.one())
+        for word in (("b", "zzz"), ("a", "b", "a", "zzz"), ("zzz",)):
+            with pytest.raises(UnknownSymbol):
+                machine.accept_weight(word)
+            with pytest.raises(UnknownSymbol):
+                wa.accept_weight(WaConfig(0, Q.one()), word)
+            with pytest.raises(UnknownSymbol):
+                wa.initial_accept_weight(word)
+        assert wa.accept_weight(WaConfig(0, Q.one()), ("b", "a")) == Q.zero()
+
 
 class TestDwaEquiv:
     def test_self_equivalence(self):
@@ -418,25 +433,42 @@ class TestDwaEquiv:
 GF7 = prime_field(7)
 GF_BIG = prime_field(2**31 - 1)
 
-_elements = st.one_of(
-    st.builds(lambda n, d: Q.element(Fraction(n, d)), st.integers(), st.integers(min_value=1)),
-    st.builds(GF7.element, st.integers()),
-    st.builds(GF_BIG.element, st.integers()),
-)
+_ints = st.integers(-50, 50) | st.integers(-(2**200), 2**200)
+
+
+def _weights(spec):
+    """Elements of ``spec``, large numerators and denominators included."""
+    if spec.modulus is None:
+        denominators = st.integers(1, 50) | st.integers(1, 2**200)
+        return st.builds(lambda n, d: spec.element(Fraction(n, d)), _ints, denominators)
+    return _ints.map(spec.element)
 
 
 class TestPairScaler:
-    @given(_elements, st.data())
-    def test_scale_pair_keeps_the_ray(self, u, data):
-        spec = u.spec
-        v = data.draw(st.integers(-(2**40), 2**40).map(spec.element))
-        a, b = data.draw(st.integers(-50, 50)), data.draw(st.integers(-50, 50))
-        x, y = _pair_scaler(spec)(a, b, _int_pair(u), _int_pair(v))
-        left, right = spec.element(a) * u, spec.element(b) * v
-        # (x, y) is (left, right) times a scalar that is nonzero unless both are zero
-        assert spec.element(x) * right == spec.element(y) * left
-        assert (x == y) == (left == right)
-        assert ((x, y) == (0, 0)) == (left.is_zero and right.is_zero)
+    """A word's int pair is its two weights up to one nonzero scalar."""
+
+    @given(st.sampled_from([Q, GF7, GF_BIG]), st.data())
+    def test_scale_pair_keeps_the_ray(self, spec, data):
+        # The one-state series u * v^n * f agree on every word exactly when
+        # they agree on the empty word and on a; a witness is the first of
+        # these on which they differ, with its FieldElement weights. The
+        # right side is a copy, a copy with its initial and final weights
+        # scaled by c and 1/c, or drawn afresh.
+        weights = _weights(spec)
+        u1, v1, f1 = (data.draw(weights) for _ in range(3))
+        c = data.draw(weights.filter(lambda w: not w.is_zero))
+        u2, f2 = data.draw(st.sampled_from([(u1, f1), (u1 * c, f1 / c)]) | st.tuples(weights, weights))
+        v2 = data.draw(st.just(v1) | weights)
+        left, right = (
+            Dwa(["q0"], ["a"], {("q0", "a"): ("q0", v)}, {"q0": f}, ("q0", u))
+            for u, v, f in ((u1, v1, f1), (u2, v2, f2))
+        )
+        verdict = dwa_equiv(left, right)
+        assert verdict.equivalent == (u1 * f1 == u2 * f2 and u1 * v1 * f1 == u2 * v2 * f2)
+        if u1 * f1 != u2 * f2:
+            assert verdict.witness == Witness((), u1 * f1, u2 * f2)
+        elif not verdict.equivalent:
+            assert verdict.witness == Witness(("a",), u1 * v1 * f1, u2 * v2 * f2)
 
     def test_search_pairs_are_in_normal_form(self, monkeypatch):
         # Every word's pair reaches the basis divided by its gcd over Q and

@@ -160,7 +160,7 @@ VALUES = [
     (E1, Dwroca.to_json),
     (GF_DWA, Dwa.to_json),
     (
-        LazyUnfolding(E1, 3, initial_state=(0, 1), initial_weight=Q.element(5)),
+        LazyUnfolding(E1, 3, start=Configuration(0, 1, Q.element(5))),
         lambda view: (view.automaton.to_json(), view.bound, view.initial_config()),
     ),
 ]

@@ -8,19 +8,23 @@ from wroca import (
     BoundTooLarge,
     Configuration,
     Dwroca,
+    FieldMismatch,
     InvalidAutomaton,
     LazyUnfolding,
     ResourceBudgetExceeded,
+    bounded_k_equiv,
     bounds_for_k,
     compute_bounds,
     prime_field,
     rational,
+    underlying_wa,
     unfold,
 )
 from wroca.dwa import WaConfig, _difference_search
 from wroca.testkit import GeneratorConfig, generate, split_state
 
 Q = rational()
+GF7 = prime_field(7)
 
 
 class TestUnfoldConstruction:
@@ -132,7 +136,7 @@ class TestLazyUnfolding:
                 assert lazy_value == wa.accept_weight(WaConfig(*wa.initial), w)
 
     def test_custom_start(self, e1):
-        lazy = LazyUnfolding(e1, 10, initial_state=(0, 4), initial_weight=Q.element(5))
+        lazy = LazyUnfolding(e1, 10, start=Configuration(0, 4, Q.element(5)))
         assert lazy.initial_config() == ((0, 4), Q.element(5))
         step = lazy.step_config((0, 4), 0)
         assert step == ((0, 5), Q.element(2))
@@ -142,8 +146,22 @@ class TestLazyUnfolding:
         assert lazy.step_config((0, 2), 0) is None
 
     def test_start_row_outside_bound_rejected(self, e1):
-        with pytest.raises(ValueError):
-            LazyUnfolding(e1, 2, initial_state=(0, 3))
+        with pytest.raises(ValueError, match=r"^initial row 3 outside \[0, 2\]$"):
+            LazyUnfolding(e1, 2, start=Configuration(0, 3, Q.one()))
+
+    def test_start_state_and_field_are_checked(self, e1):
+        with pytest.raises(ValueError, match=r"^initial state 5 outside \[0, 0\]$"):
+            LazyUnfolding(e1, 3, start=Configuration(5, 0, Q.one()))
+        with pytest.raises(ValueError, match="initial state -1"):
+            LazyUnfolding(e1, 3, start=Configuration(-1, 0, Q.one()))
+        with pytest.raises(FieldMismatch):
+            LazyUnfolding(e1, 3, start=Configuration(0, 0, GF7.element(5)))
+
+    def test_other_field_start_cannot_reach_a_search(self, e1):
+        # such a view used to compare as k-equivalent to a machine over Q
+        wa = underlying_wa(e1).with_initial(0, Q.element(3))
+        with pytest.raises(FieldMismatch):
+            bounded_k_equiv(LazyUnfolding(e1, 4, start=Configuration(0, 0, GF7.element(3))), wa, 4)
 
     def test_size_matches_materialized_unfolding(self, e1, e2):
         for machine in (e1, e2):
@@ -304,12 +322,6 @@ class TestBounds:
         with pytest.raises(ValueError):
             bounds_for_k(0)
 
-    def test_coefficients_are_overridable(self):
-        report = bounds_for_k(2, initial_coeff=1, belt_coeff=1)
-        assert report.initial_space == 64
-        assert report.belt_thickness == 16
-        assert report.counter_bound == 64 + 2 * ((4 * 16) ** 2 + 1)
-
     def test_k_two_matches_size_pair(self):
         assert bounds_for_k(2) == compute_bounds(1, 1)
 
@@ -318,7 +330,7 @@ class TestStartConfiguration:
     def test_lazy_start_equals_counter_run(self, e2):
         # the lazy view from (state, row) reproduces accept weights from the
         # matching counter configuration when the bound leaves headroom
-        lazy = LazyUnfolding(e2, 12, initial_state=(1, 3), initial_weight=Q.element(2))
+        lazy = LazyUnfolding(e2, 12, start=Configuration(1, 3, Q.element(2)))
         for length in range(6):
             w = ("a",) * length
             state, weight = lazy.initial_config()
