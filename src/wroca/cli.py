@@ -191,7 +191,7 @@ def cmd_equiv(args) -> int:
 
         _require_valid(args.file1, a1)
         _require_valid(args.file2, a2)
-        result = testkit.brute_force_witness(a1, a2, args.bound)
+        result = testkit.brute_force_witness(a1, a2, args.bound, node_budget=args.budget)
         word, witness = result.shortest_witness, None
         if word is not None:
             replay = replay_witness(a1, a2, word)
@@ -316,7 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file2")
     p.add_argument("--bound", type=_natural, default=None, help="word-length limit (required by the oracle)")
     p.add_argument("--method", choices=("pipeline", "oracle"), default="pipeline")
-    p.add_argument("--budget", type=_natural, default=DEFAULT_SEARCH_BUDGET, help="explored-word ceiling")
+    p.add_argument(
+        "--budget",
+        type=_natural,
+        default=DEFAULT_SEARCH_BUDGET,
+        help="explored-word ceiling; the oracle counts the nodes it processes",
+    )
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("unfold", help="materialize a row-bounded unfolding")

@@ -56,7 +56,7 @@ parent's entry, and a witness's word is read back along these links.
 from __future__ import annotations
 
 from collections import deque
-from math import gcd
+from math import gcd, inf
 from typing import Mapping, Sequence
 
 from .core import (
@@ -222,8 +222,10 @@ class EquivalenceVerdict(_Record):
     """Outcome of an equivalence check.
 
     ``mode`` is "theoretical" when the search limit covers the proven witness
-    bound (so Equivalent is a proof), "bounded" when a user-supplied limit
-    truncated the search (Equivalent then means: no witness up to ``bound``).
+    bound, so Equivalent is a proof: no witness within the bound, or, for
+    machines whose counters climb in step, the lockstep certificate.
+    "bounded" when a user-supplied limit truncated the search (Equivalent
+    then means: no witness up to ``bound``).
     """
 
     __slots__ = ("equivalent", "witness", "mode", "bound", "stats")
@@ -325,6 +327,9 @@ def _children(side_l, sl, rl, side_r, sr, rr, symbol_count: int, clip: bool) -> 
 # Rows a walk passes along one chain of links before it re-points the
 # chain's first row to the chain's end.
 _SHORTCUT_AFTER = 8
+
+# Words a search tests without a witness before it asks its ``certify``.
+_CERTIFY_AFTER = 64
 
 
 class _PairBasis:
@@ -441,6 +446,7 @@ def _difference_search(
     max_len: int | None = None,
     budget: int | None = None,
     prune: bool = True,
+    certify=None,
 ):
     """Breadth-first difference-vector search.
 
@@ -450,7 +456,10 @@ def _difference_search(
     ResourceBudgetExceeded when more than ``budget`` words get dequeued,
     and InternalError when more vectors get kept than the machines' sizes
     add up to, or when a witness's true weights, stepped once more, are
-    equal.
+    equal. ``certify``, a callable, is asked once, when ``_CERTIFY_AFTER``
+    words are tested without a witness and the budget allows more: True
+    ends the search with no witness, its stats covering those words, as a
+    proof that there is none; False lets the same search go on.
     """
     _require_compatible(left, right)
     init_l, zero_l, plus_l, finals_l, bound_l = left.search_tables()
@@ -490,13 +499,22 @@ def _difference_search(
     rows, insert = basis.others, basis.insert
     explored = 0
     max_row = 0
+    # one test per word serves both: the loop stops at the certificate's
+    # count first, if it comes before the budget's
+    stop = inf if budget is None else budget
+    if certify is not None and _CERTIFY_AFTER < stop:
+        stop = _CERTIFY_AFTER
 
     while queue:
         entry = queue.popleft()
         _, _, depth, sl, rl, a, sr, rr, b = entry
         explored += 1
-        if budget is not None and explored > budget:
-            raise ResourceBudgetExceeded(explored, budget, SearchStats(explored, len(rows), max_row))
+        if explored > stop:
+            if stop == budget:
+                raise ResourceBudgetExceeded(explored, budget, SearchStats(explored, len(rows), max_row))
+            if certify():
+                return None, SearchStats(stop, len(rows), max_row)
+            stop = inf if budget is None else budget
         if rl > max_row:
             max_row = rl
         if rr > max_row:

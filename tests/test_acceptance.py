@@ -28,6 +28,7 @@ from wroca import (
 )
 from wroca.cli import main as cli_main
 from wroca.dwa import WaConfig
+from wroca.equiv import _lockstep
 from wroca.testkit import (
     GeneratorConfig,
     brute_force_witness,
@@ -109,6 +110,19 @@ def test_oracle_agreement(tmp_path):
     assert pairs == 500
     assert 0 < inequivalent < 500  # both outcomes must actually occur
     _report("oracle agreement", f"500 pairs, {inequivalent} inequivalent, exact witnesses")
+
+
+def test_lockstep_certificate_soundness():
+    """The lockstep certificate never proves a pair that the oracle
+    separates within length 12; every split copy is proved."""
+    certified = splits = 0
+    for i, (left, right) in enumerate(_pair_stream(16_000, 2000)):
+        if _lockstep(left, right):
+            assert brute_force_witness(left, right, 12).shortest_witness is None
+            certified += 1
+            splits += i % 5 == 4
+    assert (certified, splits) == (411, 400)
+    _report("lockstep certificate", f"2000 pairs, {certified} certified, no oracle witness among them")
 
 
 def test_witness_replay():

@@ -42,6 +42,13 @@ def e1p_file(tmp_path, e1p):
 
 
 @pytest.fixture
+def flat_file(tmp_path, e1_flat):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(e1_flat.to_json()))
+    return str(path)
+
+
+@pytest.fixture
 def broken_file(tmp_path, e1):
     doc = e1.to_json()
     doc["delta0"][0]["ce"] = -1
@@ -262,15 +269,34 @@ class TestEquiv:
         code, out, err = run_cli("equiv", e1_file, e1_file, "--method", "oracle")
         assert (code, out, err) == (2, "", "error: --method oracle requires --bound\n")
 
-    def test_budget_exit_four(self, e1_file):
-        code, _, err = run_cli("equiv", e1_file, e1_file, "--budget", "100")
+    def test_budget_exit_four(self, e1_file, flat_file):
+        code, _, err = run_cli("equiv", e1_file, flat_file, "--budget", "100")
         assert code == 4
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
-    def test_budget_message(self, e1_file, json_flag):
+    def test_budget_message(self, e1_file, flat_file, json_flag):
         # the exception now also carries the search's stats; the text stays
-        code, out, err = run_cli(*json_flag, "equiv", e1_file, e1_file, "--budget", "100")
+        code, out, err = run_cli(*json_flag, "equiv", e1_file, flat_file, "--budget", "100")
         assert (code, out, err) == (4, "", "error: explored 101 words, budget is 100\n")
+
+    def test_counters_climbing_in_step_are_proved(self, e1_file):
+        # both counters climb forever; the lockstep certificate proves the
+        # pair after the search has tested a^0 .. a^63
+        code, out, err = run_cli("--json", "equiv", e1_file, e1_file)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "outcome": "equivalent",
+            "mode": "theoretical",
+            "bound": 700028448800,
+            "stats": {"explored_words": 64, "basis_size": 64, "max_counter_row": 63},
+        }
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_oracle_budget(self, e1_file, json_flag):
+        code, out, err = run_cli(
+            *json_flag, "equiv", e1_file, e1_file, "--method", "oracle", "--bound", "8", "--budget", "1"
+        )
+        assert (code, out, err) == (4, "", "error: oracle processed more than 1 nodes\n")
 
     def test_alphabet_mismatch_exit_two(self, e1_file, tmp_path, Q):
         other = Dwroca(["q0"], ["b"], "q0", Q.one(), {}, {}, {"q0": Q.one()})

@@ -21,6 +21,7 @@ from wroca import (
     WaConfig,
     bounded_k_equiv,
     check_equivalence,
+    compute_bounds,
     dwa_equiv,
     find_k_equiv_wa_config,
     prime_field,
@@ -30,6 +31,7 @@ from wroca import (
 from wroca import dwa
 from wroca.dwa import (
     _SHORTCUT_AFTER,
+    EquivalenceVerdict,
     SearchStats,
     Witness,
     _difference_search,
@@ -44,6 +46,15 @@ from wroca.testkit import (
 )
 
 Q = rational()
+
+
+def uncertified(left, right, budget):
+    """``check_equivalence``'s theoretical-mode search without the lockstep
+    certificate, so pairs it would prove spend their ``budget`` as before."""
+    limit = compute_bounds(left.size, right.size).witness_bound
+    view_l, view_r = LazyUnfolding(left, limit), LazyUnfolding(right, limit)
+    witness, stats = _difference_search(view_l, view_r, max_len=limit, budget=budget)
+    return EquivalenceVerdict(witness is None, witness, "theoretical", limit, stats)
 
 
 def one_state_dwa(loop_weight, final_weight=None, initial_weight=None):
@@ -685,7 +696,7 @@ class TestPairBasis:
                 right = generate(config(rng.randrange(2**32)))
             logs.clear()
             try:
-                check_equivalence(left, right, budget=200)
+                uncertified(left, right, budget=200)
             except ResourceBudgetExceeded:
                 budget_runs += 1
             for log in logs:
@@ -810,13 +821,14 @@ class TestLongSearchShapes:
     """Exact ``(explored_words, basis_size, max_counter_row)`` of long
     searches, the shapes the pair tables serve most: the counting pairs at
     bound 2000 keep every word, ``e1`` against its counter-free copy climbs
-    on one side only, and ``split_state`` copies mostly run out of budget.
-    A budget run's shape is read from its ResourceBudgetExceeded."""
+    on one side only, and ``split_state`` copies, searched without the
+    lockstep certificate, mostly run out of budget. A budget run's shape is
+    read from its ResourceBudgetExceeded."""
 
     @staticmethod
-    def shape(*args, **kwargs):
+    def shape(*args, search=check_equivalence, **kwargs):
         try:
-            stats = check_equivalence(*args, **kwargs).stats
+            stats = search(*args, **kwargs).stats
         except ResourceBudgetExceeded as exc:
             stats = exc.stats
         return stats.explored_words, stats.basis_size, stats.max_counter_row
@@ -845,7 +857,8 @@ class TestLongSearchShapes:
             rng = random.Random(7300 + i)
             config = GeneratorConfig(seed=rng.randrange(2**32), field=(Q, GF7, GF_BIG)[i % 3], alphabet_size=(2, 3))
             left = generate(config)
-            shapes.append(self.shape(left, split_state(left, rng.randrange(2**32)), budget=2000))
+            right = split_state(left, rng.randrange(2**32))
+            shapes.append(self.shape(left, right, search=uncertified, budget=2000))
         assert shapes == [
             (9, 3, 0),
             (2001, 802, 398),
@@ -866,11 +879,15 @@ class TestLongSearchShapes:
         # a^0 .. a^199 are kept, a^199 reaching row 199 on the side that
         # climbs; a^200 is dequeued over the budget, counted and not tested
         e1, flat = TestPairBasis.counting_flat(field)
-        for left, right in ((e1, e1), (e1, flat), (flat, e1)):
+        for left, right in ((e1, flat), (flat, e1)):
             with pytest.raises(ResourceBudgetExceeded) as info:
                 check_equivalence(left, right, budget=200)
             assert str(info.value) == "explored 201 words, budget is 200"
             assert info.value.stats == SearchStats(201, 200, 199)
+        # in step, the lockstep certificate proves the pair once a^0 .. a^63
+        # are tested, all kept
+        verdict = check_equivalence(e1, e1, budget=200)
+        assert verdict.equivalent and verdict.stats == SearchStats(64, 64, 63)
 
 
 class TestBoundedKEquiv:

@@ -25,6 +25,7 @@ from wroca import (
     replay_witness,
 )
 from wroca.dwa import EquivalenceVerdict, _difference_search
+from wroca.equiv import _lockstep
 from wroca.testkit import GeneratorConfig, brute_force_witness, generate, split_state
 
 Q = rational()
@@ -64,9 +65,18 @@ class TestCheckEquivalence:
         oracle = brute_force_witness(e1, e2, 10)
         assert oracle.shortest_witness is None
 
-    def test_budget_converts_runaway_exploration(self, e1):
+    def test_budget_converts_runaway_exploration(self, e1, e1_flat):
         with pytest.raises(ResourceBudgetExceeded):
-            check_equivalence(e1, e1, budget=200)
+            check_equivalence(e1, e1_flat, budget=200)
+
+    def test_counters_climbing_in_step_are_proved(self, e1, e2):
+        # the search alone never saturates on these; after 64 words without
+        # a witness the lockstep certificate proves them at the default budget
+        for right in (e1, e2):
+            verdict = check_equivalence(e1, right)
+            assert verdict.equivalent and verdict.witness is None
+            assert verdict.mode == "theoretical"
+            assert verdict.stats.explored_words == 64
 
     def test_override_at_or_above_proof_bound_stays_theoretical(self):
         left = flat({"a": 2, "b": 3})
@@ -382,6 +392,87 @@ class TestReplayWitness:
         assert not replay.run2.ok and replay.run2.stuck_at == 0
 
 
+def machine(delta0, delta1, finals, initial=1):
+    """A machine over {a, b} starting in q0, from tables of (src, symbol) ->
+    (dst, effect, weight) and finals by state, weights given as ints."""
+    states = sorted(finals)
+    tables = [{key: (dst, e, Q.element(w)) for key, (dst, e, w) in t.items()} for t in (delta0, delta1)]
+    finals = {name: Q.element(w) for name, w in finals.items()}
+    return Dwroca(states, ["a", "b"], "q0", Q.element(initial), *tables, finals)
+
+
+class TestLockstep:
+    """One test per rule of the lockstep certificate, called directly,
+    since the search decides most of these pairs before it would ask it."""
+
+    def test_initial_ratio_runs_right_over_left(self):
+        # left weighs a^n 2 * 2^n * 1 and right 1 * 2^n * 2; the upside-down
+        # ratio, left initial / right initial, would ask 1 = 2 * 2
+        loop = {("q0", "a"): ("q0", 1, 2)}
+        left = machine(loop, loop, {"q0": 1}, initial=2)
+        right = machine(loop, loop, {"q0": 2})
+        assert _lockstep(left, right)
+        assert not _lockstep(left, machine(loop, loop, {"q0": 1}))  # final weights 1 vs 1/2 * 1
+        verdict = check_equivalence(left, right, budget=200)
+        assert verdict.equivalent and verdict.mode == "theoretical"
+
+    def test_decrement_from_positive_reaches_zero(self):
+        # a climbs to q1, b comes back down to q2; only q2's zero table
+        # differs, so only the zero class after a return to zero tells
+        up = {("q0", "a"): ("q1", 1, 1)}
+        down = {("q1", "b"): ("q2", -1, 1), ("q2", "a"): ("q2", 0, 2)}
+        finals = {"q0": 1, "q1": 1, "q2": 1}
+        left = machine({**up, ("q2", "a"): ("q2", 0, 2)}, down, finals)
+        right = machine({**up, ("q2", "a"): ("q2", 0, 3)}, down, finals)
+        assert brute_force_witness(left, right, 3).shortest_witness == ("a", "b", "a")
+        assert not _lockstep(left, right)
+        assert _lockstep(left, left)
+
+    def test_stuck_side_needs_a_zero_series(self):
+        stuck = machine({}, {}, {"q0": 1})
+        to_live = machine({("q0", "a"): ("q0", 0, 1)}, {}, {"q0": 1})
+        # q1 weighs zero from both classes, though it steps in each
+        dead_end = {("q0", "a"): ("q1", 1, 1), ("q1", "a"): ("q1", 1, 1)}
+        to_dead = machine(dead_end, dead_end, {"q0": 1, "q1": 0})
+        assert not _lockstep(to_live, stuck) and not _lockstep(stuck, to_live)
+        assert _lockstep(to_dead, stuck) and _lockstep(stuck, to_dead)
+
+    def test_both_zero_series_triple_holds_with_any_ratio(self):
+        # (d, d) is reached with ratios 3/2 and 1, and there the sides
+        # step with unequal effects; both weigh zero from d, so no conflict
+        left = machine(
+            {("q0", "a"): ("d", 0, 2), ("q0", "b"): ("d", 0, 1), ("d", "a"): ("d", 1, 1)},
+            {("d", "a"): ("d", 1, 1)},
+            {"q0": 1, "d": 0},
+        )
+        right = machine(
+            {("q0", "a"): ("d", 0, 3), ("q0", "b"): ("d", 0, 1), ("d", "a"): ("d", 0, 1)},
+            {},
+            {"q0": 1, "d": 0},
+        )
+        assert _lockstep(left, right)
+        assert brute_force_witness(left, right, 8).shortest_witness is None
+
+    def test_unequal_effects_fail(self, e1, e1_flat):
+        # equivalent, but the counters climb out of step
+        assert not _lockstep(e1, e1_flat) and not _lockstep(e1_flat, e1)
+        assert _lockstep(e1, e1) and _lockstep(e1_flat, e1_flat)
+
+    def test_second_ratio_fails(self):
+        # (q1, q1) is reached with ratios 3/2 (by a) and 1 (by b); each on
+        # its own passes q1's zero final weight and its step to q2
+        def pair_machine(a_weight):
+            delta0 = {
+                ("q0", "a"): ("q1", 0, a_weight),
+                ("q0", "b"): ("q1", 0, 1),
+                ("q1", "a"): ("q2", 0, 1),
+            }
+            return machine(delta0, {}, {"q0": 1, "q1": 0, "q2": 1})
+
+        left, right = pair_machine(2), pair_machine(3)
+        assert brute_force_witness(left, right, 2).shortest_witness == ("a", "a")
+        assert not _lockstep(left, right)
+
 
 def _pinned_lines(e1, e1p, e2):
     """One line per search of a fixed seeded set: the verdict JSON, stats
@@ -429,5 +520,11 @@ class TestPinnedAnswers:
     def test_verdict_digest(self, e1, e1p, e2):
         lines = _pinned_lines(e1, e1p, e2)
         assert len(lines) == 318
+        # the searches that once ran out of their 300-word budget: the
+        # lockstep certificate proves each after 64 words
+        assert not any(text.startswith("budget:") for text in lines)
+        certified = [i for i, text in enumerate(lines) if '"explored_words": 64,' in text]
+        assert certified == [18, 105, 118, 155, 168, 193, 218, 243, 266, 300, 317]
+        assert all('"mode": "theoretical", "outcome": "equivalent"' in lines[i] for i in certified)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "7a133163b6679b7912d9ed86071b7e39b7b8a593abc4af9766780db443522a57"
+        assert digest == "52dc15eb0795618ee8d54a365cebdf3f615b1e37e09ce452b18fbe0f2d89a369"
