@@ -8,12 +8,10 @@ distinguishing witness.
 from .core import (
     Alphabet,
     Configuration,
-    CounterProfile,
     Dwroca,
     PumpingIntervals,
     Run,
     RunStep,
-    counter_effect_profile,
     remove_intervals,
 )
 from .dwa import (
@@ -22,21 +20,14 @@ from .dwa import (
     SearchStats,
     WaConfig,
     Witness,
-    bounded_k_equiv,
     dwa_equiv,
-    find_k_equiv_wa_config,
     render_word,
     underlying_wa,
 )
-from .equiv import (
-    WitnessReplay,
-    check_equivalence,
-    replay_witness,
-)
+from .equiv import check_equivalence, replay_witness
 from .errors import (
     AlphabetMismatch,
     BoundTooLarge,
-    BudgetExceeded,
     DivisionByZero,
     FieldMismatch,
     IntervalOutOfBounds,
@@ -64,9 +55,7 @@ __all__ = [
     "AlphabetMismatch",
     "BoundReport",
     "BoundTooLarge",
-    "BudgetExceeded",
     "Configuration",
-    "CounterProfile",
     "DivisionByZero",
     "Dwa",
     "Dwroca",
@@ -88,15 +77,11 @@ __all__ = [
     "UnknownSymbol",
     "WaConfig",
     "Witness",
-    "WitnessReplay",
     "WrocaError",
-    "bounded_k_equiv",
     "bounds_for_k",
     "check_equivalence",
     "compute_bounds",
-    "counter_effect_profile",
     "dwa_equiv",
-    "find_k_equiv_wa_config",
     "parse_element",
     "prime_field",
     "rational",

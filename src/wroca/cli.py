@@ -18,11 +18,10 @@ import os
 import sys
 
 from .core import Dwroca, PumpingIntervals
-from .dwa import EquivalenceVerdict, SearchStats, Witness, render_word
+from .dwa import EquivalenceVerdict, SearchStats, render_word
 from .equiv import DEFAULT_SEARCH_BUDGET, check_equivalence, replay_witness
 from .errors import (
     BoundTooLarge,
-    BudgetExceeded,
     InternalError,
     InvalidAutomaton,
     ParseError,
@@ -86,9 +85,11 @@ def _load_valid(path: str) -> Dwroca:
 
 
 def _parse_word(args) -> tuple[str, ...]:
-    if getattr(args, "empty", False):
-        return ()
     text = args.word
+    if args.empty:
+        if text is not None:
+            raise ParseError("give either a word or --empty, not both")
+        return ()
     if text is None:
         raise ParseError("a word (or --empty) is required")
     if text == "":
@@ -192,10 +193,8 @@ def cmd_equiv(args) -> int:
         _require_valid(args.file1, a1)
         _require_valid(args.file2, a2)
         result = testkit.brute_force_witness(a1, a2, args.bound, node_budget=args.budget)
-        word, witness = result.shortest_witness, None
-        if word is not None:
-            replay = replay_witness(a1, a2, word)
-            witness = Witness(word, replay.f1, replay.f2)
+        word = result.shortest_witness
+        witness = None if word is None else replay_witness(a1, a2, word)
         explored = sum(result.agreement_table) + (witness is not None)  # the witness word too
         stats = SearchStats(explored, 0, 0)
         verdict = EquivalenceVerdict(witness is None, witness, "bounded", args.bound, stats)
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_natural,
         default=DEFAULT_SEARCH_BUDGET,
-        help="explored-word ceiling; the oracle counts the nodes it processes",
+        help="explored-word ceiling",
     )
     p.set_defaults(func=cmd_equiv)
 
@@ -368,7 +367,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UnknownSymbol as exc:
         return _fail(str(exc), 3)
-    except (ResourceBudgetExceeded, BudgetExceeded) as exc:
+    except ResourceBudgetExceeded as exc:
         return _fail(str(exc), 4)
     except BoundTooLarge as exc:
         return _fail(str(exc), 5)

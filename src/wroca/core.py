@@ -20,6 +20,7 @@ Equal weight texts in one document share one parsed element.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -182,32 +183,10 @@ class Run(_Frozen):
         return f"Run({'.'.join(s.symbol for s in self.steps)!r}, end={self.end}{tail})"
 
 
-class CounterProfile(_Record):
-    """Prefix counter-effects of a run, their extremes, and groundedness."""
-
-    __slots__ = ("prefix_effects", "min_effect", "max_effect", "grounded")
-
-    def __init__(self, prefix_effects: tuple[int, ...], min_effect: int, max_effect: int, grounded: bool):
-        _setattr(self, "prefix_effects", prefix_effects)
-        _setattr(self, "min_effect", min_effect)
-        _setattr(self, "max_effect", max_effect)
-        _setattr(self, "grounded", grounded)
-
-
-def counter_effect_profile(run: Run) -> CounterProfile:
-    """Cumulative counter-effect after each step, with min/max over the
-    non-empty prefixes (0 for the empty run) and whether any zero-test fired."""
-    effects = []
-    total = 0
-    for step in run.steps:
-        total += step.counter_effect
-        effects.append(total)
-    if effects:
-        lo, hi = min(effects), max(effects)
-    else:
-        lo = hi = 0
-    grounded = any(step.table == ZERO_TABLE for step in run.steps)
-    return CounterProfile(tuple(effects), lo, hi, grounded)
+def _min_prefix_effect(run: Run) -> int:
+    """The least cumulative counter effect over the run's non-empty
+    prefixes, 0 for the empty run."""
+    return min(accumulate(step.counter_effect for step in run.steps), default=0)
 
 
 class PumpingIntervals(_Frozen):
@@ -430,9 +409,7 @@ class Dwroca(_Frozen):
         zero_tests = run.zero_test_positions()
         if zero_tests and zero_tests[-1] in removed:
             return False
-        original = counter_effect_profile(run)
-        pumped = counter_effect_profile(residual)
-        return pumped.min_effect >= original.min_effect
+        return _min_prefix_effect(residual) >= _min_prefix_effect(run)
 
     # -- JSON ----------------------------------------------------------
 

@@ -60,7 +60,6 @@ from math import gcd, inf
 from typing import Mapping, Sequence
 
 from .core import (
-    Configuration,
     Dwroca,
     Word,
     _Record,
@@ -199,7 +198,8 @@ class WaConfig(_Record):
 
 
 class Witness(_Record):
-    """A word on which the two machines produce different weights."""
+    """A word and the weights the two machines give it; a verdict's witness
+    is a word on which they differ."""
 
     __slots__ = ("word", "f1", "f2")
 
@@ -616,44 +616,3 @@ def dwa_equiv(left: Dwa, right: Dwa) -> EquivalenceVerdict:
     """
     witness, stats = _difference_search(left, right)
     return EquivalenceVerdict(witness is None, witness, "theoretical", None, stats)
-
-
-def bounded_k_equiv(left, right, k: int) -> bool:
-    """True iff the two initialised automata agree on every word of length
-    at most k. Saturation of the kept-vector basis ends the search early."""
-    if k < 0:
-        raise ValueError("k must be a natural number")
-    witness, _stats = _difference_search(left, right, max_len=k)
-    return witness is None
-
-
-def find_k_equiv_wa_config(
-    automaton: Dwroca, config: Configuration, wa: Dwa, k: int
-) -> WaConfig | None:
-    """Find a weighted-automaton configuration k-equivalent to ``config``.
-
-    For a candidate state q, a weight c works exactly when every word up to
-    length k weighs c times as much from (q, 1) as from ``config``'s
-    depth-k view of the counter automaton. So one depth-k search against
-    (q, 1) pins c: no witness means 1 works; a witness on which one side
-    weighs zero rules q out; otherwise its weights force c = f1 / f2, which
-    a second depth-k run verifies. Returns the first state that admits a
-    weight, or None when none does.
-    """
-    from .unfold import LazyUnfolding
-
-    _require_compatible(automaton, wa)
-    if k < 0:
-        raise ValueError("k must be a natural number")
-    view = LazyUnfolding(automaton, config.counter + k, config)
-    one = automaton.field.one()
-    for q in range(wa.size):
-        witness, _stats = _difference_search(view, wa.with_initial(q, one), max_len=k)
-        if witness is None:
-            return WaConfig(q, one)
-        if witness.f1.is_zero or witness.f2.is_zero:
-            continue
-        candidate = witness.f1 / witness.f2
-        if bounded_k_equiv(view, wa.with_initial(q, candidate), k):
-            return WaConfig(q, candidate)
-    return None

@@ -23,7 +23,7 @@ the certificate.
 
 from __future__ import annotations
 
-from .core import Dwroca, Run, Word, _Record
+from .core import Dwroca, Word
 from .dwa import (
     EquivalenceVerdict,
     Witness,
@@ -31,22 +31,10 @@ from .dwa import (
     _require_compatible,
 )
 from .errors import InternalError, InvalidAutomaton
-from .fields import FieldElement, _setattr
+from .fields import FieldElement
 from .unfold import LazyUnfolding, compute_bounds
 
 DEFAULT_SEARCH_BUDGET = 100_000
-
-
-class WitnessReplay(_Record):
-    """Both acceptance weights of a word plus the full runs behind them."""
-
-    __slots__ = ("f1", "f2", "run1", "run2")
-
-    def __init__(self, f1: FieldElement, f2: FieldElement, run1: Run, run2: Run):
-        _setattr(self, "f1", f1)
-        _setattr(self, "f2", f2)
-        _setattr(self, "run1", run1)
-        _setattr(self, "run2", run2)
 
 
 def _require_valid(a1: Dwroca, a2: Dwroca) -> None:
@@ -71,8 +59,8 @@ def check_equivalence(
     has tested ``_CERTIFY_AFTER`` words, proves that none is. An override
     below that bound demotes the verdict to mode "bounded": Equivalent then
     only means no witness of length <= override exists, and the certificate
-    is not asked. ``budget`` caps dequeued words; exceeding it raises
-    ResourceBudgetExceeded, which is a non-verdict.
+    is not asked. ``budget`` caps dequeued words (None: no cap); exceeding
+    it raises ResourceBudgetExceeded, which is a non-verdict.
     """
     _require_valid(a1, a2)
     _require_compatible(a1, a2)
@@ -85,22 +73,23 @@ def check_equivalence(
             raise ValueError("bound override must be a natural number")
         limit = bound_override
         mode = "theoretical" if bound_override >= bounds.witness_bound else "bounded"
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be a natural number")
     left = LazyUnfolding(a1, limit)
     right = LazyUnfolding(a2, limit)
     certify = (lambda: _lockstep(a1, a2)) if mode == "theoretical" else None
     witness, stats = _difference_search(left, right, max_len=limit, budget=budget, certify=certify)
     if witness is None:
         return EquivalenceVerdict(True, None, mode, limit, stats)
-    f1 = a1.accept_weight_or_zero(witness.word)
-    f2 = a2.accept_weight_or_zero(witness.word)
+    replayed = replay_witness(a1, a2, witness.word)
     # The unfolding is exact on words within the row bound, so the replayed
     # weights must agree with the searched ones.
-    if f1 != witness.f1 or f2 != witness.f2:
+    if replayed != witness:
         raise InternalError(
             f"unfolded search disagrees with replay on {witness.word!r}: "
-            f"searched {witness.f1}, {witness.f2}; replayed {f1}, {f2}"
+            f"searched {witness.f1}, {witness.f2}; replayed {replayed.f1}, {replayed.f2}"
         )
-    return EquivalenceVerdict(False, Witness(witness.word, f1, f2), mode, limit, stats)
+    return EquivalenceVerdict(False, replayed, mode, limit, stats)
 
 
 def _classes(positive: bool, effect: int) -> tuple:
@@ -206,11 +195,8 @@ def _lockstep(a1: Dwroca, a2: Dwroca) -> bool:
     return True
 
 
-def replay_witness(a1: Dwroca, a2: Dwroca, word: Word) -> WitnessReplay:
-    """Both acceptance weights (zero-completed) and both full runs."""
-    run1 = a1.run_word(a1.initial_configuration(), word)
-    run2 = a2.run_word(a2.initial_configuration(), word)
-    f1 = a1.accept_weight_or_zero(word)
-    f2 = a2.accept_weight_or_zero(word)
-    return WitnessReplay(f1, f2, run1, run2)
+def replay_witness(a1: Dwroca, a2: Dwroca, word: Word) -> Witness:
+    """``word`` with both machines' acceptance weights, zero-completed: an
+    undefined run weighs zero."""
+    return Witness(tuple(word), a1.accept_weight_or_zero(word), a2.accept_weight_or_zero(word))
 

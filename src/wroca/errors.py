@@ -58,11 +58,13 @@ def _count(n: int) -> str:
 
 
 class ResourceBudgetExceeded(WrocaError):
-    """The equivalence search gave up after exhausting its exploration budget.
+    """A search gave up after exploring more words than its budget allows.
 
-    This is deliberately distinct from any verdict: nothing was decided.
-    ``stats`` is the search's ``SearchStats`` at the point it gave up, the
-    word over budget counted in ``explored_words`` but not yet tested.
+    Raised by the equivalence search and by the brute-force oracle, whose
+    tree nodes are words too. This is deliberately distinct from any
+    verdict: nothing was decided. ``stats`` is the equivalence search's
+    ``SearchStats`` at the point it gave up, the word over budget counted
+    in ``explored_words`` but not yet tested; the oracle leaves it None.
     """
 
     def __init__(self, explored, budget, stats=None):
@@ -70,10 +72,6 @@ class ResourceBudgetExceeded(WrocaError):
         self.budget = budget
         self.stats = stats
         super().__init__(f"explored {explored} words, budget is {budget}")
-
-
-class BudgetExceeded(WrocaError):
-    """A brute-force oracle run exceeded its configured work budget."""
 
 
 class PreconditionViolated(WrocaError):

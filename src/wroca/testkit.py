@@ -1,5 +1,5 @@
-"""Brute-force oracles, seeded random instance generation, and loop-removal
-property drivers.
+"""Brute-force oracles, seeded random instance generation, and drivers for
+the paper's loop-removal and depth-k matching properties.
 
 The oracle enumerates every word in shortest-then-lexicographic order and
 reports the first weight mismatch, so its witness is minimal by
@@ -19,13 +19,15 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 
 from .core import Configuration, Dwroca, PumpingIntervals, Word, remove_intervals
+from .dwa import Dwa, WaConfig, _difference_search, _require_compatible
 from .errors import (
     AlphabetMismatch,
-    BudgetExceeded,
     FieldMismatch,
     PreconditionViolated,
+    ResourceBudgetExceeded,
 )
 from .fields import FieldElement, FieldSpec, rational
+from .unfold import LazyUnfolding
 
 DEFAULT_ORACLE_BUDGET = 5_000_000
 
@@ -194,10 +196,14 @@ def brute_force_witness(
     and return the first acceptance-weight mismatch (zero-completed).
 
     ``collapse=False`` disables the exact node-collapsing accelerations and
-    walks one node per word; the result is identical either way.
+    walks one node per word; the result is identical either way. Each node
+    is one word, so processing more than ``node_budget`` of them raises
+    ResourceBudgetExceeded.
     """
     if max_len < 0:
         raise ValueError("max_len must be a natural number")
+    if node_budget < 0:
+        raise ValueError("budget must be a natural number")
     _require_same_shape(a1, a2)
     zero = a1.field.zero()
     symbols = a1.alphabet.symbols
@@ -227,7 +233,7 @@ def brute_force_witness(
         for word, c1, c2 in level:
             nodes += 1
             if nodes > node_budget:
-                raise BudgetExceeded(f"oracle processed more than {node_budget} nodes")
+                raise ResourceBudgetExceeded(nodes, node_budget)
             if accept(a1, c1) != accept(a2, c2):
                 rank = 0
                 for i, symbol in enumerate(word):
@@ -431,6 +437,36 @@ def theorem1_trial(
         if a1.accept_weight_or_zero(residual, c) != a2.accept_weight_or_zero(residual, c_prime):
             labels.append(label)
     return TrialOutcome(union_ok, tuple(labels), union_ok and bool(labels), stacked)
+
+
+def find_k_equiv_wa_config(
+    automaton: Dwroca, config: Configuration, wa: Dwa, k: int
+) -> WaConfig | None:
+    """Find a weighted-automaton configuration k-equivalent to ``config``.
+
+    For a candidate state q, a weight c works exactly when every word up to
+    length k weighs c times as much from (q, 1) as from ``config``'s
+    depth-k view of the counter automaton. So one depth-k search against
+    (q, 1) pins c: no witness means 1 works; a witness on which one side
+    weighs zero rules q out; otherwise its weights force c = f1 / f2, which
+    a second depth-k search verifies. Returns the first state that admits a
+    weight, or None when none does.
+    """
+    _require_compatible(automaton, wa)
+    if k < 0:
+        raise ValueError("k must be a natural number")
+    view = LazyUnfolding(automaton, config.counter + k, config)
+    one = automaton.field.one()
+    for q in range(wa.size):
+        witness, _stats = _difference_search(view, wa.with_initial(q, one), max_len=k)
+        if witness is None:
+            return WaConfig(q, one)
+        if witness.f1.is_zero or witness.f2.is_zero:
+            continue
+        candidate = witness.f1 / witness.f2
+        if _difference_search(view, wa.with_initial(q, candidate), max_len=k)[0] is None:
+            return WaConfig(q, candidate)
+    return None
 
 
 def harvest_theorem1_tuples(

@@ -19,7 +19,6 @@ from wroca import (
     check_equivalence,
     compute_bounds,
     dwa_equiv,
-    find_k_equiv_wa_config,
     prime_field,
     rational,
     replay_witness,
@@ -33,6 +32,7 @@ from wroca.testkit import (
     GeneratorConfig,
     brute_force_witness,
     default_weight_pool,
+    find_k_equiv_wa_config,
     generate,
     harvest_theorem1_tuples,
     language_equiv_witness,

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import wroca
 from wroca import Dwa, Dwroca, InternalError, cli
 from wroca.cli import main
 
@@ -173,6 +174,30 @@ def test_option_inventory():
     }
 
 
+def test_public_surface():
+    # Every name the package exports: a new one shows up here as a diff
+    # that its change has to justify, as a new option does above.
+    assert sorted(wroca.__all__) == [
+        "Alphabet", "AlphabetMismatch", "BoundReport", "BoundTooLarge", "Configuration", "DivisionByZero",
+        "Dwa", "Dwroca", "EquivalenceVerdict", "FieldElement", "FieldMismatch", "FieldSpec",
+        "InternalError", "IntervalOutOfBounds", "InvalidAutomaton", "LazyUnfolding", "ParseError",
+        "PreconditionViolated", "PumpingIntervals", "ResourceBudgetExceeded", "Run", "RunStep", "SearchStats",
+        "UnknownSymbol", "WaConfig", "Witness", "WrocaError", "bounds_for_k", "check_equivalence",
+        "compute_bounds", "dwa_equiv", "parse_element", "prime_field", "rational", "remove_intervals",
+        "render_word", "replay_witness", "underlying_wa", "unfold",
+    ]
+    assert [name for name in wroca.__all__ if not hasattr(wroca, name)] == []
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize(
+    "argv", [["eval", "{f}", "a,a", "--empty"], ["pumpcheck", "{f}", "a,a", "", "--empty"]], ids=["eval", "pumpcheck"]
+)
+def test_word_and_empty_together_exit_two(argv, json_flag, e1_file):
+    code, out, err = run_cli(*json_flag, *(arg.format(f=e1_file) for arg in argv))
+    assert (code, out, err) == (2, "", "error: give either a word or --empty, not both\n")
+
+
 class TestEval:
     def test_word(self, e1_file):
         code, out, _ = run_cli("eval", e1_file, "a,a,a")
@@ -296,7 +321,7 @@ class TestEquiv:
         code, out, err = run_cli(
             *json_flag, "equiv", e1_file, e1_file, "--method", "oracle", "--bound", "8", "--budget", "1"
         )
-        assert (code, out, err) == (4, "", "error: oracle processed more than 1 nodes\n")
+        assert (code, out, err) == (4, "", "error: explored 2 words, budget is 1\n")
 
     def test_alphabet_mismatch_exit_two(self, e1_file, tmp_path, Q):
         other = Dwroca(["q0"], ["b"], "q0", Q.one(), {}, {}, {"q0": Q.one()})

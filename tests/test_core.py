@@ -15,12 +15,11 @@ from wroca import (
     ParseError,
     PumpingIntervals,
     UnknownSymbol,
-    counter_effect_profile,
     prime_field,
     rational,
     remove_intervals,
 )
-from wroca.core import PLUS_TABLE, ZERO_TABLE
+from wroca.core import PLUS_TABLE, ZERO_TABLE, _min_prefix_effect
 from wroca.testkit import GeneratorConfig, generate
 
 Q = rational()
@@ -203,20 +202,17 @@ class TestAcceptWeight:
 
 
 class TestCounterProfile:
+    """The least prefix counter effect, as ``check_pumping`` compares it."""
+
     def test_e1_grounded(self, e1):
         run = e1.run_word(e1.initial_configuration(), word("aa"))
-        profile = counter_effect_profile(run)
-        assert profile.prefix_effects == (1, 2)
-        assert profile.min_effect == 1 and profile.max_effect == 2
-        assert profile.grounded
+        assert _min_prefix_effect(run) == 1  # over the non-empty prefixes only
+        assert run.zero_test_positions() == (0,)
 
     def test_empty_run(self, e1):
         run = e1.run_word(e1.initial_configuration(), ())
-        profile = counter_effect_profile(run)
-        assert profile == counter_effect_profile(run)
-        assert profile.prefix_effects == ()
-        assert profile.min_effect == 0 and profile.max_effect == 0
-        assert not profile.grounded
+        assert _min_prefix_effect(run) == 0
+        assert run.zero_test_positions() == ()
 
     def test_up_down(self, Q):
         machine = Dwroca(
@@ -229,10 +225,8 @@ class TestCounterProfile:
             {"q0": Q.one()},
         )
         run = machine.run_word(Configuration(0, 1, Q.one()), word("ab"))
-        profile = counter_effect_profile(run)
-        assert profile.prefix_effects == (1, 0)
-        assert profile.min_effect == 0 and profile.max_effect == 1
-        assert not profile.grounded
+        assert _min_prefix_effect(run) == 0
+        assert run.zero_test_positions() == ()
 
 
 class TestFloatingMonotonicity:
@@ -245,7 +239,7 @@ class TestFloatingMonotonicity:
             )
             w = tuple(rng.choice(machine.alphabet.symbols) for _ in range(rng.randint(1, 8)))
             run = machine.run_word(start, w)
-            if not run.ok or counter_effect_profile(run).grounded:
+            if not run.ok or run.zero_test_positions():
                 continue
             lifted = Configuration(start.state, start.counter + rng.randint(1, 4), Q.element(9))
             lifted_run = machine.run_word(lifted, w)

@@ -19,11 +19,9 @@ from wroca import (
     ResourceBudgetExceeded,
     UnknownSymbol,
     WaConfig,
-    bounded_k_equiv,
     check_equivalence,
     compute_bounds,
     dwa_equiv,
-    find_k_equiv_wa_config,
     prime_field,
     rational,
     underlying_wa,
@@ -40,6 +38,7 @@ from wroca.dwa import (
 from wroca.testkit import (
     GeneratorConfig,
     default_weight_pool,
+    find_k_equiv_wa_config,
     generate,
     random_words,
     split_state,
@@ -340,7 +339,7 @@ class TestDwaEquiv:
         monkeypatch.setattr(dwa, "_children", swapped)
         for search in (
             lambda: dwa_equiv(left, right),
-            lambda: bounded_k_equiv(left, right, 3),
+            lambda: _difference_search(left, right, max_len=3),
             lambda: check_equivalence(counting, counting_twin, 5),
             lambda: check_equivalence(counting, counting_twin),
         ):
@@ -890,16 +889,21 @@ class TestLongSearchShapes:
         assert verdict.equivalent and verdict.stats == SearchStats(64, 64, 63)
 
 
+def k_equiv(left, right, k):
+    """No word of length at most k tells the two machines apart."""
+    return _difference_search(left, right, max_len=k)[0] is None
+
+
 class TestBoundedKEquiv:
     def test_depth_zero_compares_empty_word_only(self):
         b1, b2 = one_state_dwa(2), one_state_dwa(3)
-        assert bounded_k_equiv(b1, b2, 0)
-        assert not bounded_k_equiv(b1, b2, 1)
+        assert k_equiv(b1, b2, 0)
+        assert not k_equiv(b1, b2, 1)
 
     def test_identical_any_depth(self):
         b = one_state_dwa(2)
         for k in (0, 1, 5, 40):
-            assert bounded_k_equiv(b, b, k)
+            assert k_equiv(b, b, k)
 
     def test_matches_brute_force_on_prefix_depths(self):
         for seed in range(60):
@@ -908,15 +912,15 @@ class TestBoundedKEquiv:
             if b1.alphabet != b2.alphabet:
                 continue
             for k in (0, 1, 3):
-                assert bounded_k_equiv(b1, b2, k) == (brute_dwa_witness(b1, b2, k) is None)
+                assert k_equiv(b1, b2, k) == (brute_dwa_witness(b1, b2, k) is None)
 
     def test_mixed_search_checks_dimension(self, e1):
         # the unfolding's a^n and the loop's a^n both weigh 2^n, but each
         # word reaches a new row, so the search keeps one vector per depth
         view = LazyUnfolding(e1, 4)
-        assert bounded_k_equiv(view, one_state_dwa(2), 4)
+        assert k_equiv(view, one_state_dwa(2), 4)
         with pytest.raises(InternalError):
-            bounded_k_equiv(Understated(view, 0), one_state_dwa(2), 4)
+            k_equiv(Understated(view, 0), one_state_dwa(2), 4)
 
 
 class TestFindKEquivConfig:

@@ -24,7 +24,7 @@ from wroca import (
     rational,
     replay_witness,
 )
-from wroca.dwa import EquivalenceVerdict, _difference_search
+from wroca.dwa import EquivalenceVerdict, Witness, _difference_search
 from wroca.equiv import _lockstep
 from wroca.testkit import GeneratorConfig, brute_force_witness, generate, split_state
 
@@ -68,6 +68,13 @@ class TestCheckEquivalence:
     def test_budget_converts_runaway_exploration(self, e1, e1_flat):
         with pytest.raises(ResourceBudgetExceeded):
             check_equivalence(e1, e1_flat, budget=200)
+
+    def test_negative_budget_rejected(self, e1):
+        with pytest.raises(ValueError, match="budget must be a natural number"):
+            check_equivalence(e1, e1, budget=-1)
+        with pytest.raises(ResourceBudgetExceeded, match="explored 1 words, budget is 0"):
+            check_equivalence(e1, e1, budget=0)
+        assert check_equivalence(e1, e1, budget=None).equivalent  # None: no cap
 
     def test_counters_climbing_in_step_are_proved(self, e1, e2):
         # the search alone never saturates on these; after 64 words without
@@ -377,19 +384,14 @@ class TestMetamorphic:
 
 class TestReplayWitness:
     def test_empty_word(self, e1, e1p):
-        replay = replay_witness(e1, e1p, ())
-        assert replay.f1 == Q.one() and replay.f2 == Q.one()
+        assert replay_witness(e1, e1p, ()) == Witness((), Q.one(), Q.one())
 
     def test_two_letters(self, e1, e1p):
-        replay = replay_witness(e1, e1p, ("a", "a"))
-        assert replay.f1 == Q.element(4) and replay.f2 == Q.element(9)
-        assert replay.run1.ok and replay.run2.ok
+        assert replay_witness(e1, e1p, ["a", "a"]) == Witness(("a", "a"), Q.element(4), Q.element(9))
 
     def test_undefined_side_is_zero(self, e1, Q):
         dead = Dwroca(["q0"], ["a"], "q0", Q.one(), {}, {}, {"q0": Q.one()})
-        replay = replay_witness(e1, dead, ("a",))
-        assert replay.f1 == Q.element(2) and replay.f2 == Q.zero()
-        assert not replay.run2.ok and replay.run2.stuck_at == 0
+        assert replay_witness(e1, dead, ("a",)) == Witness(("a",), Q.element(2), Q.zero())
 
 
 def machine(delta0, delta1, finals, initial=1):

@@ -18,7 +18,6 @@ from wroca import (
     Alphabet,
     BoundReport,
     Configuration,
-    CounterProfile,
     Dwa,
     Dwroca,
     EquivalenceVerdict,
@@ -29,7 +28,6 @@ from wroca import (
     SearchStats,
     WaConfig,
     Witness,
-    WitnessReplay,
     check_equivalence,
     prime_field,
     rational,
@@ -49,8 +47,6 @@ RECORDS = [
      "Configuration(state=1, counter=2, weight=8)"),
     (RunStep("a", 1, -1, GF7.element(3)), ("symbol", "table", "counter_effect", "weight"),
      "RunStep(symbol='a', table=1, counter_effect=-1, weight=3)"),
-    (CounterProfile((1, 0, -1), -1, 1, True), ("prefix_effects", "min_effect", "max_effect", "grounded"),
-     "CounterProfile(prefix_effects=(1, 0, -1), min_effect=-1, max_effect=1, grounded=True)"),
     (WaConfig(2, Q.element("5/3")), ("state", "weight"), "WaConfig(state=2, weight=5/3)"),
     (WITNESS, ("word", "f1", "f2"), "Witness(word=('a', 'b'), f1=4, f2=6)"),
     (STATS, ("explored_words", "basis_size", "max_counter_row"),
@@ -58,8 +54,6 @@ RECORDS = [
     (EquivalenceVerdict(False, WITNESS, "bounded", 12, STATS), ("equivalent", "witness", "mode", "bound", "stats"),
      "EquivalenceVerdict(equivalent=False, witness=Witness(word=('a', 'b'), f1=4, f2=6), mode='bounded', "
      "bound=12, stats=SearchStats(explored_words=5, basis_size=3, max_counter_row=2))"),
-    (WitnessReplay(Q.element(4), Q.element(6), "run1", "run2"), ("f1", "f2", "run1", "run2"),
-     "WitnessReplay(f1=4, f2=6, run1='run1', run2='run2')"),
     (BoundReport(2, 896, 96, 10, 20), ("k", "initial_space", "belt_thickness", "counter_bound", "witness_bound"),
      "BoundReport(k=2, initial_space=896, belt_thickness=96, counter_bound=10, witness_bound=20)"),
 ]

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from wroca import (
-    BudgetExceeded,
     Dwroca,
     PreconditionViolated,
     PumpingIntervals,
+    ResourceBudgetExceeded,
     prime_field,
     rational,
 )
@@ -111,8 +111,15 @@ class TestBruteForceWitness:
         assert brute_force_witness(three, one, 0).shortest_witness == ()
 
     def test_budget(self, e1):
-        with pytest.raises(BudgetExceeded):
+        # e1 against itself: one node per depth, so the fourth is over budget
+        with pytest.raises(ResourceBudgetExceeded) as info:
             brute_force_witness(e1, e1, 6, node_budget=3)
+        assert (info.value.explored, info.value.budget) == (4, 3)
+        assert str(info.value) == "explored 4 words, budget is 3"
+
+    def test_negative_budget_rejected(self, e1):
+        with pytest.raises(ValueError, match="budget must be a natural number"):
+            brute_force_witness(e1, e1, 6, node_budget=-1)
 
     def test_collapse_matches_plain_walk(self):
         for seed in range(120):

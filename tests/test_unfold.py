@@ -12,7 +12,6 @@ from wroca import (
     InvalidAutomaton,
     LazyUnfolding,
     ResourceBudgetExceeded,
-    bounded_k_equiv,
     bounds_for_k,
     compute_bounds,
     prime_field,
@@ -161,7 +160,7 @@ class TestLazyUnfolding:
         # such a view used to compare as k-equivalent to a machine over Q
         wa = underlying_wa(e1).with_initial(0, Q.element(3))
         with pytest.raises(FieldMismatch):
-            bounded_k_equiv(LazyUnfolding(e1, 4, start=Configuration(0, 0, GF7.element(3))), wa, 4)
+            _difference_search(LazyUnfolding(e1, 4, start=Configuration(0, 0, GF7.element(3))), wa, max_len=4)
 
     def test_size_matches_materialized_unfolding(self, e1, e2):
         for machine in (e1, e2):
