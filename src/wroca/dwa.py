@@ -439,6 +439,16 @@ class _PairBasis:
             scales[u] = d
 
 
+def _ray(a: int, b: int, p: int | None) -> tuple:
+    """The int pair ``(a, b)`` up to a nonzero scalar, as the search keeps
+    it: reduced mod ``p`` over GF(p), divided by its gcd over the
+    rationals (``p`` None)."""
+    if p:
+        return a % p, b % p
+    g = gcd(a, b) or 1
+    return a // g, b // g
+
+
 def _difference_search(
     left,
     right,
@@ -488,12 +498,7 @@ def _difference_search(
     pairs: dict = {}
     (sl, rl, wl), (sr, rr, wr) = init_l, init_r
     vl, vr = wl.value, wr.value
-    a, b = vl.numerator * vr.denominator, vr.numerator * vl.denominator
-    if p:
-        a, b = a % p, b % p
-    else:
-        g = gcd(a, b) or 1
-        a, b = a // g, b // g
+    a, b = _ray(vl.numerator * vr.denominator, vr.numerator * vl.denominator, p)
     queue: deque = deque([(None, None, 0, sl, rl, a, sr, rr, b)])
     basis = _PairBasis(p)
     rows, insert = basis.others, basis.insert

@@ -14,6 +14,8 @@ kept-vector basis saturates, or, once it has tested ``_CERTIFY_AFTER`` words
 without a witness, when the lockstep certificate (``_lockstep``) proves the
 machines equivalent from their tables: a relation on (left state, right
 state, counter class) under which both machines make equal counter moves.
+The certificate computes on the search's int pairs, as ``_ray`` keeps
+them, and performs no FieldElement operation.
 A pair whose counters climb out of step, like a counting machine against
 its counter-free copy, is left to the search, which then stops with
 ResourceBudgetExceeded instead of a verdict; passing ``bound_override``
@@ -28,10 +30,10 @@ from .dwa import (
     EquivalenceVerdict,
     Witness,
     _difference_search,
+    _ray,
     _require_compatible,
 )
 from .errors import InternalError, InvalidAutomaton
-from .fields import FieldElement
 from .unfold import LazyUnfolding, compute_bounds
 
 DEFAULT_SEARCH_BUDGET = 100_000
@@ -146,7 +148,15 @@ def _lockstep(a1: Dwroca, a2: Dwroca) -> bool:
     a broken rule or a second ratio returns False: the check is
     sufficient, not necessary. By induction on word length the claim holds
     for every triple, so the two machines weigh every word alike.
+
+    The check computes on the search's int pairs and performs no
+    FieldElement operation: rho is a pair (n, d) meaning n / d, kept as
+    ``_ray`` keeps the search's pairs, and each equation is tested
+    cross-multiplied, against zero mod p over GF(p). It assumes valid
+    machines, as ``check_equivalence`` makes sure before it can ask: with
+    nonzero step weights, no ratio's d is 0.
     """
+    modulus = a1.field.modulus
     symbols = range(len(a1.alphabet))
     zero = [None, None]  # each machine's zero-series pairs, once one is asked for
 
@@ -155,10 +165,15 @@ def _lockstep(a1: Dwroca, a2: Dwroca) -> bool:
             zero[side] = _zero_series((a1, a2)[side])
         return (state, positive) in zero[side]
 
-    def successors(p: int, q: int, c: bool, rho: FieldElement) -> list | None:
+    def vanishes(x: int) -> bool:
+        return not (x % modulus if modulus else x)
+
+    def successors(p: int, q: int, c: bool, rho: tuple) -> list | None:
         """The triples the rules relate to (p, q, c) at rho, or None when a
         rule fails there."""
-        if a1.final_weights[p] != rho * a2.final_weights[q]:
+        n, d = rho
+        fl, fr = a1.final_weights[p].value, a2.final_weights[q].value
+        if not vanishes(fl.numerator * fr.denominator * d - n * fr.numerator * fl.denominator):
             return None
         table1, table2 = (a1.delta1, a2.delta1) if c else (a1.delta0, a2.delta0)
         found = []
@@ -173,12 +188,15 @@ def _lockstep(a1: Dwroca, a2: Dwroca) -> bool:
             elif step1[1] != step2[1]:
                 return None
             else:
-                ratio = rho * step2[2] / step1[2]
+                u, v = step1[2].value, step2[2].value
+                ratio = _ray(n * v.numerator * u.denominator, d * v.denominator * u.numerator, modulus)
                 found += [(step1[0], step2[0], c2, ratio) for c2 in _classes(c, step1[1])]
         return found
 
     ratios: dict = {}
-    todo = [(a1.initial_state, a2.initial_state, False, a2.initial_weight / a1.initial_weight)]
+    w1, w2 = a1.initial_weight.value, a2.initial_weight.value
+    rho = _ray(w2.numerator * w1.denominator, w2.denominator * w1.numerator, modulus)
+    todo = [(a1.initial_state, a2.initial_state, False, rho)]
     while todo:
         p, q, c, rho = todo.pop()
         seen = ratios.get((p, q, c))
@@ -188,7 +206,7 @@ def _lockstep(a1: Dwroca, a2: Dwroca) -> bool:
             if found is not None:
                 todo += found
                 continue
-        elif seen == rho:
+        elif vanishes(seen[0] * rho[1] - rho[0] * seen[1]):
             continue
         if not (dead(0, p, c) and dead(1, q, c)):
             return False

@@ -25,7 +25,8 @@ from wroca import (
     replay_witness,
 )
 from wroca.dwa import EquivalenceVerdict, Witness, _difference_search
-from wroca.equiv import _lockstep
+from wroca.equiv import _classes, _lockstep, _zero_series
+from wroca.fields import FieldElement
 from wroca.testkit import GeneratorConfig, brute_force_witness, generate, split_state
 
 Q = rational()
@@ -394,29 +395,36 @@ class TestReplayWitness:
         assert replay_witness(e1, dead, ("a",)) == Witness(("a",), Q.element(2), Q.zero())
 
 
-def machine(delta0, delta1, finals, initial=1):
+def machine(delta0, delta1, finals, initial=1, field=Q):
     """A machine over {a, b} starting in q0, from tables of (src, symbol) ->
-    (dst, effect, weight) and finals by state, weights given as ints."""
+    (dst, effect, weight) and finals by state, weights given as ints of
+    ``field``."""
     states = sorted(finals)
-    tables = [{key: (dst, e, Q.element(w)) for key, (dst, e, w) in t.items()} for t in (delta0, delta1)]
-    finals = {name: Q.element(w) for name, w in finals.items()}
-    return Dwroca(states, ["a", "b"], "q0", Q.element(initial), *tables, finals)
+    tables = [{key: (dst, e, field.element(w)) for key, (dst, e, w) in t.items()} for t in (delta0, delta1)]
+    finals = {name: field.element(w) for name, w in finals.items()}
+    return Dwroca(states, ["a", "b"], "q0", field.element(initial), *tables, finals)
+
+
+LOCKSTEP_FIELDS = (Q, prime_field(7), prime_field(2**31 - 1))
+GF7 = LOCKSTEP_FIELDS[1]
 
 
 class TestLockstep:
     """One test per rule of the lockstep certificate, called directly,
-    since the search decides most of these pairs before it would ask it."""
+    since the search decides most of these pairs before it would ask it.
+    Each rule is tested over Q, GF(7) and GF(2^31 - 1)."""
 
     def test_initial_ratio_runs_right_over_left(self):
         # left weighs a^n 2 * 2^n * 1 and right 1 * 2^n * 2; the upside-down
         # ratio, left initial / right initial, would ask 1 = 2 * 2
         loop = {("q0", "a"): ("q0", 1, 2)}
-        left = machine(loop, loop, {"q0": 1}, initial=2)
-        right = machine(loop, loop, {"q0": 2})
-        assert _lockstep(left, right)
-        assert not _lockstep(left, machine(loop, loop, {"q0": 1}))  # final weights 1 vs 1/2 * 1
-        verdict = check_equivalence(left, right, budget=200)
-        assert verdict.equivalent and verdict.mode == "theoretical"
+        for field in LOCKSTEP_FIELDS:
+            left = machine(loop, loop, {"q0": 1}, initial=2, field=field)
+            right = machine(loop, loop, {"q0": 2}, field=field)
+            assert _lockstep(left, right)
+            assert not _lockstep(left, machine(loop, loop, {"q0": 1}, field=field))  # 1 vs 1/2 * 1
+            verdict = check_equivalence(left, right, budget=200)
+            assert verdict.equivalent and verdict.mode == "theoretical"
 
     def test_decrement_from_positive_reaches_zero(self):
         # a climbs to q1, b comes back down to q2; only q2's zero table
@@ -424,56 +432,229 @@ class TestLockstep:
         up = {("q0", "a"): ("q1", 1, 1)}
         down = {("q1", "b"): ("q2", -1, 1), ("q2", "a"): ("q2", 0, 2)}
         finals = {"q0": 1, "q1": 1, "q2": 1}
-        left = machine({**up, ("q2", "a"): ("q2", 0, 2)}, down, finals)
-        right = machine({**up, ("q2", "a"): ("q2", 0, 3)}, down, finals)
-        assert brute_force_witness(left, right, 3).shortest_witness == ("a", "b", "a")
-        assert not _lockstep(left, right)
-        assert _lockstep(left, left)
+        for field in LOCKSTEP_FIELDS:
+            left = machine({**up, ("q2", "a"): ("q2", 0, 2)}, down, finals, field=field)
+            right = machine({**up, ("q2", "a"): ("q2", 0, 3)}, down, finals, field=field)
+            assert brute_force_witness(left, right, 3).shortest_witness == ("a", "b", "a")
+            assert not _lockstep(left, right)
+            assert _lockstep(left, left)
 
     def test_stuck_side_needs_a_zero_series(self):
-        stuck = machine({}, {}, {"q0": 1})
-        to_live = machine({("q0", "a"): ("q0", 0, 1)}, {}, {"q0": 1})
         # q1 weighs zero from both classes, though it steps in each
         dead_end = {("q0", "a"): ("q1", 1, 1), ("q1", "a"): ("q1", 1, 1)}
-        to_dead = machine(dead_end, dead_end, {"q0": 1, "q1": 0})
-        assert not _lockstep(to_live, stuck) and not _lockstep(stuck, to_live)
-        assert _lockstep(to_dead, stuck) and _lockstep(stuck, to_dead)
+        for field in LOCKSTEP_FIELDS:
+            stuck = machine({}, {}, {"q0": 1}, field=field)
+            to_live = machine({("q0", "a"): ("q0", 0, 1)}, {}, {"q0": 1}, field=field)
+            to_dead = machine(dead_end, dead_end, {"q0": 1, "q1": 0}, field=field)
+            assert not _lockstep(to_live, stuck) and not _lockstep(stuck, to_live)
+            assert _lockstep(to_dead, stuck) and _lockstep(stuck, to_dead)
 
     def test_both_zero_series_triple_holds_with_any_ratio(self):
         # (d, d) is reached with ratios 3/2 and 1, and there the sides
         # step with unequal effects; both weigh zero from d, so no conflict
-        left = machine(
-            {("q0", "a"): ("d", 0, 2), ("q0", "b"): ("d", 0, 1), ("d", "a"): ("d", 1, 1)},
-            {("d", "a"): ("d", 1, 1)},
-            {"q0": 1, "d": 0},
-        )
-        right = machine(
-            {("q0", "a"): ("d", 0, 3), ("q0", "b"): ("d", 0, 1), ("d", "a"): ("d", 0, 1)},
-            {},
-            {"q0": 1, "d": 0},
-        )
-        assert _lockstep(left, right)
-        assert brute_force_witness(left, right, 8).shortest_witness is None
+        for field in LOCKSTEP_FIELDS:
+            left = machine(
+                {("q0", "a"): ("d", 0, 2), ("q0", "b"): ("d", 0, 1), ("d", "a"): ("d", 1, 1)},
+                {("d", "a"): ("d", 1, 1)},
+                {"q0": 1, "d": 0},
+                field=field,
+            )
+            right = machine(
+                {("q0", "a"): ("d", 0, 3), ("q0", "b"): ("d", 0, 1), ("d", "a"): ("d", 0, 1)},
+                {},
+                {"q0": 1, "d": 0},
+                field=field,
+            )
+            assert _lockstep(left, right)
+            assert brute_force_witness(left, right, 8).shortest_witness is None
 
-    def test_unequal_effects_fail(self, e1, e1_flat):
+    def test_unequal_effects_fail(self):
         # equivalent, but the counters climb out of step
-        assert not _lockstep(e1, e1_flat) and not _lockstep(e1_flat, e1)
-        assert _lockstep(e1, e1) and _lockstep(e1_flat, e1_flat)
+        climb, stay = {("q0", "a"): ("q0", 1, 2)}, {("q0", "a"): ("q0", 0, 2)}
+        for field in LOCKSTEP_FIELDS:
+            counting = machine(climb, climb, {"q0": 1}, field=field)
+            flat_copy = machine(stay, stay, {"q0": 1}, field=field)
+            assert not _lockstep(counting, flat_copy) and not _lockstep(flat_copy, counting)
+            assert _lockstep(counting, counting) and _lockstep(flat_copy, flat_copy)
 
     def test_second_ratio_fails(self):
         # (q1, q1) is reached with ratios 3/2 (by a) and 1 (by b); each on
         # its own passes q1's zero final weight and its step to q2
-        def pair_machine(a_weight):
+        def pair_machine(a_weight, field):
             delta0 = {
                 ("q0", "a"): ("q1", 0, a_weight),
                 ("q0", "b"): ("q1", 0, 1),
                 ("q1", "a"): ("q2", 0, 1),
             }
-            return machine(delta0, {}, {"q0": 1, "q1": 0, "q2": 1})
+            return machine(delta0, {}, {"q0": 1, "q1": 0, "q2": 1}, field=field)
 
-        left, right = pair_machine(2), pair_machine(3)
-        assert brute_force_witness(left, right, 2).shortest_witness == ("a", "a")
-        assert not _lockstep(left, right)
+        for field in LOCKSTEP_FIELDS:
+            left, right = pair_machine(2, field), pair_machine(3, field)
+            assert brute_force_witness(left, right, 2).shortest_witness == ("a", "a")
+            assert not _lockstep(left, right)
+
+    def test_second_ratio_equal_mod_7(self):
+        # (q1, q1) is reached with ratios 3 (by a) and 10 (by b): a conflict
+        # over Q, one ratio over GF(7), where every word weighs alike
+        def pair_machine(weights, q2_final, field):
+            delta0 = {
+                ("q0", "a"): ("q1", 0, weights[0]),
+                ("q0", "b"): ("q1", 0, weights[1]),
+                ("q1", "a"): ("q2", 0, 1),
+            }
+            return machine(delta0, {}, {"q0": 1, "q1": 0, "q2": q2_final}, field=field)
+
+        for field, certified in ((Q, False), (GF7, True)):
+            left, right = pair_machine((1, 1), 10, field), pair_machine((3, 10), 1, field)
+            witness = brute_force_witness(left, right, 3).shortest_witness
+            assert witness == (None if certified else ("a", "a"))
+            assert _lockstep(left, right) is certified
+
+    def test_final_weights_equal_mod_7(self):
+        # rho = 3 and final weights 1 and 5: 1 = 3 * 5 holds mod 7 only
+        climb = {("q0", "a"): ("q0", 1, 2)}
+        for field, certified in ((Q, False), (GF7, True)):
+            left = machine(climb, climb, {"q0": 1}, field=field)
+            right = machine(climb, climb, {"q0": 5}, initial=3, field=field)
+            witness = brute_force_witness(left, right, 3).shortest_witness
+            assert witness == (None if certified else ())
+            assert _lockstep(left, right) is certified
+
+    def test_zero_step_weight_is_invalid_not_certified(self):
+        # with weight 1 on b the pair is certified; with 0 it is no machine
+        for field in LOCKSTEP_FIELDS:
+            for b_weight in (1, 0):
+                steps = {("q0", "a"): ("q0", 1, 2), ("q0", "b"): ("q0", 1, b_weight)}
+                same = machine(steps, steps, {"q0": 1}, field=field)
+                if b_weight:
+                    verdict = check_equivalence(same, same)
+                    assert verdict.equivalent and verdict.stats.explored_words == 64
+                else:
+                    with pytest.raises(InvalidAutomaton, match="zero transition weight"):
+                        check_equivalence(same, same)
+
+
+def _reference_lockstep(a1, a2):
+    """``equiv._lockstep`` as first written, on FieldElement arithmetic: the
+    same relation, rules and traversal order, ratios as field elements."""
+    symbols = range(len(a1.alphabet))
+    zero = [None, None]
+
+    def dead(side, state, positive):
+        if zero[side] is None:
+            zero[side] = _zero_series((a1, a2)[side])
+        return (state, positive) in zero[side]
+
+    def successors(p, q, c, rho):
+        if a1.final_weights[p] != rho * a2.final_weights[q]:
+            return None
+        table1, table2 = (a1.delta1, a2.delta1) if c else (a1.delta0, a2.delta0)
+        found = []
+        for sym in symbols:
+            step1, step2 = table1.get((p, sym)), table2.get((q, sym))
+            if step1 is None and step2 is None:
+                continue
+            if step1 is None or step2 is None:
+                side, (dst, effect, _) = (0, step1) if step2 is None else (1, step2)
+                if not all(dead(side, dst, c2) for c2 in _classes(c, effect)):
+                    return None
+            elif step1[1] != step2[1]:
+                return None
+            else:
+                ratio = rho * step2[2] / step1[2]
+                found += [(step1[0], step2[0], c2, ratio) for c2 in _classes(c, step1[1])]
+        return found
+
+    ratios = {}
+    todo = [(a1.initial_state, a2.initial_state, False, a2.initial_weight / a1.initial_weight)]
+    while todo:
+        p, q, c, rho = todo.pop()
+        seen = ratios.get((p, q, c))
+        if seen is None:
+            ratios[(p, q, c)] = rho
+            found = successors(p, q, c, rho)
+            if found is not None:
+                todo += found
+                continue
+        elif seen == rho:
+            continue
+        if not (dead(0, p, c) and dead(1, q, c)):
+            return False
+    return True
+
+
+def _rescaled(machine, rng, perturb=False):
+    """An equivalent copy with state q's weights rescaled by a nonzero s_q:
+    a step p -> q weighs u * s_q / s_p, the initial weight gains s_q0 and
+    final(q) loses s_q, so certified pairs meet ratios other than 1. With
+    ``perturb``, one step weight is also doubled."""
+    field, names, symbols = machine.field, machine.states, machine.alphabet.symbols
+    s = [field.element(rng.choice((1, -1, 2, 3, 5, 6))) for _ in names]
+    tables = [
+        {
+            (names[src], symbols[sym]): (names[dst], e, w * s[dst] / s[src])
+            for (src, sym), (dst, e, w) in table.items()
+        }
+        for table in (machine.delta0, machine.delta1)
+    ]
+    keys = [(t, key) for t, table in enumerate(tables) for key in sorted(table)]
+    if perturb and keys:
+        t, key = rng.choice(keys)
+        dst, e, w = tables[t][key]
+        tables[t][key] = dst, e, w * field.element(2)
+    return Dwroca(
+        names,
+        machine.alphabet,
+        names[machine.initial_state],
+        machine.initial_weight * s[machine.initial_state],
+        *tables,
+        {name: w / s[q] for q, (name, w) in enumerate(zip(names, machine.final_weights))},
+    )
+
+
+def _lockstep_stream(base_seed, count):
+    """Seeded acceptance-stream pairs over Q, GF(7) and GF(2^31 - 1): of
+    every five, two pairs of generated machines, a ``split_state`` copy of
+    the left machine, that copy rescaled, and the rescaled copy with one
+    step weight doubled."""
+    for i in range(count):
+        rng = random.Random(base_seed + i)
+        sigma = 2 + (i // 3) % 2
+        config = lambda seed: GeneratorConfig(  # noqa: E731
+            seed=seed, field=LOCKSTEP_FIELDS[i % 3], alphabet_size=(sigma, sigma)
+        )
+        left = generate(config(rng.randrange(2**32)))
+        kind = i % 5
+        if kind < 2:
+            yield left, generate(config(rng.randrange(2**32)))
+        else:
+            right = split_state(left, rng.randrange(2**32))
+            yield left, right if kind == 2 else _rescaled(right, rng, perturb=kind == 4)
+
+
+class TestLockstepOnInts:
+    def test_agrees_with_field_element_reference(self):
+        certified = [0, 0, 0]
+        for i, (left, right) in enumerate(_lockstep_stream(61_000, 1500)):
+            for pair in ((left, right), (right, left)):
+                expected = _reference_lockstep(*pair)
+                assert _lockstep(*pair) is expected, (i, pair)
+                certified[i % 3] += expected
+        # every field certifies some pairs and refuses others
+        assert all(0 < count < 1000 for count in certified), certified
+
+    def test_certifies_without_field_element_arithmetic(self, e1, e2, monkeypatch):
+        pairs = [(e1, e2), (e2, e1)]
+        pairs += [pair for pair in _lockstep_stream(62_000, 300) if _reference_lockstep(*pair)]
+
+        def refuse(*args):
+            raise AssertionError("FieldElement arithmetic in the lockstep certificate")
+
+        for name in ("__mul__", "__truediv__", "inverse"):
+            monkeypatch.setattr(FieldElement, name, refuse)
+        assert len(pairs) > 50
+        assert all(_lockstep(*pair) for pair in pairs)
+        assert all(check_equivalence(*pair).equivalent for pair in pairs)
 
 
 def _pinned_lines(e1, e1p, e2):
