@@ -74,6 +74,8 @@ def _load_automaton(path: str) -> Dwroca:
 
 
 def _require_valid(path: str, automaton: Dwroca) -> Dwroca:
+    """The automaton, or InvalidAutomaton naming ``path`` in each of the
+    violations it recorded when it was loaded."""
     violations = automaton.validate()
     if violations:
         raise InvalidAutomaton([f"{path}: {v}" for v in violations])
@@ -199,8 +201,8 @@ def cmd_equiv(args) -> int:
         stats = SearchStats(explored, 0, 0)
         verdict = EquivalenceVerdict(witness is None, witness, "bounded", args.bound, stats)
     else:
-        # check_equivalence validates both machines; only when one is
-        # invalid are they validated again, to name the file in the error.
+        # check_equivalence reads both machines' recorded violations; only
+        # when one is invalid are they read again, to name the file.
         try:
             verdict = check_equivalence(a1, a2, args.bound, budget=args.budget)
         except InvalidAutomaton:
@@ -222,11 +224,8 @@ def cmd_equiv(args) -> int:
 
 def cmd_unfold(args) -> int:
     automaton = _load_automaton(args.file)
-    try:  # unfold validates; an invalid machine is validated again, to name the file
-        result = unfold(automaton, args.bound, state_cap=_state_cap())
-    except InvalidAutomaton:
-        _require_valid(args.file, automaton)
-        raise
+    cap = _state_cap()  # a bad cap is reported before the file's violations
+    result = unfold(_require_valid(args.file, automaton), args.bound, state_cap=cap)
     return _write_machine(args, result, "unfolding")
 
 

@@ -15,7 +15,8 @@ Loading a JSON document (``Dwroca.from_json`` here, ``Dwa.from_json`` in
 ``dwa``) takes one pass: each table entry is checked and keyed by (state
 index, symbol index) as it is read, and the parts are set on the new
 instance directly, without the constructor's second lookup of every name.
-Equal weight texts in one document share one parsed element.
+Equal weight texts in one document share one parsed element. A loaded
+``Dwroca`` then records its violations, as a constructed one does.
 """
 
 from __future__ import annotations
@@ -252,8 +253,11 @@ class Dwroca(_Frozen):
     State and symbol names are interned to dense indices at construction;
     the transition tables are keyed by ``(state_index, symbol_index)``.
     Construction is permissive about semantic invariants (counter effects in
-    range, nonzero weights, matching field specs); ``validate`` reports every
-    violation so broken machines can be loaded and diagnosed.
+    range, nonzero weights, matching field specs), so broken machines can be
+    loaded and diagnosed: its last step, in the constructor as in
+    ``from_json``, records every violation, and ``validate`` reports the
+    record. The tables are read-only after construction, since a mutated
+    table would leave the record stale.
     """
 
     __slots__ = (
@@ -265,6 +269,7 @@ class Dwroca(_Frozen):
         "delta0",
         "delta1",
         "final_weights",
+        "_violations",
     )
 
     def __init__(
@@ -288,6 +293,7 @@ class Dwroca(_Frozen):
         _setattr(self, "delta0", _intern_table(delta0, index, alphabet))
         _setattr(self, "delta1", _intern_table(delta1, index, alphabet))
         _setattr(self, "final_weights", finals)
+        self._record_violations()
 
     @property
     def size(self) -> int:
@@ -299,12 +305,14 @@ class Dwroca(_Frozen):
     # -- validation ---------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Return every invariant violation; an empty list means valid."""
-        return _violations(
-            self,
-            self.initial_weight,
-            (("delta0 ", self.delta0, (0, 1)), ("delta1 ", self.delta1, (-1, 0, 1))),
-        )
+        """Return every invariant violation; an empty list means valid.
+        Each call returns a new list of the violations recorded at
+        construction."""
+        return list(self._violations)
+
+    def _record_violations(self) -> None:
+        tables = (("delta0 ", self.delta0, (0, 1)), ("delta1 ", self.delta1, (-1, 0, 1)))
+        _setattr(self, "_violations", tuple(_violations(self, self.initial_weight, tables)))
 
     # -- run semantics ------------------------------------------------
 
@@ -425,7 +433,9 @@ class Dwroca(_Frozen):
     def from_json(cls, obj) -> "Dwroca":
         """Parse the automaton JSON format; unknown keys are rejected."""
         states, alphabet, field, initial, (delta0, delta1), finals = _document_from_json(obj, counter=True)
-        return _from_slots(cls, (states, alphabet, field, *initial, delta0, delta1, finals))
+        machine = _from_slots(cls, (states, alphabet, field, *initial, delta0, delta1, finals))
+        machine._record_violations()
+        return machine
 
 
 # -- model plumbing shared with the weighted automata of ``dwa`` ----------

@@ -114,7 +114,8 @@ class Dwa(_Frozen):
         return len(self.states)
 
     def state_index(self, state) -> int:
-        if isinstance(state, int):
+        """The index of a state given by name or by index; a bool is neither."""
+        if isinstance(state, int) and not isinstance(state, bool):
             if not 0 <= state < len(self.states):
                 raise ValueError(f"state index {state} out of range")
             return state

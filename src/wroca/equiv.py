@@ -40,6 +40,9 @@ DEFAULT_SEARCH_BUDGET = 100_000
 
 
 def _require_valid(a1: Dwroca, a2: Dwroca) -> None:
+    """Raise InvalidAutomaton listing both machines' violations, each
+    prefixed by its side. It reads the violations each machine recorded
+    when it was built and walks no table."""
     violations = [f"left: {v}" for v in a1.validate()]
     violations += [f"right: {v}" for v in a2.validate()]
     if violations:
@@ -153,8 +156,9 @@ def _lockstep(a1: Dwroca, a2: Dwroca) -> bool:
     FieldElement operation: rho is a pair (n, d) meaning n / d, kept as
     ``_ray`` keeps the search's pairs, and each equation is tested
     cross-multiplied, against zero mod p over GF(p). It assumes valid
-    machines, as ``check_equivalence`` makes sure before it can ask: with
-    nonzero step weights, no ratio's d is 0.
+    machines: ``check_equivalence`` reads both machines' recorded
+    violations before it can ask, and with nonzero step weights no ratio's
+    d is 0.
     """
     modulus = a1.field.modulus
     symbols = range(len(a1.alphabet))

@@ -153,9 +153,8 @@ def unfold(automaton: Dwroca, bound: int, state_cap: int | None = None) -> Dwa:
     |Q| * (bound + 1) states. Refuses to build more states than
     ``state_cap`` (default 10^7).
     """
-    violations = automaton.validate()
-    if violations:
-        raise InvalidAutomaton(violations)
+    if automaton._violations:
+        raise InvalidAutomaton(automaton._violations)
     view = LazyUnfolding(automaton, bound)  # rejects a negative bound
     cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
     if view.size > cap:

@@ -243,6 +243,15 @@ class TestUnderlyingWa:
             assert underlying_wa(machine).size == machine.size
 
 
+class TestStateIndex:
+    def test_a_bool_is_no_state(self, e1):
+        wa = underlying_wa(e1)
+        assert wa.state_index(0) == wa.state_index("q0") == 0
+        for state in (True, False, "zz"):
+            with pytest.raises(ValueError, match=f"^unknown state {state!r}$"):
+                wa.with_initial(state, Q.one())
+
+
 class TestDwaAcceptWeight:
     def test_two_loops(self, e1):
         wa = underlying_wa(e1)
