@@ -75,10 +75,10 @@ def _load_automaton(path: str) -> Dwroca:
 
 def _require_valid(path: str, automaton: Dwroca) -> Dwroca:
     """The automaton, or InvalidAutomaton naming ``path`` in each of the
-    violations it recorded when it was loaded."""
-    violations = automaton.validate()
-    if violations:
-        raise InvalidAutomaton([f"{path}: {v}" for v in violations])
+    violations it recorded when it was loaded, read as ``unfold()`` reads
+    them."""
+    if automaton._violations:
+        raise InvalidAutomaton([f"{path}: {v}" for v in automaton._violations])
     return automaton
 
 
@@ -189,11 +189,11 @@ def cmd_equiv(args) -> int:
         return _fail("--method oracle requires --bound", 2)
     a1 = _load_automaton(args.file1)
     a2 = _load_automaton(args.file2)
+    _require_valid(args.file1, a1)
+    _require_valid(args.file2, a2)
     if args.method == "oracle":
         from . import testkit  # imported where it is used: most commands never need it
 
-        _require_valid(args.file1, a1)
-        _require_valid(args.file2, a2)
         result = testkit.brute_force_witness(a1, a2, args.bound, node_budget=args.budget)
         word = result.shortest_witness
         witness = None if word is None else replay_witness(a1, a2, word)
@@ -201,14 +201,7 @@ def cmd_equiv(args) -> int:
         stats = SearchStats(explored, 0, 0)
         verdict = EquivalenceVerdict(witness is None, witness, "bounded", args.bound, stats)
     else:
-        # check_equivalence reads both machines' recorded violations; only
-        # when one is invalid are they read again, to name the file.
-        try:
-            verdict = check_equivalence(a1, a2, args.bound, budget=args.budget)
-        except InvalidAutomaton:
-            _require_valid(args.file1, a1)
-            _require_valid(args.file2, a2)
-            raise
+        verdict = check_equivalence(a1, a2, args.bound, budget=args.budget)
     if verdict.equivalent:
         label = "proved" if verdict.mode == "theoretical" else f"no witness of length <= {verdict.bound}"
         _emit(args, verdict.to_json(), f"equivalent ({verdict.mode}: {label})")

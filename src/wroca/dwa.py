@@ -27,8 +27,10 @@ divided by its gcd over the rationals, reduced mod p over GF(p). Every kept
 row has one form in both fields: its pivot value ``d`` and the value at its
 other coordinate, fraction-free with the common factor removed over the
 rationals, residues over GF(p). A reported witness gets its true weights
-by stepping its word once more through ``initial_config``, ``step_config``
-and ``final_weight``.
+by stepping its word once more through the same tables, with the same row
+clipping: a numerator and a denominator per side, multiplied without
+normalising (residues mod p over GF(p)), so the search weighs it exactly
+and builds no FieldElement until it reports the weights.
 
 The search reads each machine once, through ``search_tables``: its initial
 configuration, its zero-row and positive-row transition tables, its final
@@ -56,6 +58,7 @@ parent's entry, and a witness's word is read back along these links.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from math import gcd, inf
 from typing import Mapping, Sequence
 
@@ -135,16 +138,10 @@ class Dwa(_Frozen):
         initial_weight = None if self.initial is None else self.initial[1]
         return _violations(self, initial_weight, (("", self.transitions, None),))
 
-    # -- stepping interface (shared with lazy unfoldings) ---------------
-
-    def initial_config(self):
-        return self.initial
+    # -- stepping (``step_config`` as on lazy unfoldings) ----------------
 
     def step_config(self, state: int, symbol_index: int):
         return self.transitions.get((state, symbol_index))
-
-    def final_weight(self, state: int) -> FieldElement:
-        return self.final_weights[state]
 
     def search_tables(self):
         """The equivalence search's view: a counter machine that stays at
@@ -458,6 +455,7 @@ def _difference_search(
     budget: int | None = None,
     prune: bool = True,
     certify=None,
+    replay=None,
 ):
     """Breadth-first difference-vector search.
 
@@ -466,15 +464,22 @@ def _difference_search(
     up to ``max_len`` (all words, when ``max_len`` is None). Raises
     ResourceBudgetExceeded when more than ``budget`` words get dequeued,
     and InternalError when more vectors get kept than the machines' sizes
-    add up to, or when a witness's true weights, stepped once more, are
-    equal. ``certify``, a callable, is asked once, when ``_CERTIFY_AFTER``
-    words are tested without a witness and the budget allows more: True
-    ends the search with no witness, its stats covering those words, as a
-    proof that there is none; False lets the same search go on.
+    add up to, or when a witness's true weights, stepped once more through
+    the tables (``_weigh``), are equal. ``certify``, a callable, is asked
+    once, when ``_CERTIFY_AFTER`` words are tested without a witness and the
+    budget allows more: True ends the search with no witness, its stats
+    covering those words, as a proof that there is none; False lets the same
+    search go on. ``replay``, a callable from a witness's symbols to a
+    ``Witness``, weighs the witness by other means: the search returns its
+    record, and raises InternalError unless it has the witness's word and
+    exactly the stepped weights, each compared by cross-multiplication, not
+    up to a common scalar. Without ``replay`` the witness's weights are the
+    stepped ones.
     """
     _require_compatible(left, right)
-    init_l, zero_l, plus_l, finals_l, bound_l = left.search_tables()
-    init_r, zero_r, plus_r, finals_r, bound_r = right.search_tables()
+    tables_l, tables_r = left.search_tables(), right.search_tables()
+    init_l, zero_l, plus_l, finals_l, bound_l = tables_l
+    init_r, zero_r, plus_r, finals_r, bound_r = tables_r
     if init_l is None or init_r is None:
         raise ValueError("equivalence search needs initialised automata")
     p = left.field.modulus
@@ -543,10 +548,29 @@ def _difference_search(
                 entry = entry[0]
             word.reverse()
             symbols = tuple(left.alphabet.symbols[sym] for sym in word)
-            f1, f2 = _weight_of(left, word), _weight_of(right, word)
-            if f1 == f2:  # the int pair says the word separates the machines
-                raise InternalError(f"search reported witness {symbols!r}, but both machines weigh it {f1}")
-            return Witness(symbols, f1, f2), SearchStats(explored, len(rows), max_row)
+            field = left.field
+            n1, d1 = _weigh(tables_l, word, p)
+            n2, d2 = _weigh(tables_r, word, p)
+            if _vanishes(n1 * d2 - n2 * d1, p):  # the int pair says the word separates the machines
+                raise InternalError(
+                    f"search reported witness {symbols!r}, but both machines weigh it {_element(field, n1, d1)}"
+                )
+            stats = SearchStats(explored, len(rows), max_row)
+            if replay is None:
+                return Witness(symbols, _element(field, n1, d1), _element(field, n2, d2)), stats
+            replayed = replay(symbols)
+            r1, r2 = replayed.f1.value, replayed.f2.value
+            if not (
+                replayed.word == symbols
+                and _vanishes(r1.numerator * d1 - n1 * r1.denominator, p)
+                and _vanishes(r2.numerator * d2 - n2 * r2.denominator, p)
+            ):
+                raise InternalError(
+                    f"unfolded search disagrees with replay on {symbols!r}: searched "
+                    f"{_element(field, n1, d1)}, {_element(field, n2, d2)}; "
+                    f"replayed {replayed.f1}, {replayed.f2}"
+                )
+            return replayed, stats
 
         if prune:
             # Coordinates are 2 * (row * states + state) + side. The right
@@ -590,17 +614,41 @@ def _difference_search(
     return None, SearchStats(explored, len(rows), max_row)
 
 
-def _weight_of(machine, word: list[int]) -> FieldElement:
-    """True acceptance weight of a word, stepped from the initial
-    configuration through the stepping interface; zero when it gets stuck."""
-    state, weight = machine.initial_config()
+def _weigh(tables, word: list[int], p: int | None) -> tuple:
+    """A word's exact acceptance weight ``(n, d)``, meaning n / d, stepped
+    from ``search_tables``' initial configuration with the search's row
+    rule: a side without a step, or whose step leaves its row range [0,
+    bound], weighs (0, 1). Numerators and denominators are multiplied
+    without normalising; over GF(p) the numerator is reduced mod ``p`` and
+    the denominator stays 1."""
+    (state, row, weight), zero, plus, finals, bound = tables
+    value = weight.value
+    n, d = value.numerator, value.denominator
     for sym in word:
-        step = machine.step_config(state, sym)
+        step = (zero if row == 0 else plus).get((state, sym))
         if step is None:
-            return machine.field.zero()
-        state, w = step
-        weight = weight * w
-    return weight * machine.final_weight(state)
+            return 0, 1
+        if len(step) == 3:  # (dst, effect, weight); a Dwa's (dst, weight) leaves the row at 0
+            row += step[1]
+            if not 0 <= row <= bound:
+                return 0, 1
+        state, value = step[0], step[-1].value
+        n, d = n * value.numerator, d * value.denominator
+        if p:
+            n %= p
+    value = finals[state].value
+    n, d = n * value.numerator, d * value.denominator
+    return (n % p, d) if p else (n, d)
+
+
+def _vanishes(x: int, p: int | None) -> bool:
+    """Whether ``x`` is zero in the field: mod ``p`` over GF(p)."""
+    return not (x % p if p else x)
+
+
+def _element(field, n: int, d: int) -> FieldElement:
+    """The element n / d of ``field``; over GF(p), ``_weigh``'s ``d`` is 1."""
+    return FieldElement(field, n % field.modulus if field.modulus else Fraction(n, d))
 
 
 def underlying_wa(automaton: Dwroca) -> Dwa:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import wroca
-from wroca import Dwa, Dwroca, InternalError, cli
+from wroca import Dwa, Dwroca, InternalError, cli, core
 from wroca.cli import main
 
 
@@ -26,6 +26,20 @@ def run_cli(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def counted_validation_passes(monkeypatch) -> list:
+    """The machines that ``core._violations`` walks from now on, one entry
+    per pass, in call order."""
+    validated = []
+    original = core._violations
+
+    def counting(machine, *args):
+        validated.append(machine)
+        return original(machine, *args)
+
+    monkeypatch.setattr(core, "_violations", counting)
+    return validated
 
 
 @pytest.fixture
@@ -349,14 +363,7 @@ class TestEquiv:
 
     @EQUIV_METHODS
     def test_each_machine_validated_once(self, e1_file, e1p_file, method, monkeypatch):
-        validated = []
-        original = Dwroca.validate
-
-        def counting(machine):
-            validated.append(machine)
-            return original(machine)
-
-        monkeypatch.setattr(Dwroca, "validate", counting)
+        validated = counted_validation_passes(monkeypatch)
         code, _, _ = run_cli("equiv", e1_file, e1p_file, *method)
         assert code == 1 and len(validated) == 2 and validated[0] is not validated[1]
 
@@ -416,14 +423,7 @@ class TestUnfold:
         assert "WROCA_STATE_CAP" in err
 
     def test_machine_validated_once(self, e1_file, monkeypatch):
-        validated = []
-        original = Dwroca.validate
-
-        def counting(machine):
-            validated.append(machine)
-            return original(machine)
-
-        monkeypatch.setattr(Dwroca, "validate", counting)
+        validated = counted_validation_passes(monkeypatch)
         code, _, _ = run_cli("unfold", e1_file, "-", "--bound", "2")
         assert code == 0 and len(validated) == 1
 

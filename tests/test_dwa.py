@@ -325,6 +325,31 @@ class TestDwaEquiv:
         with pytest.raises(FieldMismatch):
             dwa_equiv(one_state_dwa(2), other)
 
+    @pytest.mark.parametrize("field", [rational(), prime_field(2**31 - 1)], ids=["q", "gf"])
+    def test_witness_weights_are_the_initial_accept_weights(self, field):
+        # with no replay to check, a witness's weights are built from the
+        # search's own unnormalised numerators and denominators
+        rng = random.Random(2020 if field.modulus is None else 2021)
+
+        def weight():
+            return field.element(rng.choice((-7, -5, 2, 5, 7))) / field.element(rng.choice((3, 4, 9)))
+
+        def fractional():
+            states = ["p", "q", "r"]
+            table = {(s, a): (rng.choice(states), weight()) for s in states for a in "ab" if rng.random() < 0.8}
+            finals = {s: weight() if rng.random() < 0.8 else field.zero() for s in states}
+            return Dwa(states, ["a", "b"], table, finals, ("p", weight()))
+
+        lengths = set()
+        for _ in range(60):
+            left, right = fractional(), fractional()
+            for witness in (dwa_equiv(left, right).witness, _difference_search(left, right, max_len=4)[0]):
+                assert witness is not None
+                assert witness.f1 == left.initial_accept_weight(witness.word)
+                assert witness.f2 == right.initial_accept_weight(witness.word)
+                lengths.add(len(witness.word))
+        assert len(lengths) >= 2
+
     def test_witness_with_equal_weights_raises_internal_error(self, monkeypatch):
         # a weighs 2 on both sides, through step weights 2 and 1; a kernel
         # fault that swaps each child's cross-multipliers gives the word a

@@ -24,6 +24,7 @@ from wroca import (
     rational,
     replay_witness,
 )
+from wroca import equiv
 from wroca.dwa import EquivalenceVerdict, Witness, _difference_search
 from wroca.equiv import _classes, _lockstep, _zero_series
 from wroca.fields import FieldElement
@@ -407,6 +408,65 @@ def machine(delta0, delta1, finals, initial=1, field=Q):
 
 LOCKSTEP_FIELDS = (Q, prime_field(7), prime_field(2**31 - 1))
 GF7 = LOCKSTEP_FIELDS[1]
+
+
+class TestWitnessWeighedExactly:
+    """The search steps a witness once more through its own tables and
+    holds ``check_equivalence``'s replay to exactly those weights, not to
+    weights in the same ratio."""
+
+    @staticmethod
+    def pair(field):
+        """``a`` weighs 2 * 3 on the left and 5 * 3 on the right, different
+        and nonzero in each of the three fields; the empty word weighs 3."""
+
+        def loop(weight):
+            table = {("q0", "a"): ("q0", 1, weight)}
+            return machine(table, table, {"q0": 3}, field=field)
+
+        return loop(2), loop(5)
+
+    @pytest.mark.parametrize("field", LOCKSTEP_FIELDS, ids=["q", "gf7", "gf"])
+    def test_honest_replay(self, field):
+        for bound in (None, 12):
+            witness = check_equivalence(*self.pair(field), bound).witness
+            assert witness == Witness(("a",), field.element(6), field.element(15))
+
+    # each fault takes the honest replay and the field's one
+    FAULTS = {
+        "doubled": lambda found, one: Witness(found.word, found.f1 * (one + one), found.f2 * (one + one)),
+        "left_off_by_one": lambda found, one: Witness(found.word, found.f1 + one, found.f2),
+        "right_off_by_one": lambda found, one: Witness(found.word, found.f1, found.f2 + one),
+        "another_word": lambda found, one: Witness(found.word + ("b",), found.f1, found.f2),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("field", LOCKSTEP_FIELDS, ids=["q", "gf7", "gf"])
+    def test_faulty_replay_raises(self, field, fault, monkeypatch):
+        honest, faulty = equiv.replay_witness, self.FAULTS[fault]
+        monkeypatch.setattr(equiv, "replay_witness", lambda a1, a2, word: faulty(honest(a1, a2, word), field.one()))
+        for bound in (None, 12):
+            with pytest.raises(InternalError, match="disagrees with replay"):
+                check_equivalence(*self.pair(field), bound)
+
+    def test_one_replay_and_no_unfolding_steps(self, e1, e1p, monkeypatch):
+        calls = {"replay": 0, "step": 0}
+        replay, step = Dwroca.accept_weight_or_zero, LazyUnfolding.step_config
+
+        def counted(name, method):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(Dwroca, "accept_weight_or_zero", counted("replay", replay))
+        monkeypatch.setattr(LazyUnfolding, "step_config", counted("step", step))
+        for bound in (None, 12):
+            calls.update(replay=0, step=0)
+            verdict = check_equivalence(e1, e1p, bound)
+            assert not verdict.equivalent and verdict.witness.word == ("a",)
+            assert calls == {"replay": 2, "step": 0}
 
 
 class TestLockstep:
