@@ -5,9 +5,10 @@ is represented by the sparse difference vector pairing the forward vector of
 the left automaton with the negated forward vector of the right one; w is a
 witness exactly when that vector is not orthogonal to the combined
 final-weight vector. Vectors that fall in the linear span of previously
-kept ones are pruned and never extended, so at most dim = |Q1| + |Q2|
-vectors are ever kept and the first witness reported is shortest, with ties
-broken by the alphabet's declared symbol order.
+kept ones are pruned and never extended, so no more vectors are ever kept
+than the two machines' dimensions add up to (``_side``), and the first
+witness reported is shortest, with ties broken by the alphabet's declared
+symbol order.
 
 A word's vector has at most two nonzero coordinates, one per side whose
 run is not stuck. The kept vectors form an echelon basis whose rows have at
@@ -27,19 +28,22 @@ divided by its gcd over the rationals, reduced mod p over GF(p). Every kept
 row has one form in both fields: its pivot value ``d`` and the value at its
 other coordinate, fraction-free with the common factor removed over the
 rationals, residues over GF(p). A reported witness gets its true weights
-by stepping its word once more through the same tables, with the same row
-clipping: a numerator and a denominator per side, multiplied without
-normalising (residues mod p over GF(p)), so the search weighs it exactly
-and builds no FieldElement until it reports the weights.
+by stepping its word once more through the same tables: a numerator and a
+denominator per side, multiplied without normalising (residues mod p over
+GF(p)), so the search weighs it exactly and builds no FieldElement until
+it reports the weights.
 
-The search reads each machine once, through ``search_tables``: its initial
-configuration, its zero-row and positive-row transition tables, its final
-weights and its highest counter row. A lazy unfolding hands over its
-automaton's two tables; a weighted automaton is a machine that stays at row
-0, its one table serving both with counter effect 0. A configuration is then
-a control state and a row, both ints, and the search applies the counter
-effects and the row bound itself. ``size``, the state count (a lazy
-unfolding has |Q| * (M + 1)), bounds the kept rows.
+The search reads each machine once (``_side``): its initial configuration,
+its zero-row and positive-row transition tables and its final weights. A
+counter machine hands over its two tables; a weighted automaton is a
+machine that stays at row 0, its one table serving both with counter
+effect 0. A configuration is then a control state and a row, both ints,
+and the search applies the counter effects itself. A real-time machine
+moves its counter by at most 1 a step, so a word of length n from row r
+never leaves rows 0..r + n: the search needs no row bound, and on every
+word it tests it agrees with the unfolding cut at ``max_len``. That
+unfolding's state count, |Q| * (r + max_len + 1) for a counter machine and
+|Q| for a weighted automaton, bounds the kept rows.
 
 Each word costs one table lookup, for its pair of states and whether each
 side's row is 0. The first word there fills in the two final weights
@@ -49,10 +53,8 @@ children (``_children``): per symbol, both sides' next states and counter
 effects, and the two step weights cross-multiplied the same way, so a
 child's pair is the parent's times these, divided by the gcd or reduced mod
 p. The empty word's pair is the two initial weights, cross-multiplied and
-divided or reduced the same way. The table also records the rows from
-which no child leaves its row range; a word outside them builds its
-children again, the clipped sides stuck. A queue entry links to its
-parent's entry, and a witness's word is read back along these links.
+divided or reduced the same way. A queue entry links to its parent's
+entry, and a witness's word is read back along these links.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from .errors import (
     AlphabetMismatch,
     FieldMismatch,
     InternalError,
+    InvalidAutomaton,
     ResourceBudgetExceeded,
 )
 from .fields import FieldElement, _from_slots, _Frozen, _setattr
@@ -137,19 +140,6 @@ class Dwa(_Frozen):
         """Return every invariant violation; an empty list means valid."""
         initial_weight = None if self.initial is None else self.initial[1]
         return _violations(self, initial_weight, (("", self.transitions, None),))
-
-    # -- stepping (``step_config`` as on lazy unfoldings) ----------------
-
-    def step_config(self, state: int, symbol_index: int):
-        return self.transitions.get((state, symbol_index))
-
-    def search_tables(self):
-        """The equivalence search's view: a counter machine that stays at
-        row 0. ``(initial, zero_table, positive_table, final_weights,
-        bound)``, ``initial`` being (state, row, weight) or None; the one
-        table serves both rows, its (dst, weight) entries with effect 0."""
-        initial = None if self.initial is None else (self.initial[0], 0, self.initial[1])
-        return initial, self.transitions, self.transitions, self.final_weights, 0
 
     # -- acceptance -----------------------------------------------------
 
@@ -274,42 +264,23 @@ def _require_compatible(left, right) -> None:
         raise FieldMismatch("automata must share one field")
 
 
-def _children(side_l, sl, rl, side_r, sr, rr, symbol_count: int, clip: bool) -> tuple:
-    """The children of a word whose sides are at (state, row) ``(sl, rl)``
-    and ``(sr, rr)``, one per symbol on which a side steps, as ``(sym,
-    sl2, effect_l, sr2, effect_r, ml, mr)``; each side is its machine's
-    (zero-row table, positive-row table, row bound). A child of
-    the word pair (a, b) has the pair (a * ml, b * mr) up to a nonzero
-    scalar: ``ml, mr`` are the two step weights cross-multiplied by each
-    other's denominators, so the residues over GF(p). A side without a
-    step gets stuck, with state None, effect 0 and weight 0; with ``clip``,
-    so does a side whose step would leave its row range [0, bound].
-    Returns ``(lo_l, hi_l, lo_r, hi_r, children)``: no step leaves its row
-    range from rows lo <= row <= hi."""
-    zero_l, plus_l, bound_l = side_l
-    zero_r, plus_r, bound_r = side_r
-    table_l, table_r = zero_l if rl == 0 else plus_l, zero_r if rr == 0 else plus_r
-    low_l = high_l = low_r = high_r = 0
+def _children(table_l, sl, table_r, sr, symbol_count: int) -> list:
+    """The children of a word whose sides are at states ``sl`` and ``sr``,
+    stepping through ``table_l`` and ``table_r``, the tables of their rows:
+    one per symbol on which a side steps, as ``(sym, sl2, effect_l, sr2,
+    effect_r, ml, mr)``. A child of the word pair (a, b) has the pair (a *
+    ml, b * mr) up to a nonzero scalar: ``ml, mr`` are the two step weights
+    cross-multiplied by each other's denominators, so the residues over
+    GF(p). A side without a step gets stuck, with state None, effect 0 and
+    weight 0."""
     children = []
     for sym in range(symbol_count):
         step_l, step_r = table_l.get((sl, sym)), table_r.get((sr, sym))
         if step_l is not None:
             # a Dwa's (dst, weight) entries leave the counter alone
             sl2, el, ul = step_l[0], step_l[1] if len(step_l) == 3 else 0, step_l[-1].value
-            if el < low_l:
-                low_l = el
-            elif el > high_l:
-                high_l = el
-            if clip and not 0 <= rl + el <= bound_l:
-                step_l = None
         if step_r is not None:
             sr2, er, ur = step_r[0], step_r[1] if len(step_r) == 3 else 0, step_r[-1].value
-            if er < low_r:
-                low_r = er
-            elif er > high_r:
-                high_r = er
-            if clip and not 0 <= rr + er <= bound_r:
-                step_r = None
         if step_l is None:
             if step_r is None:
                 continue  # both stuck: every extension weighs zero on both sides
@@ -319,7 +290,7 @@ def _children(side_l, sl, rl, side_r, sr, rr, symbol_count: int, clip: bool) -> 
         # a Fraction, an int residue or the int 0: each has both attributes
         ml, mr = ul.numerator * ur.denominator, ur.numerator * ul.denominator
         children.append((sym, sl2, el, sr2, er, ml, mr))
-    return -low_l, bound_l - high_l, -low_r, bound_r - high_r, children
+    return children
 
 
 # Rows a walk passes along one chain of links before it re-points the
@@ -447,45 +418,76 @@ def _ray(a: int, b: int, p: int | None) -> tuple:
     return a // g, b // g
 
 
+def _side(machine, start, max_len: int | None) -> tuple:
+    """One machine as the search reads it: ``((state, row, weight),
+    zero_table, positive_table, final_weights, dimension)``.
+
+    A machine with counter tables (a ``Dwroca``) must be valid, so that its
+    zero-row table never decrements and no row falls below 0. It starts
+    from ``start``, a counter configuration whose state and field are
+    checked here, or from its initial configuration at row 0. A word no
+    longer than ``max_len`` keeps its rows within start row + ``max_len``,
+    so the dimension is |Q| * (row + max_len + 1). Any other machine is read
+    as an initialised ``Dwa``: one table serving both rows, with dimension
+    |Q|.
+    """
+    if not hasattr(machine, "delta0"):
+        if machine.initial is None:
+            raise ValueError("equivalence search needs initialised automata")
+        state, weight = machine.initial
+        return (state, 0, weight), machine.transitions, machine.transitions, machine.final_weights, machine.size
+    if machine._violations:
+        raise InvalidAutomaton(machine._violations)
+    if start is None:
+        state, row, weight = machine.initial_state, 0, machine.initial_weight
+    else:
+        state, row, weight = start.state, start.counter, start.weight
+        if not 0 <= state < machine.size:
+            raise ValueError(f"initial state {state} outside [0, {machine.size - 1}]")
+        if weight.spec != machine.field:
+            raise FieldMismatch(f"initial weight of {weight.spec} for a machine over {machine.field}")
+    dimension = inf if max_len is None else machine.size * (row + max_len + 1)
+    return (state, row, weight), machine.delta0, machine.delta1, machine.final_weights, dimension
+
+
 def _difference_search(
     left,
     right,
     *,
     max_len: int | None = None,
     budget: int | None = None,
-    prune: bool = True,
     certify=None,
     replay=None,
+    start=None,
 ):
-    """Breadth-first difference-vector search.
+    """Breadth-first difference-vector search of two machines, each a
+    ``Dwroca`` or an initialised ``Dwa`` (``_side``).
 
     Returns ``(witness | None, stats)``; None means no witness among the
-    explored words, which with pruning enabled covers every word of length
-    up to ``max_len`` (all words, when ``max_len`` is None). Raises
-    ResourceBudgetExceeded when more than ``budget`` words get dequeued,
-    and InternalError when more vectors get kept than the machines' sizes
-    add up to, or when a witness's true weights, stepped once more through
-    the tables (``_weigh``), are equal. ``certify``, a callable, is asked
-    once, when ``_CERTIFY_AFTER`` words are tested without a witness and the
-    budget allows more: True ends the search with no witness, its stats
-    covering those words, as a proof that there is none; False lets the same
-    search go on. ``replay``, a callable from a witness's symbols to a
-    ``Witness``, weighs the witness by other means: the search returns its
-    record, and raises InternalError unless it has the witness's word and
-    exactly the stepped weights, each compared by cross-multiplication, not
-    up to a common scalar. Without ``replay`` the witness's weights are the
-    stepped ones.
+    words of length up to ``max_len`` (all words, when ``max_len`` is None).
+    ``start``, a counter configuration, replaces the left machine's initial
+    one. Raises ResourceBudgetExceeded when more than ``budget`` words get
+    dequeued, and InternalError when more vectors get kept than the
+    machines' dimensions add up to, or when a witness's true weights,
+    stepped once more through the tables (``_weigh``), are equal.
+    ``certify``, a callable, is asked once, when ``_CERTIFY_AFTER`` words
+    are tested without a witness and the budget allows more: True ends the
+    search with no witness, its stats covering those words, as a proof that
+    there is none; False lets the same search go on. ``replay``, a callable
+    from a witness's symbols to a ``Witness``, weighs the witness by other
+    means: the search returns its record, and raises InternalError unless
+    it has the witness's word and exactly the stepped weights, each compared
+    by cross-multiplication, not up to a common scalar. Without ``replay``
+    the witness's weights are the stepped ones.
     """
     _require_compatible(left, right)
-    tables_l, tables_r = left.search_tables(), right.search_tables()
-    init_l, zero_l, plus_l, finals_l, bound_l = tables_l
-    init_r, zero_r, plus_r, finals_r, bound_r = tables_r
-    if init_l is None or init_r is None:
-        raise ValueError("equivalence search needs initialised automata")
+    side_l, side_r = _side(left, start, max_len), _side(right, None, max_len)
+    init_l, zero_l, plus_l, finals_l, dimension_l = side_l
+    init_r, zero_r, plus_r, finals_r, dimension_r = side_r
     p = left.field.modulus
     symbol_count = len(left.alphabet)
     states_l, states_r = len(finals_l), len(finals_r)
-    dimension = left.size + right.size
+    dimension = dimension_l + dimension_r
 
     # A queue entry (parent, sym, depth, sl, rl, a, sr, rr, b) holds a
     # word's control state and counter row on each side, and its difference
@@ -498,9 +500,7 @@ def _difference_search(
     # changes when the whole vector is scaled. ``pairs`` maps (sl, rl == 0,
     # sr, rr == 0) to [ea, eb, kids]: the final weights cross-multiplied,
     # so the word is a witness when a * ea != b * eb, and, from the first
-    # time a word there is extended, its ``_children`` with the rows from
-    # which none of them leaves its row range.
-    side_l, side_r = (zero_l, plus_l, bound_l), (zero_r, plus_r, bound_r)
+    # time a word there is extended, its ``_children``.
     pairs: dict = {}
     (sl, rl, wl), (sr, rr, wr) = init_l, init_r
     vl, vr = wl.value, wr.value
@@ -549,8 +549,8 @@ def _difference_search(
             word.reverse()
             symbols = tuple(left.alphabet.symbols[sym] for sym in word)
             field = left.field
-            n1, d1 = _weigh(tables_l, word, p)
-            n2, d2 = _weigh(tables_r, word, p)
+            n1, d1 = _weigh(side_l, word, p)
+            n2, d2 = _weigh(side_r, word, p)
             if _vanishes(n1 * d2 - n2 * d1, p):  # the int pair says the word separates the machines
                 raise InternalError(
                     f"search reported witness {symbols!r}, but both machines weigh it {_element(field, n1, d1)}"
@@ -572,37 +572,34 @@ def _difference_search(
                 )
             return replayed, stats
 
-        if prune:
-            # Coordinates are 2 * (row * states + state) + side. The right
-            # side's weights enter unnegated: negating one side's
-            # coordinates in every vector leaves span membership unchanged.
-            # A side enters only with a nonzero weight (a stuck side has 0),
-            # and the basis takes the smaller coordinate first.
-            if a and b:
-                u, v = 2 * (rl * states_l + sl), 2 * (rr * states_r + sr) + 1
-                kept = insert(u, a, v, b) if u < v else insert(v, b, u, a)
-            elif a:
-                kept = insert(2 * (rl * states_l + sl), a, None, 0)
-            elif b:
-                kept = insert(2 * (rr * states_r + sr) + 1, b, None, 0)
-            else:
-                kept = False  # a zero weight made the whole vector zero
-            if not kept:
-                continue  # spanned by kept vectors: extensions cannot add witnesses
-            if len(rows) > dimension:
-                raise InternalError(
-                    f"kept {len(rows)} vectors in a space of dimension {dimension}"
-                )
+        # Coordinates are 2 * (row * states + state) + side. The right
+        # side's weights enter unnegated: negating one side's coordinates
+        # in every vector leaves span membership unchanged. A side enters
+        # only with a nonzero weight (a stuck side has 0), and the basis
+        # takes the smaller coordinate first.
+        if a and b:
+            u, v = 2 * (rl * states_l + sl), 2 * (rr * states_r + sr) + 1
+            kept = insert(u, a, v, b) if u < v else insert(v, b, u, a)
+        elif a:
+            kept = insert(2 * (rl * states_l + sl), a, None, 0)
+        elif b:
+            kept = insert(2 * (rr * states_r + sr) + 1, b, None, 0)
+        else:
+            kept = False  # a zero weight made the whole vector zero
+        if not kept:
+            continue  # spanned by kept vectors: extensions cannot add witnesses
+        if len(rows) > dimension:
+            raise InternalError(
+                f"kept {len(rows)} vectors in a space of dimension {dimension}"
+            )
 
         if max_len is not None and depth >= max_len:
             continue
         if kids is None:
-            kids = pair[2] = _children(side_l, sl, rl, side_r, sr, rr, symbol_count, False)
-        lo_l, hi_l, lo_r, hi_r, children = kids
-        if not (lo_l <= rl <= hi_l and lo_r <= rr <= hi_r):
-            children = _children(side_l, sl, rl, side_r, sr, rr, symbol_count, True)[4]
+            table_l, table_r = zero_l if rl == 0 else plus_l, zero_r if rr == 0 else plus_r
+            kids = pair[2] = _children(table_l, sl, table_r, sr, symbol_count)
         depth += 1
-        for sym, sl2, el, sr2, er, ml, mr in children:
+        for sym, sl2, el, sr2, er, ml, mr in kids:
             ca, cb = a * ml, b * mr
             if p:
                 ca, cb = ca % p, cb % p
@@ -614,14 +611,13 @@ def _difference_search(
     return None, SearchStats(explored, len(rows), max_row)
 
 
-def _weigh(tables, word: list[int], p: int | None) -> tuple:
+def _weigh(side, word: list[int], p: int | None) -> tuple:
     """A word's exact acceptance weight ``(n, d)``, meaning n / d, stepped
-    from ``search_tables``' initial configuration with the search's row
-    rule: a side without a step, or whose step leaves its row range [0,
-    bound], weighs (0, 1). Numerators and denominators are multiplied
-    without normalising; over GF(p) the numerator is reduced mod ``p`` and
-    the denominator stays 1."""
-    (state, row, weight), zero, plus, finals, bound = tables
+    from ``_side``'s initial configuration: a side without a step weighs
+    (0, 1). Numerators and denominators are multiplied without normalising;
+    over GF(p) the numerator is reduced mod ``p`` and the denominator stays
+    1."""
+    (state, row, weight), zero, plus, finals, _ = side
     value = weight.value
     n, d = value.numerator, value.denominator
     for sym in word:
@@ -630,8 +626,6 @@ def _weigh(tables, word: list[int], p: int | None) -> tuple:
             return 0, 1
         if len(step) == 3:  # (dst, effect, weight); a Dwa's (dst, weight) leaves the row at 0
             row += step[1]
-            if not 0 <= row <= bound:
-                return 0, 1
         state, value = step[0], step[-1].value
         n, d = n * value.numerator, d * value.denominator
         if p:

@@ -1,14 +1,13 @@
 """Equivalence of two one-counter automata, with minimal witness extraction.
 
 The decision pipeline: compute the witness-length bound for the combined
-size, unfold both machines lazily up to that bound, and run the
-difference-vector worklist over the unfoldings. Two machines differ exactly
-when some word no longer than the bound distinguishes them, so the worklist
-never explores longer words. The reported witness is shortest, ties broken
-by alphabet order, and is its replay through the counter semantics
-(``replay_witness``), made once: the search steps the witness's word once
-more through its own tables and raises InternalError unless the replay
-gives exactly those weights.
+size, and run the difference-vector worklist over both machines, stepping
+their counters itself, on words no longer than that bound. Two machines
+differ exactly when some such word distinguishes them. The reported
+witness is shortest, ties broken by alphabet order, and is its replay
+through the counter semantics (``replay_witness``), made once: the search
+steps the witness's word once more through its own tables and raises
+InternalError unless the replay gives exactly those weights.
 
 The theoretical bound is astronomically large even for tiny machines, so a
 verdict in default mode relies on the search ending early. It ends when the
@@ -36,7 +35,7 @@ from .dwa import (
     _vanishes,
 )
 from .errors import InvalidAutomaton
-from .unfold import LazyUnfolding, compute_bounds
+from .unfold import compute_bounds
 
 DEFAULT_SEARCH_BUDGET = 100_000
 
@@ -71,7 +70,7 @@ def check_equivalence(
 
     A NotEquivalent verdict's witness is ``replay_witness`` of its word; the
     search raises InternalError unless that replay has exactly the weights
-    it steps through the unfoldings' tables, or when those are equal.
+    it steps through the machines' tables, or when those are equal.
     Machines over different alphabets or fields raise AlphabetMismatch or
     FieldMismatch.
     """
@@ -87,14 +86,10 @@ def check_equivalence(
         mode = "theoretical" if bound_override >= bounds.witness_bound else "bounded"
     if budget is not None and budget < 0:
         raise ValueError("budget must be a natural number")
-    left = LazyUnfolding(a1, limit)
-    right = LazyUnfolding(a2, limit)
     certify = (lambda: _lockstep(a1, a2)) if mode == "theoretical" else None
-    # The unfolding is exact on words within the row bound, so the search
-    # checks that the replay gives exactly the weights it steps.
     witness, stats = _difference_search(
-        left,
-        right,
+        a1,
+        a2,
         max_len=limit,
         budget=budget,
         certify=certify,

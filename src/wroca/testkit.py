@@ -20,14 +20,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .core import Configuration, Dwroca, PumpingIntervals, Word, remove_intervals
 from .dwa import Dwa, WaConfig, _difference_search, _require_compatible
-from .errors import (
-    AlphabetMismatch,
-    FieldMismatch,
-    PreconditionViolated,
-    ResourceBudgetExceeded,
-)
+from .errors import PreconditionViolated, ResourceBudgetExceeded
 from .fields import FieldElement, FieldSpec, rational
-from .unfold import LazyUnfolding
 
 DEFAULT_ORACLE_BUDGET = 5_000_000
 
@@ -177,13 +171,6 @@ class OracleResult:
     agreement_table: tuple[int, ...]
 
 
-def _require_same_shape(a1: Dwroca, a2: Dwroca) -> None:
-    if a1.alphabet != a2.alphabet:
-        raise AlphabetMismatch("oracle needs a shared alphabet")
-    if a1.field != a2.field:
-        raise FieldMismatch("oracle needs a shared field")
-
-
 def brute_force_witness(
     a1: Dwroca,
     a2: Dwroca,
@@ -204,7 +191,7 @@ def brute_force_witness(
         raise ValueError("max_len must be a natural number")
     if node_budget < 0:
         raise ValueError("budget must be a natural number")
-    _require_same_shape(a1, a2)
+    _require_compatible(a1, a2)
     zero = a1.field.zero()
     symbols = a1.alphabet.symbols
     m = len(symbols)
@@ -277,7 +264,7 @@ def language_equiv_witness(a1: Dwroca, a2: Dwroca, max_len: int):
     one machine, or None. Plain language comparison, no weight arithmetic."""
     if max_len < 0:
         raise ValueError("max_len must be a natural number")
-    _require_same_shape(a1, a2)
+    _require_compatible(a1, a2)
     symbols = a1.alphabet.symbols
     m = len(symbols)
 
@@ -445,8 +432,8 @@ def find_k_equiv_wa_config(
     """Find a weighted-automaton configuration k-equivalent to ``config``.
 
     For a candidate state q, a weight c works exactly when every word up to
-    length k weighs c times as much from (q, 1) as from ``config``'s
-    depth-k view of the counter automaton. So one depth-k search against
+    length k weighs c times as much from (q, 1) as from ``config`` in the
+    counter automaton. So one depth-k search from ``config`` against
     (q, 1) pins c: no witness means 1 works; a witness on which one side
     weighs zero rules q out; otherwise its weights force c = f1 / f2, which
     a second depth-k search verifies. Returns the first state that admits a
@@ -455,16 +442,15 @@ def find_k_equiv_wa_config(
     _require_compatible(automaton, wa)
     if k < 0:
         raise ValueError("k must be a natural number")
-    view = LazyUnfolding(automaton, config.counter + k, config)
     one = automaton.field.one()
     for q in range(wa.size):
-        witness, _stats = _difference_search(view, wa.with_initial(q, one), max_len=k)
+        witness, _stats = _difference_search(automaton, wa.with_initial(q, one), max_len=k, start=config)
         if witness is None:
             return WaConfig(q, one)
         if witness.f1.is_zero or witness.f2.is_zero:
             continue
         candidate = witness.f1 / witness.f2
-        if _difference_search(view, wa.with_initial(q, candidate), max_len=k)[0] is None:
+        if _difference_search(automaton, wa.with_initial(q, candidate), max_len=k, start=config)[0] is None:
             return WaConfig(q, candidate)
     return None
 
@@ -480,7 +466,7 @@ def harvest_theorem1_tuples(
     """Collect (c, c', word, I, J) tuples satisfying the trial preconditions
     from the initial configurations, by exhaustive search over words up to
     ``max_word_len`` and the pumpings valid from both sides."""
-    _require_same_shape(a1, a2)
+    _require_compatible(a1, a2)
     out = []
     c = a1.initial_configuration()
     c_prime = a2.initial_configuration()

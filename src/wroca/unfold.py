@@ -12,17 +12,19 @@ from two fixed coefficients (``INITIAL_SPACE_COEFF``,
 ``BELT_THICKNESS_COEFF``): the witness-length bound grows like K^26 and the
 counter-value bound like K^12 in the combined state count K, so the
 theoretical bound is a completeness guarantee rather than a practical loop
-count; equivalence search explores the unfolding lazily instead of
-materializing it.
+count. Equivalence search builds no unfolding: it steps the machines
+themselves, and a word of length n from row 0 never climbs above row n, so
+on the words it tests it agrees with the unfolding cut at its word-length
+limit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Configuration, Dwroca, _Record
+from .core import Dwroca, _Record
 from .dwa import Dwa
-from .errors import BoundTooLarge, FieldMismatch, InvalidAutomaton
+from .errors import BoundTooLarge, InvalidAutomaton
 from .fields import _Frozen, _setattr
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -88,42 +90,21 @@ def compute_bounds(size1: int, size2: int) -> BoundReport:
 class LazyUnfolding(_Frozen):
     """On-demand view of the unfolding: states are (state, row) pairs.
 
-    Exposes the same stepping interface as a materialized automaton, so the
-    equivalence worklist can explore reachable rows only. The view starts
-    from ``start``, a counter configuration whose counter is the row,
-    by default the automaton's initial configuration ((q0, 0), s0). A start
-    outside the automaton's states, over another field or above ``bound``
-    is rejected.
+    ``step_config`` steps one such pair as the materialized unfolding does,
+    so ``unfold`` builds its tables through it.
     """
 
-    __slots__ = ("automaton", "bound", "alphabet", "field", "_initial")
+    __slots__ = ("automaton", "bound")
 
-    def __init__(self, automaton: Dwroca, bound: int, start: Configuration | None = None):
+    def __init__(self, automaton: Dwroca, bound: int):
         if bound < 0:
             raise ValueError("unfold bound must be a natural number")
         _setattr(self, "automaton", automaton)
         _setattr(self, "bound", bound)
-        _setattr(self, "alphabet", automaton.alphabet)
-        _setattr(self, "field", automaton.field)
-        if start is None:
-            initial = ((automaton.initial_state, 0), automaton.initial_weight)
-        else:
-            state, row, weight = start.state, start.counter, start.weight
-            if not 0 <= state < automaton.size:
-                raise ValueError(f"initial state {state} outside [0, {automaton.size - 1}]")
-            if weight.spec != automaton.field:
-                raise FieldMismatch(f"initial weight of {weight.spec} for a machine over {automaton.field}")
-            if row > bound:
-                raise ValueError(f"initial row {row} outside [0, {bound}]")
-            initial = ((state, row), weight)
-        _setattr(self, "_initial", initial)
 
     @property
     def size(self) -> int:
         return self.automaton.size * (self.bound + 1)
-
-    def initial_config(self):
-        return self._initial
 
     def step_config(self, state: tuple[int, int], symbol_index: int):
         q, row = state
@@ -135,15 +116,6 @@ class LazyUnfolding(_Frozen):
         if row < 0 or row > self.bound:
             return None
         return ((dst, row), weight)
-
-    def final_weight(self, state: tuple[int, int]):
-        return self.automaton.final_weights[state[0]]
-
-    def search_tables(self):
-        """The equivalence search's view, as in ``Dwa.search_tables``."""
-        (state, row), weight = self._initial
-        a = self.automaton
-        return (state, row, weight), a.delta0, a.delta1, a.final_weights, self.bound
 
 
 def unfold(automaton: Dwroca, bound: int, state_cap: int | None = None) -> Dwa:

@@ -14,7 +14,6 @@ from wroca import (
     Dwroca,
     FieldMismatch,
     InternalError,
-    LazyUnfolding,
     ParseError,
     ResourceBudgetExceeded,
     UnknownSymbol,
@@ -25,6 +24,7 @@ from wroca import (
     prime_field,
     rational,
     underlying_wa,
+    unfold,
 )
 from wroca import dwa
 from wroca.dwa import (
@@ -51,8 +51,7 @@ def uncertified(left, right, budget):
     """``check_equivalence``'s theoretical-mode search without the lockstep
     certificate, so pairs it would prove spend their ``budget`` as before."""
     limit = compute_bounds(left.size, right.size).witness_bound
-    view_l, view_r = LazyUnfolding(left, limit), LazyUnfolding(right, limit)
-    witness, stats = _difference_search(view_l, view_r, max_len=limit, budget=budget)
+    witness, stats = _difference_search(left, right, max_len=limit, budget=budget)
     return EquivalenceVerdict(witness is None, witness, "theoretical", limit, stats)
 
 
@@ -105,8 +104,8 @@ def brute_dwa_witness(b1, b2, max_len):
         nxt = []
         for word, c1, c2 in level:
             for i, symbol in enumerate(symbols):
-                d1 = b1.step_config(c1[0], i) if c1 else None
-                d2 = b2.step_config(c2[0], i) if c2 else None
+                d1 = b1.transitions.get((c1[0], i)) if c1 else None
+                d2 = b2.transitions.get((c2[0], i)) if c2 else None
                 if d1:
                     d1 = (d1[0], c1[1] * d1[1])
                 if d2:
@@ -145,7 +144,7 @@ def difference_rank(b1, b2, max_len):
     most ``max_len``, where x_w and y_w are the forward vectors of the two
     machines, found by dense Gaussian elimination.
 
-    Words are walked level by level with ``step_config``. A level keeps each
+    Words are walked level by level through the transitions. A level keeps each
     vector only up to a nonzero scalar (scaled so its first nonzero
     coordinate is 1), which leaves the rank unchanged and keeps the levels
     small.
@@ -163,7 +162,7 @@ def difference_rank(b1, b2, max_len):
     def step(machine, config, sym):
         if config is None:
             return None
-        nxt = machine.step_config(config[0], sym)
+        nxt = machine.transitions.get((config[0], sym))
         return None if nxt is None else (nxt[0], config[1] * nxt[1])
 
     level = {ray(b1.initial, b2.initial)}
@@ -367,8 +366,7 @@ class TestDwaEquiv:
         honest = dwa._children
 
         def swapped(*args):
-            *ranges, children = honest(*args)
-            return (*ranges, [(sym, sl, el, sr, er, mr, ml) for sym, sl, el, sr, er, ml, mr in children])
+            return [(sym, sl, el, sr, er, mr, ml) for sym, sl, el, sr, er, ml, mr in honest(*args)]
 
         monkeypatch.setattr(dwa, "_children", swapped)
         for search in (
@@ -418,18 +416,22 @@ class TestDwaEquiv:
         assert hits == 60
 
     def test_pruning_changes_nothing(self):
+        # the pruned search finds the plain word-tree walk's first witness,
+        # with the weights each machine gives it
+        found = 0
         for seed in range(50):
             b1 = random_dwa(31000 + seed)
             b2 = random_dwa(33000 + seed, field=b1.field)
             if b1.alphabet != b2.alphabet:
                 continue
             depth = 6
-            pruned, _ = _difference_search(b1, b2, max_len=depth)
-            plain, _ = _difference_search(b1, b2, max_len=depth, prune=False)
-            assert (pruned is None) == (plain is None)
-            if pruned is not None:
-                assert pruned.word == plain.word
-                assert (pruned.f1, pruned.f2) == (plain.f1, plain.f2)
+            witness, _ = _difference_search(b1, b2, max_len=depth)
+            word = brute_dwa_witness(b1, b2, depth)
+            assert (witness is None) == (word is None)
+            if word is not None:
+                assert witness == Witness(word, b1.initial_accept_weight(word), b2.initial_accept_weight(word))
+                found += 1
+        assert found >= 10
 
     def test_basis_size_is_rank_of_difference_vectors(self):
         # Scaled copies mirror the left machine's states on the right, so
@@ -516,7 +518,8 @@ class TestPairScaler:
 
     def test_search_pairs_are_in_normal_form(self, monkeypatch):
         # Every word's pair reaches the basis divided by its gcd over Q and
-        # as residues over GF(p), the clipped searches' words included.
+        # as residues over GF(p), the words of unfoldings cut below the word
+        # length included.
         pairs = []
 
         class Recording(_PairBasis):
@@ -531,10 +534,7 @@ class TestPairScaler:
             field, sigma = (Q, GF7, GF_BIG)[i % 3], 2 + i % 2
             left = generate(GeneratorConfig(seed=70500 + i, field=field, alphabet_size=(sigma, sigma)))
             right = split_state(left, 71500 + i)  # equivalent: the searches run long
-            for view_l, view_r, max_len in (
-                (LazyUnfolding(left, 40), LazyUnfolding(right, 40), 40),
-                (LazyUnfolding(left, 1), LazyUnfolding(right, 2), 6),
-            ):
+            for view_l, view_r, max_len in ((left, right, 40), (unfold(left, 1), unfold(right, 2), 6)):
                 try:
                     _difference_search(view_l, view_r, max_len=max_len, budget=300)
                 except ResourceBudgetExceeded:
@@ -949,15 +949,23 @@ class TestBoundedKEquiv:
                 assert k_equiv(b1, b2, k) == (brute_dwa_witness(b1, b2, k) is None)
 
     def test_mixed_search_checks_dimension(self, e1):
-        # the unfolding's a^n and the loop's a^n both weigh 2^n, but each
-        # word reaches a new row, so the search keeps one vector per depth
-        view = LazyUnfolding(e1, 4)
-        assert k_equiv(view, one_state_dwa(2), 4)
+        # the counter machine's a^n and the loop's a^n both weigh 2^n, but
+        # each word reaches a new row, so the search keeps one vector per depth
+        assert k_equiv(e1, one_state_dwa(2), 4)
         with pytest.raises(InternalError):
-            k_equiv(Understated(view, 0), one_state_dwa(2), 4)
+            k_equiv(Understated(e1, 0), one_state_dwa(2), 4)
 
 
 class TestFindKEquivConfig:
+    def test_start_state_and_field_are_checked(self, e1):
+        wa = underlying_wa(e1)
+        with pytest.raises(ValueError, match=r"^initial state 5 outside \[0, 0\]$"):
+            find_k_equiv_wa_config(e1, Configuration(5, 0, Q.one()), wa, 3)
+        with pytest.raises(ValueError, match="initial state -1"):
+            find_k_equiv_wa_config(e1, Configuration(-1, 0, Q.one()), wa, 3)
+        with pytest.raises(FieldMismatch):
+            find_k_equiv_wa_config(e1, Configuration(0, 0, GF7.element(5)), wa, 3)
+
     def test_e1_counter_zero(self, e1):
         wa = underlying_wa(e1)
         found = find_k_equiv_wa_config(e1, Configuration(0, 0, Q.one()), wa, 2)

@@ -23,6 +23,7 @@ from wroca import (
     prime_field,
     rational,
     replay_witness,
+    unfold,
 )
 from wroca import equiv
 from wroca.dwa import EquivalenceVerdict, Witness, _difference_search
@@ -228,7 +229,7 @@ class TestCheckEquivalence:
         # python -O strips assert statements; the internal checks must stay.
         script = """
 import sys
-from wroca import Dwroca, InternalError, LazyUnfolding, check_equivalence, rational
+from wroca import Dwroca, InternalError, check_equivalence, rational
 from wroca.dwa import _difference_search
 
 Q = rational()
@@ -245,9 +246,8 @@ class Understated:
         return getattr(self.machine, name)
 
 two = loop(2)
-view = LazyUnfolding(two, 4)
 try:
-    _difference_search(Understated(view, 1), Understated(view, 0))
+    _difference_search(Understated(two, 0), Understated(two, 0), max_len=4)
     sys.exit(1)
 except InternalError:
     pass
@@ -746,15 +746,13 @@ def _pinned_lines(e1, e1p, e2):
             right = generate(config(rng.randrange(2**32)))
         lines.append(line(check_equivalence, left, right, 12 if i % 2 else None, budget=300))
         if i % 4 == 0:
-            # unfoldings below the word length, so the row-bound clip is hit
-            view_l, view_r = LazyUnfolding(left, 1), LazyUnfolding(right, 2)
-            lines.append(line(_difference_search, view_l, view_r, max_len=6, budget=300))
+            # unfoldings cut below the word length: their rows stop there
+            lines.append(line(_difference_search, unfold(left, 1), unfold(right, 2), max_len=6, budget=300))
     for x, y in ((e1, e1), (e1, e1p), (e1, e2), (e2, e1)):
         for bound in range(4):
             lines.append(line(check_equivalence, x, y, bound))
             for other in range(3):
-                view_l, view_r = LazyUnfolding(x, bound), LazyUnfolding(y, other)
-                lines.append(line(_difference_search, view_l, view_r, max_len=5))
+                lines.append(line(_difference_search, unfold(x, bound), unfold(y, other), max_len=5))
         lines.append(line(check_equivalence, x, y, budget=300))
     return lines
 
@@ -769,5 +767,11 @@ class TestPinnedAnswers:
         certified = [i for i, text in enumerate(lines) if '"explored_words": 64,' in text]
         assert certified == [18, 105, 118, 155, 168, 193, 218, 243, 266, 300, 317]
         assert all('"mode": "theoretical", "outcome": "equivalent"' in lines[i] for i in certified)
+        # check_equivalence's lines, the only ones with a bound, have not
+        # moved since its search stepped the machines through unfolding views
+        checked = [text for text in lines if '"bound": ' in text]
+        assert len(checked) == 220
+        digest = hashlib.sha256("\n".join(checked).encode()).hexdigest()
+        assert digest == "c7b9945b0413f0fc86f484bd5efb8b9374a57e72ef752c24b5b3b35b33581421"
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "52dc15eb0795618ee8d54a365cebdf3f615b1e37e09ce452b18fbe0f2d89a369"
+        assert digest == "dda7c6370676d4c8ae1b6f4c706321c6d25a8cb5edb0deea85866617316dfdae"

@@ -154,8 +154,8 @@ VALUES = [
     (E1, Dwroca.to_json),
     (GF_DWA, Dwa.to_json),
     (
-        LazyUnfolding(E1, 3, start=Configuration(0, 1, Q.element(5))),
-        lambda view: (view.automaton.to_json(), view.bound, view.initial_config()),
+        LazyUnfolding(E1, 3),
+        lambda view: (view.automaton.to_json(), view.bound),
     ),
 ]
 VALUE_IDS = ["rational", "gf7", "rational-element", "gf7-element", "Alphabet", "PumpingIntervals", "Run",

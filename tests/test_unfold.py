@@ -7,20 +7,29 @@ import pytest
 from wroca import (
     BoundTooLarge,
     Configuration,
+    Dwa,
     Dwroca,
     FieldMismatch,
     InvalidAutomaton,
     LazyUnfolding,
     ResourceBudgetExceeded,
     bounds_for_k,
+    check_equivalence,
     compute_bounds,
+    dwa_equiv,
     prime_field,
     rational,
     underlying_wa,
     unfold,
 )
-from wroca.dwa import WaConfig, _difference_search
-from wroca.testkit import GeneratorConfig, generate, split_state
+from wroca.dwa import WaConfig, Witness, _difference_search
+from wroca.testkit import (
+    GeneratorConfig,
+    default_weight_pool,
+    find_k_equiv_wa_config,
+    generate,
+    split_state,
+)
 
 Q = rational()
 GF7 = prime_field(7)
@@ -122,7 +131,7 @@ class TestLazyUnfolding:
                 w = tuple(
                     rng.choice(machine.alphabet.symbols) for _ in range(rng.randint(0, bound + 3))
                 )
-                state, weight = lazy.initial_config()
+                state, weight = (machine.initial_state, 0), machine.initial_weight
                 for symbol in w:
                     step = lazy.step_config(state, machine.alphabet.index_of(symbol))
                     if step is None:
@@ -130,37 +139,27 @@ class TestLazyUnfolding:
                         break
                     state, weight = step[0], weight * step[1]
                 lazy_value = (
-                    machine.field.zero() if state is None else weight * lazy.final_weight(state)
+                    machine.field.zero() if state is None else weight * machine.final_weights[state[0]]
                 )
                 assert lazy_value == wa.accept_weight(WaConfig(*wa.initial), w)
 
     def test_custom_start(self, e1):
-        lazy = LazyUnfolding(e1, 10, start=Configuration(0, 4, Q.element(5)))
-        assert lazy.initial_config() == ((0, 4), Q.element(5))
-        step = lazy.step_config((0, 4), 0)
-        assert step == ((0, 5), Q.element(2))
+        # a view steps from any row; the search starts from any counter
+        # configuration and climbs one row a symbol from there
+        assert LazyUnfolding(e1, 10).step_config((0, 4), 0) == ((0, 5), Q.element(2))
+        wa = underlying_wa(e1).with_initial(0, Q.element(5))
+        witness, stats = _difference_search(e1, wa, max_len=6, start=Configuration(0, 4, Q.element(5)))
+        assert witness is None and stats.max_counter_row == 4 + 6
 
     def test_rows_clip_at_bound(self, e1):
         lazy = LazyUnfolding(e1, 2)
         assert lazy.step_config((0, 2), 0) is None
 
-    def test_start_row_outside_bound_rejected(self, e1):
-        with pytest.raises(ValueError, match=r"^initial row 3 outside \[0, 2\]$"):
-            LazyUnfolding(e1, 2, start=Configuration(0, 3, Q.one()))
-
-    def test_start_state_and_field_are_checked(self, e1):
-        with pytest.raises(ValueError, match=r"^initial state 5 outside \[0, 0\]$"):
-            LazyUnfolding(e1, 3, start=Configuration(5, 0, Q.one()))
-        with pytest.raises(ValueError, match="initial state -1"):
-            LazyUnfolding(e1, 3, start=Configuration(-1, 0, Q.one()))
-        with pytest.raises(FieldMismatch):
-            LazyUnfolding(e1, 3, start=Configuration(0, 0, GF7.element(5)))
-
     def test_other_field_start_cannot_reach_a_search(self, e1):
-        # such a view used to compare as k-equivalent to a machine over Q
+        # such a start used to compare as k-equivalent to a machine over Q
         wa = underlying_wa(e1).with_initial(0, Q.element(3))
         with pytest.raises(FieldMismatch):
-            _difference_search(LazyUnfolding(e1, 4, start=Configuration(0, 0, GF7.element(3))), wa, max_len=4)
+            _difference_search(e1, wa, max_len=4, start=Configuration(0, 0, GF7.element(3)))
 
     def test_size_matches_materialized_unfolding(self, e1, e2):
         for machine in (e1, e2):
@@ -169,14 +168,16 @@ class TestLazyUnfolding:
 
 
 class TestSearchClip:
-    """The search applies the row bound itself; a materialized unfolding
-    has it built in by ``step_config``'s own row rule, and the same
-    coordinates. So searches on both agree word for word."""
+    """The search clips no rows. A word of length n from row r stays in rows
+    0..r + n, so a search of the machines at ``max_len`` equals a search of
+    their unfoldings cut at r + ``max_len``, whose states number the rows and
+    states as the search's coordinates do: the two agree word for word.
+    Only unfoldings cut lower clip rows, in ``step_config``."""
 
     @staticmethod
-    def outcome(left, right, max_len):
+    def outcome(left, right, max_len, start=None):
         try:
-            witness, stats = _difference_search(left, right, max_len=max_len, budget=400)
+            witness, stats = _difference_search(left, right, max_len=max_len, budget=400, start=start)
         except ResourceBudgetExceeded as exc:
             return "budget", exc.stats.explored_words, exc.stats.basis_size
         word = None if witness is None else (witness.word, witness.f1, witness.f2)
@@ -185,31 +186,35 @@ class TestSearchClip:
     @pytest.mark.parametrize("field", [rational(), prime_field(7)], ids=["q", "gf7"])
     def test_lazy_rows_clip_like_the_materialized_unfolding(self, field):
         rng = random.Random(4242 if field.modulus is None else 4343)
-        clipped = witnesses = 0
-        for i in range(40):
+        pool = default_weight_pool(field)
+        top = witnesses = 0
+        for i in range(100):
             sigma = 2 + i % 2
             config = lambda: GeneratorConfig(  # noqa: E731
                 seed=rng.randrange(2**32), field=field, alphabet_size=(sigma, sigma)
             )
             left = generate(config())
             right = split_state(left, rng.randrange(2**32)) if i % 2 else generate(config())
-            bound = rng.randrange(3)
-            max_len = bound + 1 + rng.randrange(4)
-            lazy = self.outcome(LazyUnfolding(left, bound), LazyUnfolding(right, bound), max_len)
-            wa = self.outcome(unfold(left, bound), unfold(right, bound), max_len)
-            assert lazy[:3] == wa[:3]
-            if lazy[0] != "budget":
-                # a side the clip makes stuck does not keep the row it left for
-                assert lazy[3] <= bound and wa[3] == 0
-                clipped += 0 < lazy[3] == bound
-                witnesses += lazy[0] is not None
-        assert clipped >= 10 and witnesses >= 10
+            max_len = 1 + rng.randrange(5)
+            state, row, weight = left.initial_state, 0, left.initial_weight
+            if i % 3 == 0:
+                state, row, weight = rng.randrange(left.size), rng.randrange(4), rng.choice(pool)
+            start = Configuration(state, row, weight)
+            unfolded = unfold(left, row + max_len).with_initial(row * left.size + state, weight)
+            machines = self.outcome(left, right, max_len, start)
+            assert machines[:3] == self.outcome(unfolded, unfold(right, max_len), max_len)[:3]
+            if machines[0] != "budget":
+                assert machines[3] <= row + max_len
+                top += machines[3] == row + max_len
+                witnesses += machines[0] is not None
+        assert top >= 10 and witnesses >= 30
 
     @staticmethod
     def wild(machine, rng):
-        """``machine`` with counter effects from -2 to 2 in both tables, a
-        zero-test decrement among them: invalid, so ``unfold`` refuses it,
-        but a lazy unfolding steps it, clipping rows at both ends."""
+        """``machine`` with counter effects from -2 to 2 in both tables,
+        often a zero-test decrement among them: invalid, so the search and
+        ``unfold`` refuse it, but a lazy unfolding steps it, clipping rows at
+        both ends."""
         states, symbols = machine.states, machine.alphabet.symbols
 
         def table(delta):
@@ -221,48 +226,40 @@ class TestSearchClip:
         start, finals = states[machine.initial_state], dict(zip(states, machine.final_weights))
         return Dwroca(states, symbols, start, machine.initial_weight, table(machine.delta0), table(machine.delta1), finals)
 
-    @staticmethod
-    def stepped_witness(left, right, max_len):
-        """The first word, shortest and then in symbol order, on which the
-        two views' own ``step_config`` runs weigh differently, with both
-        weights; None when they agree up to ``max_len``."""
-        zero = left.field.zero()
-
-        def weight(view, config):
-            return zero if config is None else config[1] * view.final_weight(config[0])
-
-        def step(view, config, sym):
-            nxt = None if config is None else view.step_config(config[0], sym)
-            return None if nxt is None else (nxt[0], config[1] * nxt[1])
-
-        level = [((), left.initial_config(), right.initial_config())]
-        for depth in range(max_len + 1):
-            for word, c1, c2 in level:
-                if weight(left, c1) != weight(right, c2):
-                    return word, weight(left, c1), weight(right, c2)
-            level = [
-                (word + (symbol,), step(left, c1, sym), step(right, c2, sym))
-                for word, c1, c2 in level
-                for sym, symbol in enumerate(left.alphabet.symbols)
-            ]
-        return None
-
     @pytest.mark.parametrize("field", [rational(), prime_field(7)], ids=["q", "gf7"])
     def test_rows_clip_at_both_ends_on_invalid_machines(self, field):
+        # the search once clipped a zero-test decrement as a stuck step
         rng = random.Random(4545 if field.modulus is None else 4646)
-        clipped_below = 0
+        decrements = 0
         for i in range(40):
             left = generate(GeneratorConfig(seed=rng.randrange(2**32), field=field, alphabet_size=(2, 2)))
             wild = self.wild(left, rng)
-            bound, max_len = rng.randrange(1, 4), 5
-            views = LazyUnfolding(wild, bound), LazyUnfolding(split_state(left, rng.randrange(2**32)), bound)
-            if i % 2:
-                views = views[::-1]
-            witness, _stats = _difference_search(*views, max_len=max_len)
-            found = None if witness is None else (witness.word, witness.f1, witness.f2)
-            assert found == self.stepped_witness(*views, max_len)
-            clipped_below += any(e < 0 for _, e, _ in wild.delta0.values())
-        assert clipped_below >= 20
+            if not any(e < 0 for _, e, _ in wild.delta0.values()):
+                continue
+            decrements += 1
+            pair = wild, split_state(left, rng.randrange(2**32))
+            with pytest.raises(InvalidAutomaton):
+                _difference_search(*(pair[::-1] if i % 2 else pair), max_len=5)
+            with pytest.raises(InvalidAutomaton):
+                find_k_equiv_wa_config(wild, wild.initial_configuration(), underlying_wa(left), 3)
+            bound = rng.randrange(1, 4)
+            view = LazyUnfolding(wild, bound)
+            for row, delta in ((0, wild.delta0), (bound, wild.delta1)):
+                for (state, sym), (dst, effect, weight) in delta.items():
+                    stepped = ((dst, row + effect), weight) if 0 <= row + effect <= bound else None
+                    assert view.step_config((state, row), sym) == stepped
+        assert decrements >= 20
+
+    def test_no_decision_path_builds_a_view(self, e1, e1p, e2, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a decision path built a LazyUnfolding")
+
+        monkeypatch.setattr(LazyUnfolding, "__init__", refuse)
+        assert check_equivalence(e1, e2).equivalent
+        assert check_equivalence(e1, e1p, 12).witness.word == ("a",)
+        wa = underlying_wa(e1)
+        assert dwa_equiv(wa.with_initial(0, Q.one()), wa.with_initial(0, Q.element(2))).witness.word == ()
+        assert find_k_equiv_wa_config(e1, Configuration(0, 4, Q.one()), wa, 3) == WaConfig(0, Q.one())
 
 
 class TestBounds:
@@ -327,17 +324,17 @@ class TestBounds:
 
 class TestStartConfiguration:
     def test_lazy_start_equals_counter_run(self, e2):
-        # the lazy view from (state, row) reproduces accept weights from the
-        # matching counter configuration when the bound leaves headroom
-        lazy = LazyUnfolding(e2, 12, start=Configuration(1, 3, Q.element(2)))
-        for length in range(6):
-            w = ("a",) * length
-            state, weight = lazy.initial_config()
-            for symbol in w:
-                step = lazy.step_config(state, 0)
-                if step is None:
-                    state = None
-                    break
-                state, weight = step[0], weight * step[1]
-            value = Q.zero() if state is None else weight * lazy.final_weight(state)
-            assert value == e2.accept_weight_or_zero(w, Configuration(1, 3, Q.element(2)))
+        # the search steps e2 from (q1, row 3, weight 2) itself: a^n weighs
+        # 2^n there, as on a one-state loop of weight 2, and a loop of
+        # weight 3 first differs on a, where the counter run weighs 2
+        start = Configuration(1, 3, Q.element(2))
+        weights = [e2.accept_weight_or_zero(("a",) * n, start) for n in range(6)]
+        assert weights == [Q.element(2**n) for n in range(6)]
+
+        def loop(weight):
+            return Dwa(["p"], ["a"], {("p", "a"): ("p", Q.element(weight))}, {"p": Q.one()}, ("p", Q.one()))
+
+        witness, stats = _difference_search(e2, loop(2), max_len=5, start=start)
+        assert witness is None and stats.max_counter_row == 3 + 5
+        witness, _stats = _difference_search(e2, loop(3), max_len=5, start=start)
+        assert witness == Witness(("a",), Q.element(2), Q.element(3))
