@@ -13,10 +13,15 @@ weight zero (the same machine completed with a zero-final-weight sink).
 
 Loading a JSON document (``Dwroca.from_json`` here, ``Dwa.from_json`` in
 ``dwa``) takes one pass: each table entry is checked and keyed by (state
-index, symbol index) as it is read, and the parts are set on the new
-instance directly, without the constructor's second lookup of every name.
-Equal weight texts in one document share one parsed element. A loaded
-``Dwroca`` then records its violations, as a constructed one does.
+index, symbol index) as it is read. Equal weight texts in one document
+share one parsed element. Each machine kind's ``_from_parts`` then sets
+the index-keyed parts on a new instance directly, without the
+constructor's second lookup of every name. Every machine the package
+builds itself (``testkit.generate`` and ``split_state``,
+``dwa.underlying_wa``, ``Dwa.with_initial``, ``unfold.unfold``) is built
+the same way, naming only its new states; the name-keyed constructors,
+with their checks, serve outside callers. A ``Dwroca`` built from parts
+records its violations, as a constructed one does.
 """
 
 from __future__ import annotations
@@ -324,6 +329,7 @@ class Dwroca(_Frozen):
 
     def step(self, config: Configuration, symbol: str) -> Configuration | None:
         """Apply one symbol; None when no transition applies."""
+        _require_state(self, config.state)
         sym = self.alphabet.index_of(symbol)
         entry = self.transition(config.state, config.counter, sym)
         if entry is None:
@@ -337,6 +343,7 @@ class Dwroca(_Frozen):
         Returns a complete run, or a partial one with ``stuck_at`` set to the
         first position whose symbol has no applicable transition.
         """
+        _require_state(self, config.state)
         indices = self.alphabet.word_indices(word)
         configs = [config]
         steps = []
@@ -359,12 +366,14 @@ class Dwroca(_Frozen):
         The start configuration's weight already includes the initial weight;
         it is multiplied once, never twice. Steps like ``run_word`` without
         recording the run: every symbol is checked first, and a negative
-        counter is a ValueError.
+        counter, like a start state that is not one of the machine's, is a
+        ValueError.
         """
         if start is None:
             state, counter, weight = self.initial_state, 0, self.initial_weight
         else:
             state, counter, weight = start.state, start.counter, start.weight
+            _require_state(self, state)
         delta0, delta1 = self.delta0, self.delta1
         for sym in self.alphabet.word_indices(word):
             entry = (delta1 if counter else delta0).get((state, sym))
@@ -432,13 +441,27 @@ class Dwroca(_Frozen):
     @classmethod
     def from_json(cls, obj) -> "Dwroca":
         """Parse the automaton JSON format; unknown keys are rejected."""
-        states, alphabet, field, initial, (delta0, delta1), finals = _document_from_json(obj, counter=True)
-        machine = _from_slots(cls, (states, alphabet, field, *initial, delta0, delta1, finals))
+        states, alphabet, _field, initial, (delta0, delta1), finals = _document_from_json(obj, counter=True)
+        return cls._from_parts(states, alphabet, initial, delta0, delta1, finals)
+
+    @classmethod
+    def _from_parts(cls, states, alphabet, initial, delta0, delta1, finals) -> "Dwroca":
+        """A machine from its index-keyed slots in their final form, no name
+        looked up; the field is the initial weight's, as in the constructor,
+        which records the violations the same way."""
+        machine = _from_slots(cls, (states, alphabet, initial[1].spec, *initial, delta0, delta1, finals))
         machine._record_violations()
         return machine
 
 
 # -- model plumbing shared with the weighted automata of ``dwa`` ----------
+
+
+def _require_state(machine, state: int, what: str = "state") -> None:
+    """Refuse a configuration's state that is not one of ``machine``'s
+    state indices, with a ValueError."""
+    if not 0 <= state < len(machine.states):
+        raise ValueError(f"{what} {state} outside [0, {len(machine.states) - 1}]")
 
 
 def _intern_states(states: Sequence[str], alphabet, final_weights: Mapping):

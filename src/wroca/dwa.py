@@ -72,6 +72,7 @@ from .core import (
     _document_to_json,
     _intern_states,
     _intern_table,
+    _require_state,
     _violations,
 )
 from .errors import (
@@ -131,10 +132,12 @@ class Dwa(_Frozen):
             raise ValueError(f"unknown state {state!r}") from None
 
     def with_initial(self, state, weight: FieldElement) -> "Dwa":
-        """A copy of this automaton initialised at the given state and weight."""
+        """A copy of this automaton, over its field, initialised at the given
+        state and weight; a weight of another field is a FieldMismatch."""
+        if not isinstance(weight, FieldElement) or weight.spec != self.field:
+            raise FieldMismatch(f"initial weight {weight!r} is not an element of {self.field}")
         initial = (self.state_index(state), weight)
-        parts = (self.states, self.alphabet, weight.spec, self.transitions, self.final_weights, initial)
-        return _from_slots(Dwa, parts)
+        return Dwa._from_parts(self.states, self.alphabet, self.field, self.transitions, self.final_weights, initial)
 
     def validate(self) -> list[str]:
         """Return every invariant violation; an empty list means valid."""
@@ -170,7 +173,13 @@ class Dwa(_Frozen):
         """Parse the weighted-automaton JSON format: one ``delta`` table
         without ``ce``, optional ``initial``; unknown keys are rejected."""
         states, alphabet, field, initial, (delta,), finals = _document_from_json(obj, counter=False)
-        return _from_slots(cls, (states, alphabet, field, delta, finals, initial))
+        return cls._from_parts(states, alphabet, field, delta, finals, initial)
+
+    @classmethod
+    def _from_parts(cls, states, alphabet, field, transitions, finals, initial) -> "Dwa":
+        """An automaton from its index-keyed slots in their final form, no
+        name looked up; ``initial`` is ``(state_index, weight)`` or None."""
+        return _from_slots(cls, (states, alphabet, field, transitions, finals, initial))
 
 
 class WaConfig(_Record):
@@ -198,6 +207,16 @@ class Witness(_Record):
 
 
 class SearchStats(_Record):
+    """What a search did: ``explored_words``, the words it dequeued;
+    ``basis_size``, the difference vectors it kept; ``max_counter_row``,
+    the highest counter row either side reached on a word it tested.
+
+    A ``Dwa`` side stays at row 0. A run the lockstep certificate ends
+    reports the words tested before the certificate was asked.
+    ``ResourceBudgetExceeded.stats`` counts the word over budget in
+    ``explored_words``, though that word was not tested.
+    """
+
     __slots__ = ("explored_words", "basis_size", "max_counter_row")
 
     def __init__(self, explored_words: int, basis_size: int, max_counter_row: int):
@@ -429,12 +448,18 @@ def _side(machine, start, max_len: int | None) -> tuple:
     longer than ``max_len`` keeps its rows within start row + ``max_len``,
     so the dimension is |Q| * (row + max_len + 1). Any other machine is read
     as an initialised ``Dwa``: one table serving both rows, with dimension
-    |Q|.
+    |Q|. A ``Dwa`` records no violations, so one pass over its weights
+    checks here that each, zero or not, is an element of its field: any
+    other is a FieldMismatch.
     """
     if not hasattr(machine, "delta0"):
         if machine.initial is None:
             raise ValueError("equivalence search needs initialised automata")
         state, weight = machine.initial
+        field = machine.field
+        for w in (weight, *machine.final_weights, *[entry[-1] for entry in machine.transitions.values()]):
+            if not isinstance(w, FieldElement) or (w.spec is not field and w.spec != field):
+                raise FieldMismatch(f"weight {w!r} in an automaton over {field}")
         return (state, 0, weight), machine.transitions, machine.transitions, machine.final_weights, machine.size
     if machine._violations:
         raise InvalidAutomaton(machine._violations)
@@ -442,8 +467,7 @@ def _side(machine, start, max_len: int | None) -> tuple:
         state, row, weight = machine.initial_state, 0, machine.initial_weight
     else:
         state, row, weight = start.state, start.counter, start.weight
-        if not 0 <= state < machine.size:
-            raise ValueError(f"initial state {state} outside [0, {machine.size - 1}]")
+        _require_state(machine, state, "initial state")
         if weight.spec != machine.field:
             raise FieldMismatch(f"initial weight of {weight.spec} for a machine over {machine.field}")
     dimension = inf if max_len is None else machine.size * (row + max_len + 1)
@@ -647,13 +671,10 @@ def _element(field, n: int, d: int) -> FieldElement:
 
 def underlying_wa(automaton: Dwroca) -> Dwa:
     """Erase the counter: keep only the positive-counter table's state and
-    weight behavior. The result is uninitialised."""
-    transitions = {}
-    for (src, sym), (dst, _effect, weight) in automaton.delta1.items():
-        key = (automaton.states[src], automaton.alphabet.symbols[sym])
-        transitions[key] = (automaton.states[dst], weight)
-    final = {name: automaton.final_weights[i] for i, name in enumerate(automaton.states)}
-    return Dwa(automaton.states, automaton.alphabet, transitions, final)
+    weight behavior. The result is uninitialised, over the machine's field."""
+    transitions = {key: (dst, weight) for key, (dst, _effect, weight) in automaton.delta1.items()}
+    return Dwa._from_parts(automaton.states, automaton.alphabet, automaton.field, transitions,
+                           automaton.final_weights, None)
 
 
 def dwa_equiv(left: Dwa, right: Dwa) -> EquivalenceVerdict:

@@ -18,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass, field as dataclass_field
 
-from .core import Configuration, Dwroca, PumpingIntervals, Word, remove_intervals
+from .core import Alphabet, Configuration, Dwroca, PumpingIntervals, Word, remove_intervals
 from .dwa import Dwa, WaConfig, _difference_search, _require_compatible
 from .errors import PreconditionViolated, ResourceBudgetExceeded
 from .fields import FieldElement, FieldSpec, rational
@@ -85,76 +85,52 @@ def generate(cfg: GeneratorConfig) -> Dwroca:
     rng = random.Random(cfg.seed)
     n = rng.randint(*cfg.num_states)
     k = rng.randint(*cfg.alphabet_size)
-    states = tuple(f"q{i}" for i in range(n))
-    symbols = tuple(_SYMBOL_POOL[:k])
     pool = cfg.pool()
     delta0 = {}
     delta1 = {}
-    for src in states:
-        for symbol in symbols:
+    for src in range(n):
+        for sym in range(k):
             if rng.random() < cfg.density:
-                delta0[(src, symbol)] = (
-                    states[rng.randrange(n)],
-                    rng.choice((0, 1)),
-                    rng.choice(pool),
-                )
+                delta0[src, sym] = (rng.randrange(n), rng.choice((0, 1)), rng.choice(pool))
             if rng.random() < cfg.density:
-                delta1[(src, symbol)] = (
-                    states[rng.randrange(n)],
-                    rng.choice((-1, 0, 1)),
-                    rng.choice(pool),
-                )
-    final = {}
-    for state in states:
-        if rng.random() < cfg.zero_final_prob:
-            final[state] = cfg.field.zero()
-        else:
-            final[state] = rng.choice(pool)
-    initial_weight = rng.choice(pool)
-    return Dwroca(states, symbols, states[0], initial_weight, delta0, delta1, final)
+                delta1[src, sym] = (rng.randrange(n), rng.choice((-1, 0, 1)), rng.choice(pool))
+    zero = cfg.field.zero()
+    finals = tuple([zero if rng.random() < cfg.zero_final_prob else rng.choice(pool) for _ in range(n)])
+    initial = (0, rng.choice(pool))
+    states = tuple([f"q{i}" for i in range(n)])
+    return Dwroca._from_parts(states, Alphabet(_SYMBOL_POOL[:k]), initial, delta0, delta1, finals)
 
 
 def split_state(automaton: Dwroca, seed: int) -> Dwroca:
     """An equivalent but non-isomorphic copy: duplicate one state and split
-    its incoming transitions randomly between the original and the copy."""
+    its incoming transitions randomly between the original and the copy,
+    which gets the next index."""
     rng = random.Random(seed)
-    target = rng.randrange(automaton.size)
-    target_name = automaton.states[target]
-    copy_name = target_name + "'"
+    n = automaton.size
+    target = rng.randrange(n)
+    copy_name = automaton.states[target] + "'"
     while copy_name in automaton.states:
         copy_name += "'"
-    states = automaton.states + (copy_name,)
 
-    def retarget(dst: int) -> str:
-        if dst == target and rng.random() < 0.5:
-            return copy_name
-        return automaton.states[dst]
+    def retarget(dst: int) -> int:
+        return n if dst == target and rng.random() < 0.5 else dst
 
     def rebuild(table):
         out = {}
         for (src, sym), (dst, effect, weight) in sorted(table.items()):
-            symbol = automaton.alphabet.symbols[sym]
-            out[(automaton.states[src], symbol)] = (retarget(dst), effect, weight)
+            out[src, sym] = (retarget(dst), effect, weight)
             if src == target:
-                out[(copy_name, symbol)] = (retarget(dst), effect, weight)
+                out[n, sym] = (retarget(dst), effect, weight)
         return out
 
     delta0 = rebuild(automaton.delta0)
     delta1 = rebuild(automaton.delta1)
-    final = {name: automaton.final_weights[i] for i, name in enumerate(automaton.states)}
-    final[copy_name] = automaton.final_weights[target]
-    initial = automaton.states[automaton.initial_state]
-    if automaton.initial_state == target and rng.random() < 0.5:
-        initial = copy_name
-    return Dwroca(
-        states,
-        automaton.alphabet,
-        initial,
-        automaton.initial_weight,
-        delta0,
-        delta1,
-        final,
-    )
+    finals = automaton.final_weights + (automaton.final_weights[target],)
+    initial = automaton.initial_state
+    if initial == target and rng.random() < 0.5:
+        initial = n
+    states = automaton.states + (copy_name,)
+    return Dwroca._from_parts(states, automaton.alphabet, (initial, automaton.initial_weight), delta0, delta1, finals)
 
 
 @dataclass(frozen=True)

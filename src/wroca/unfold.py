@@ -122,8 +122,8 @@ def unfold(automaton: Dwroca, bound: int, state_cap: int | None = None) -> Dwa:
     """Materialize the unfolding as an initialised weighted automaton.
 
     States are named "state#row" over rows 0..bound, giving
-    |Q| * (bound + 1) states. Refuses to build more states than
-    ``state_cap`` (default 10^7).
+    |Q| * (bound + 1) states; (state, row) has index row * |Q| + state.
+    Refuses to build more states than ``state_cap`` (default 10^7).
     """
     if automaton._violations:
         raise InvalidAutomaton(automaton._violations)
@@ -131,23 +131,16 @@ def unfold(automaton: Dwroca, bound: int, state_cap: int | None = None) -> Dwa:
     cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
     if view.size > cap:
         raise BoundTooLarge(view.size, cap)
-
-    def name(state: int, row: int) -> str:
-        return f"{automaton.states[state]}#{row}"
-
-    states = [name(q, row) for row in range(bound + 1) for q in range(automaton.size)]
+    size, rows, step_config = automaton.size, range(bound + 1), view.step_config
+    states = tuple([f"{name}#{row}" for row in rows for name in automaton.states])
     transitions = {}
-    for row in range(bound + 1):
-        for q in range(automaton.size):
-            for sym, symbol in enumerate(automaton.alphabet.symbols):
-                step = view.step_config((q, row), sym)
+    for row in rows:
+        for q in range(size):
+            for sym in range(len(automaton.alphabet)):
+                step = step_config((q, row), sym)
                 if step is not None:
                     (dst, dst_row), weight = step
-                    transitions[(name(q, row), symbol)] = (name(dst, dst_row), weight)
-    final = {
-        name(q, row): automaton.final_weights[q]
-        for row in range(bound + 1)
-        for q in range(automaton.size)
-    }
-    initial = (name(automaton.initial_state, 0), automaton.initial_weight)
-    return Dwa(states, automaton.alphabet, transitions, final, initial)
+                    transitions[row * size + q, sym] = (dst_row * size + dst, weight)
+    initial = (automaton.initial_state, automaton.initial_weight)
+    finals = automaton.final_weights * (bound + 1)
+    return Dwa._from_parts(states, automaton.alphabet, automaton.field, transitions, finals, initial)

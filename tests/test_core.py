@@ -554,3 +554,24 @@ class TestConstruction:
     def test_negative_counter_configuration_rejected(self, Q):
         with pytest.raises(ValueError):
             Configuration(0, -1, Q.one())
+
+
+class TestStartState:
+    """A configuration whose state is not one of the machine's is refused
+    with a ValueError by every method that starts from one."""
+
+    @pytest.mark.parametrize("state", [1, 99, -1])
+    def test_refused_by_every_entry_point(self, e1, state):
+        start = Configuration(state, 0, Q.one())
+        calls = [
+            lambda: e1.accept_weight((), start),
+            lambda: e1.accept_weight(word("a"), start),
+            lambda: e1.accept_weight_or_zero((), start),
+            lambda: e1.accept_weight_or_zero(word("a"), start),
+            lambda: e1.run_word(start, ()),
+            lambda: e1.run_word(start, word("a")),
+            lambda: e1.step(start, "a"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"^state {state} outside \[0, 0\]$"):
+                call()

@@ -1087,3 +1087,49 @@ class TestDwaJson:
         doc["delta"][0][key] = value
         with pytest.raises(ParseError):
             Dwa.from_json(doc)
+
+
+class TestForeignWeights:
+    """A ``Dwa`` records no violations, so the search checks that each of
+    its weights is an element of its field before reading any value."""
+
+    @pytest.mark.parametrize(
+        "transition, final",
+        [(GF7.element(4), Q.one()), (Q.element(4), GF7.one()), ("4", Q.one()), (Q.element(4), "1")],
+        ids=["gf7-transition", "gf7-final", "str-transition", "str-final"],
+    )
+    def test_a_weight_of_another_field_is_refused(self, transition, final):
+        foreign = Dwa(["s"], ["a"], {("s", "a"): ("s", transition)}, {"s": final}, ("s", Q.one()))
+        for left, right in ((foreign, one_state_dwa(4)), (one_state_dwa(4), foreign)):
+            with pytest.raises(FieldMismatch, match="in an automaton over"):
+                dwa_equiv(left, right)
+
+    def test_an_initial_weight_sets_the_field_the_others_must_share(self):
+        over_gf7 = Dwa(["s"], ["a"], {("s", "a"): ("s", GF7.element(4))}, {"s": GF7.one()}, ("s", GF7.one()))
+        mixed = Dwa(["s"], ["a"], {("s", "a"): ("s", Q.element(4))}, {"s": Q.one()}, ("s", GF7.one()))
+        with pytest.raises(FieldMismatch):
+            dwa_equiv(mixed, over_gf7)
+        assert dwa_equiv(over_gf7, over_gf7).equivalent
+
+
+@pytest.mark.parametrize("field", [Q, GF7, GF_BIG], ids=["q", "gf7", "gf_big"])
+class TestWithInitial:
+    @staticmethod
+    def other(field):
+        return GF7 if field != GF7 else Q
+
+    def test_the_copy_keeps_the_field(self, field):
+        wa = underlying_wa(generate(GeneratorConfig(seed=3, field=field)))
+        weight = field.element(3)
+        copy = wa.with_initial(0, weight)
+        assert copy.field is wa.field and copy.initial == (0, weight)
+        with pytest.raises(FieldMismatch, match="is not an element of"):
+            wa.with_initial(0, self.other(field).element(3))
+
+    def test_no_proof_across_fields(self, field):
+        def loop(spec):
+            return Dwa(["s"], ["a"], {("s", "a"): ("s", spec.one())}, {"s": spec.one()})
+
+        other = self.other(field)
+        with pytest.raises(FieldMismatch):
+            dwa_equiv(loop(field).with_initial("s", other.one()), loop(other).with_initial("s", other.one()))
