@@ -32,6 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DivisionByZero,
+    FieldMismatch,
     IntervalOutOfBounds,
     ParseError,
     UnknownSymbol,
@@ -292,7 +293,7 @@ class Dwroca(_Frozen):
             raise ValueError(f"unknown initial state {initial_state!r}")
         _setattr(self, "states", states)
         _setattr(self, "alphabet", alphabet)
-        _setattr(self, "field", initial_weight.spec)
+        _setattr(self, "field", _field_of(initial_weight, "initial weight"))
         _setattr(self, "initial_state", index[initial_state])
         _setattr(self, "initial_weight", initial_weight)
         _setattr(self, "delta0", _intern_table(delta0, index, alphabet))
@@ -462,6 +463,15 @@ def _require_state(machine, state: int, what: str = "state") -> None:
     state indices, with a ValueError."""
     if not 0 <= state < len(machine.states):
         raise ValueError(f"{what} {state} outside [0, {len(machine.states) - 1}]")
+
+
+def _field_of(weight, what: str) -> FieldSpec:
+    """The field of ``weight``, the weight that fixes a new machine's or
+    configuration's field; anything but a field element is a
+    FieldMismatch."""
+    if not isinstance(weight, FieldElement):
+        raise FieldMismatch(f"{what} {weight!r} is not a field element")
+    return weight.spec
 
 
 def _intern_states(states: Sequence[str], alphabet, final_weights: Mapping):

@@ -55,6 +55,15 @@ child's pair is the parent's times these, divided by the gcd or reduced mod
 p. The empty word's pair is the two initial weights, cross-multiplied and
 divided or reduced the same way. A queue entry links to its parent's
 entry, and a witness's word is read back along these links.
+
+The lockstep certificate (``_lockstep``), which a search with ``certify``
+asks once ``_CERTIFY_AFTER`` words pass without a witness, reads the rows
+the search reads: both machines through ``_side``, a pair of states' steps
+through ``_children``. It relates (left state, right state, counter class)
+triples to the search's int pairs, starting from the empty word's, steps
+them as the search steps a word, and tests each triple's final weights
+with the search's witness test, so it proves equivalence, a weighted
+bisimulation, without a FieldElement operation.
 """
 
 from __future__ import annotations
@@ -70,6 +79,7 @@ from .core import (
     _Record,
     _document_from_json,
     _document_to_json,
+    _field_of,
     _intern_states,
     _intern_table,
     _require_state,
@@ -111,7 +121,11 @@ class Dwa(_Frozen):
             initial = (index[name], weight)
         _setattr(self, "states", states)
         _setattr(self, "alphabet", alphabet)
-        _setattr(self, "field", finals[0].spec if initial is None else initial[1].spec)
+        if initial is None:
+            field = _field_of(finals[0], f"final weight of {states[0]!r}")
+        else:
+            field = _field_of(initial[1], "initial weight")
+        _setattr(self, "field", field)
         _setattr(self, "transitions", _intern_table(transitions, index, alphabet))
         _setattr(self, "final_weights", finals)
         _setattr(self, "initial", initial)
@@ -148,8 +162,10 @@ class Dwa(_Frozen):
 
     def accept_weight(self, start: "WaConfig", word: Word) -> FieldElement:
         """Acceptance weight from a configuration; undefined paths give zero.
-        Every symbol is checked first, as in ``Dwroca.accept_weight``."""
+        The start state and every symbol are checked first, as in
+        ``Dwroca.accept_weight``."""
         state, weight = start.state, start.weight
+        _require_state(self, state)
         for sym in self.alphabet.word_indices(word):
             entry = self.transitions.get((state, sym))
             if entry is None:
@@ -188,6 +204,7 @@ class WaConfig(_Record):
     __slots__ = ("state", "weight")
 
     def __init__(self, state: int, weight: FieldElement):
+        _field_of(weight, "configuration weight")
         if weight.is_zero:
             raise ValueError("configuration weight must be nonzero")
         _setattr(self, "state", state)
@@ -289,26 +306,25 @@ def _children(table_l, sl, table_r, sr, symbol_count: int) -> list:
     one per symbol on which a side steps, as ``(sym, sl2, effect_l, sr2,
     effect_r, ml, mr)``. A child of the word pair (a, b) has the pair (a *
     ml, b * mr) up to a nonzero scalar: ``ml, mr`` are the two step weights
-    cross-multiplied by each other's denominators, so the residues over
-    GF(p). A side without a step gets stuck, with state None, effect 0 and
-    weight 0."""
+    as ``_cross`` pairs them. A side without a step gets stuck, with state
+    None, effect 0 and weight 0."""
     children = []
     for sym in range(symbol_count):
         step_l, step_r = table_l.get((sl, sym)), table_r.get((sr, sym))
-        if step_l is not None:
-            # a Dwa's (dst, weight) entries leave the counter alone
-            sl2, el, ul = step_l[0], step_l[1] if len(step_l) == 3 else 0, step_l[-1].value
-        if step_r is not None:
-            sr2, er, ur = step_r[0], step_r[1] if len(step_r) == 3 else 0, step_r[-1].value
         if step_l is None:
             if step_r is None:
                 continue  # both stuck: every extension weighs zero on both sides
             sl2, el, ul = None, 0, 0
-        elif step_r is None:
+        else:
+            sl2, el, wl = step_l
+            ul = wl.value
+        if step_r is None:
             sr2, er, ur = None, 0, 0
-        # a Fraction, an int residue or the int 0: each has both attributes
-        ml, mr = ul.numerator * ur.denominator, ur.numerator * ul.denominator
-        children.append((sym, sl2, el, sr2, er, ml, mr))
+        else:
+            sr2, er, wr = step_r
+            ur = wr.value
+        # ``_cross(ul, ur)``, inline: the certificate calls this per triple
+        children.append((sym, sl2, el, sr2, er, ul.numerator * ur.denominator, ur.numerator * ul.denominator))
     return children
 
 
@@ -316,7 +332,7 @@ def _children(table_l, sl, table_r, sr, symbol_count: int) -> list:
 # chain's first row to the chain's end.
 _SHORTCUT_AFTER = 8
 
-# Words a search tests without a witness before it asks its ``certify``.
+# Words a search tests without a witness before ``certify`` asks ``_lockstep``.
 _CERTIFY_AFTER = 64
 
 
@@ -437,6 +453,12 @@ def _ray(a: int, b: int, p: int | None) -> tuple:
     return a // g, b // g
 
 
+def _cross(x, y) -> tuple:
+    """The values ``x`` and ``y`` (Fractions, int residues over GF(p) or the
+    int 0) as an int pair of ratio x / y, each times the other's denominator."""
+    return x.numerator * y.denominator, y.numerator * x.denominator
+
+
 def _side(machine, start, max_len: int | None) -> tuple:
     """One machine as the search reads it: ``((state, row, weight),
     zero_table, positive_table, final_weights, dimension)``.
@@ -448,19 +470,21 @@ def _side(machine, start, max_len: int | None) -> tuple:
     longer than ``max_len`` keeps its rows within start row + ``max_len``,
     so the dimension is |Q| * (row + max_len + 1). Any other machine is read
     as an initialised ``Dwa``: one table serving both rows, with dimension
-    |Q|. A ``Dwa`` records no violations, so one pass over its weights
-    checks here that each, zero or not, is an element of its field: any
-    other is a FieldMismatch.
+    |Q|, its entries ``(dst, weight)`` read as ``(dst, 0, weight)``, so
+    every table the search reads has one entry shape. A ``Dwa`` records no
+    violations, so one pass over its weights checks here that each, zero or
+    not, is an element of its field: any other is a FieldMismatch.
     """
     if not hasattr(machine, "delta0"):
         if machine.initial is None:
             raise ValueError("equivalence search needs initialised automata")
         state, weight = machine.initial
         field = machine.field
-        for w in (weight, *machine.final_weights, *[entry[-1] for entry in machine.transitions.values()]):
+        table = {key: (dst, 0, w) for key, (dst, w) in machine.transitions.items()}
+        for w in (weight, *machine.final_weights, *[step[2] for step in table.values()]):
             if not isinstance(w, FieldElement) or (w.spec is not field and w.spec != field):
                 raise FieldMismatch(f"weight {w!r} in an automaton over {field}")
-        return (state, 0, weight), machine.transitions, machine.transitions, machine.final_weights, machine.size
+        return (state, 0, weight), table, table, machine.final_weights, machine.size
     if machine._violations:
         raise InvalidAutomaton(machine._violations)
     if start is None:
@@ -480,7 +504,7 @@ def _difference_search(
     *,
     max_len: int | None = None,
     budget: int | None = None,
-    certify=None,
+    certify: bool = False,
     replay=None,
     start=None,
 ):
@@ -494,10 +518,12 @@ def _difference_search(
     dequeued, and InternalError when more vectors get kept than the
     machines' dimensions add up to, or when a witness's true weights,
     stepped once more through the tables (``_weigh``), are equal.
-    ``certify``, a callable, is asked once, when ``_CERTIFY_AFTER`` words
-    are tested without a witness and the budget allows more: True ends the
-    search with no witness, its stats covering those words, as a proof that
-    there is none; False lets the same search go on. ``replay``, a callable
+    With ``certify``, the search asks ``_lockstep(left, right)`` once, when
+    ``_CERTIFY_AFTER`` words are tested without a witness and the budget
+    allows more: True ends the search with no witness, its stats covering
+    those words, as a proof that there is none; False lets the same search
+    go on. The certificate starts from both initial configurations, so
+    ``certify`` and ``start`` do not go together. ``replay``, a callable
     from a witness's symbols to a ``Witness``, weighs the witness by other
     means: the search returns its record, and raises InternalError unless
     it has the witness's word and exactly the stepped weights, each compared
@@ -527,8 +553,7 @@ def _difference_search(
     # time a word there is extended, its ``_children``.
     pairs: dict = {}
     (sl, rl, wl), (sr, rr, wr) = init_l, init_r
-    vl, vr = wl.value, wr.value
-    a, b = _ray(vl.numerator * vr.denominator, vr.numerator * vl.denominator, p)
+    a, b = _ray(*_cross(wl.value, wr.value), p)
     queue: deque = deque([(None, None, 0, sl, rl, a, sr, rr, b)])
     basis = _PairBasis(p)
     rows, insert = basis.others, basis.insert
@@ -537,7 +562,7 @@ def _difference_search(
     # one test per word serves both: the loop stops at the certificate's
     # count first, if it comes before the budget's
     stop = inf if budget is None else budget
-    if certify is not None and _CERTIFY_AFTER < stop:
+    if certify and _CERTIFY_AFTER < stop:
         stop = _CERTIFY_AFTER
 
     while queue:
@@ -547,7 +572,7 @@ def _difference_search(
         if explored > stop:
             if stop == budget:
                 raise ResourceBudgetExceeded(explored, budget, SearchStats(explored, len(rows), max_row))
-            if certify():
+            if _lockstep(left, right):
                 return None, SearchStats(stop, len(rows), max_row)
             stop = inf if budget is None else budget
         if rl > max_row:
@@ -558,11 +583,7 @@ def _difference_search(
         if pair is None:
             end_l = 0 if sl is None else finals_l[sl].value
             end_r = 0 if sr is None else finals_r[sr].value
-            pair = pairs[key] = [
-                end_l.numerator * end_r.denominator,
-                end_r.numerator * end_l.denominator,
-                None,
-            ]
+            pair = pairs[key] = [*_cross(end_l, end_r), None]
         ea, eb, kids = pair
         diff = a * ea - b * eb
         if diff and (p is None or diff % p):
@@ -648,9 +669,9 @@ def _weigh(side, word: list[int], p: int | None) -> tuple:
         step = (zero if row == 0 else plus).get((state, sym))
         if step is None:
             return 0, 1
-        if len(step) == 3:  # (dst, effect, weight); a Dwa's (dst, weight) leaves the row at 0
-            row += step[1]
-        state, value = step[0], step[-1].value
+        state, effect, weight = step
+        row += effect
+        value = weight.value
         n, d = n * value.numerator, d * value.denominator
         if p:
             n %= p
@@ -667,6 +688,113 @@ def _vanishes(x: int, p: int | None) -> bool:
 def _element(field, n: int, d: int) -> FieldElement:
     """The element n / d of ``field``; over GF(p), ``_weigh``'s ``d`` is 1."""
     return FieldElement(field, n % field.modulus if field.modulus else Fraction(n, d))
+
+
+def _classes(positive: bool, effect: int) -> tuple:
+    """The counter classes, as "is positive", that a step with counter
+    ``effect`` reaches from a counter in class ``positive``. A decrement
+    from a positive counter reaches zero from 1 and stays positive above
+    it."""
+    if not positive:
+        return (effect > 0,)
+    return (False, True) if effect < 0 else (True,)
+
+
+def _zero_series(machine) -> set:
+    """The (state, positive) pairs from which every word weighs zero at
+    every counter value of the class: the greatest set whose members have
+    final weight zero and step only to members, in every class reached.
+    The machine is read as the search reads it (``_side``)."""
+    _, *tables, finals, _ = _side(machine, None, None)
+    symbols = range(len(machine.alphabet))
+    zero = {(s, c) for s, w in enumerate(finals) if w.is_zero for c in (False, True)}
+    changed = True
+    while changed:
+        changed = False
+        for s, c in list(zero):
+            for sym in symbols:
+                step = tables[c].get((s, sym))
+                if step is not None and any((step[0], c2) not in zero for c2 in _classes(c, step[1])):
+                    zero.discard((s, c))
+                    changed = True
+                    break
+    return zero
+
+
+def _lockstep(left, right) -> bool:
+    """True when a lockstep relation, a weighted bisimulation, proves the
+    two machines equivalent.
+
+    The relation maps triples (sl, sr, c), c saying whether the counter is
+    positive, to a nonzero int pair (a, b), kept as the search keeps a
+    word's (``_ray``). It claims that from sl and from sr at any one
+    counter value of class c, every word w has a * f_left(w) = b *
+    f_right(w). It starts from (initial, initial, zero) with the empty
+    word's pair, and holds when at each triple:
+
+    * the final weights fail the search's witness test at (a, b);
+    * per symbol, in class c's tables (``_children``), both sides are
+      stuck; or one side is stuck and the other steps to a state with
+      zero series in every class it reaches; or both step with equal
+      counter effects, to (sl', sr') with the search's child pair, in
+      every class they reach (``_classes``): from zero, 0 stays at zero
+      and +1 goes positive; from positive, -1 reaches both classes, and 0
+      or +1 stays positive.
+
+    A triple where both sides have zero series holds with any pair, so a
+    rule it breaks or a second pair for it is no conflict. Anywhere else,
+    a broken rule or a second pair not proportional to the first returns
+    False: the check is sufficient, not necessary. By induction on word
+    length the claim holds for every triple, so the two machines weigh
+    every word alike.
+
+    It reads both machines only through ``_side`` and ``_children`` and
+    performs no FieldElement operation. It assumes valid machines, whose
+    nonzero step weights give no pair a zero: ``check_equivalence`` reads
+    both machines' recorded violations before the search can ask.
+    """
+    (sl, _, wl), zero_l, plus_l, finals_l, _ = _side(left, None, None)
+    (sr, _, wr), zero_r, plus_r, finals_r, _ = _side(right, None, None)
+    p = left.field.modulus
+    symbol_count = len(left.alphabet)
+    zero = [None, None]  # each machine's zero-series pairs, once one is asked for
+
+    def dead(side: int, state: int, positive: bool) -> bool:
+        if zero[side] is None:
+            zero[side] = _zero_series((left, right)[side])
+        return (state, positive) in zero[side]
+
+    pairs: dict = {}
+    todo = [(sl, sr, False, _ray(*_cross(wl.value, wr.value), p))]
+    while todo:
+        sl, sr, c, pair = todo.pop()
+        seen = pairs.get((sl, sr, c))
+        if seen is None:
+            pairs[(sl, sr, c)] = pair
+            a, b = pair
+            # the final-weight rule is the search's witness test, ``_cross`` inline
+            fl, fr = finals_l[sl].value, finals_r[sr].value
+            if _vanishes(a * fl.numerator * fr.denominator - b * fr.numerator * fl.denominator, p):
+                table_l, table_r = (plus_l, plus_r) if c else (zero_l, zero_r)
+                found = []
+                for _, sl2, el, sr2, er, ml, mr in _children(table_l, sl, table_r, sr, symbol_count):
+                    if sl2 is None or sr2 is None:
+                        side, dst, effect = (1, sr2, er) if sl2 is None else (0, sl2, el)
+                        if not all(dead(side, dst, c2) for c2 in _classes(c, effect)):
+                            break
+                    elif el != er:
+                        break
+                    else:
+                        child = _ray(a * ml, b * mr, p)
+                        found += [(sl2, sr2, c2, child) for c2 in _classes(c, el)]
+                else:  # every rule holds at the triple: relate its successors
+                    todo += found
+                    continue
+        elif _vanishes(seen[0] * pair[1] - pair[0] * seen[1], p):
+            continue
+        if not (dead(0, sl, c) and dead(1, sr, c)):
+            return False
+    return True
 
 
 def underlying_wa(automaton: Dwroca) -> Dwa:

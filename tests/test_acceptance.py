@@ -27,7 +27,7 @@ from wroca import (
 )
 from wroca.cli import main as cli_main
 from wroca.dwa import WaConfig
-from wroca.equiv import _lockstep
+from wroca.dwa import _lockstep
 from wroca.testkit import (
     GeneratorConfig,
     brute_force_witness,

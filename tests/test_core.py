@@ -10,6 +10,7 @@ from wroca import (
     Configuration,
     Dwa,
     Dwroca,
+    FieldMismatch,
     FieldSpec,
     IntervalOutOfBounds,
     ParseError,
@@ -554,6 +555,12 @@ class TestConstruction:
     def test_negative_counter_configuration_rejected(self, Q):
         with pytest.raises(ValueError):
             Configuration(0, -1, Q.one())
+
+    @pytest.mark.parametrize("weight", [1, "1"], ids=["int", "str"])
+    def test_non_element_initial_weight_is_a_field_mismatch(self, Q, weight):
+        # the initial weight fixes the machine's field, so it must have one
+        with pytest.raises(FieldMismatch, match=f"^initial weight {weight!r} is not a field element$"):
+            Dwroca(["q"], ["a"], "q", weight, {}, {}, {"q": Q.one()})
 
 
 class TestStartState:

@@ -268,6 +268,17 @@ class TestDwaAcceptWeight:
         with pytest.raises(ValueError):
             WaConfig(0, Q.zero())
 
+    @pytest.mark.parametrize(
+        "state, word", [(99, ("a",)), (-1, ()), (99, ())], ids=["99-a", "-1-empty", "99-empty"]
+    )
+    def test_start_state_is_checked(self, state, word):
+        # a start state that is not one of the machine's is a ValueError, as
+        # in Dwroca.accept_weight, whether or not the word steps
+        for field in (Q, prime_field(7)):
+            wa = Dwa(["q0"], ["a"], {("q0", "a"): ("q0", field.element(2))}, {"q0": field.element(3)})
+            with pytest.raises(ValueError, match=rf"^state {state} outside \[0, 0\]$"):
+                wa.accept_weight(WaConfig(state, field.one()), word)
+
     def test_every_symbol_is_checked_before_stepping(self):
         # b has no transition: the run gets stuck before it reaches zzz
         two = Q.element(2)
@@ -1110,6 +1121,56 @@ class TestForeignWeights:
         with pytest.raises(FieldMismatch):
             dwa_equiv(mixed, over_gf7)
         assert dwa_equiv(over_gf7, over_gf7).equivalent
+
+
+class TestNonElementWeights:
+    """The weight that fixes a new automaton's or configuration's field
+    must be a field element: anything else is a FieldMismatch, as in
+    ``Dwa.with_initial``."""
+
+    @pytest.mark.parametrize("weight", [1, "1"], ids=["int", "str"])
+    def test_refused_with_field_mismatch(self, weight):
+        loop = {("s", "a"): ("s", Q.one())}
+        calls = [
+            (lambda: Dwa(["s"], ["a"], loop, {"s": Q.one()}, ("s", weight)), "initial weight"),
+            (lambda: Dwa(["s", "t"], ["a"], loop, {"s": weight, "t": Q.one()}), "final weight of 's'"),
+            (lambda: WaConfig(0, weight), "configuration weight"),
+        ]
+        for call, what in calls:
+            with pytest.raises(FieldMismatch, match=f"^{what} {weight!r} is not a field element$"):
+                call()
+
+
+class TestOneTableShape:
+    """The search reads a ``Dwa``'s one table as the two tables of a
+    counter machine whose counter stays at 0 (``_side``), so a ``Dwa`` and
+    its counter twin search alike against the same other side."""
+
+    @staticmethod
+    def counter_twin(wa):
+        """A ``Dwroca`` whose two tables both hold ``wa``'s entries at
+        counter effect 0, initialised as ``wa`` is."""
+        names, symbols = wa.states, wa.alphabet.symbols
+        table = {(names[s], symbols[a]): (names[d], 0, w) for (s, a), (d, w) in wa.transitions.items()}
+        state, weight = wa.initial
+        return Dwroca(names, symbols, names[state], weight, table, dict(table), dict(zip(names, wa.final_weights)))
+
+    @pytest.mark.parametrize("field", [Q, GF7, GF_BIG], ids=["q", "gf7", "gf_big"])
+    def test_twins_search_alike(self, field):
+        outcomes = set()
+        for seed in range(40):
+            wa = random_dwa(47000 + seed, field=field)
+            twin = self.counter_twin(wa)
+            others = [scaled_copy(wa), random_dwa(48000 + seed, field=field)]
+            for other in others:
+                if other.alphabet != wa.alphabet:
+                    continue
+                for max_len in (None, 3):
+                    for pair, twin_pair in (((wa, other), (twin, other)), ((other, wa), (other, twin))):
+                        found = _difference_search(*pair, max_len=max_len)
+                        assert _difference_search(*twin_pair, max_len=max_len) == found, (seed, pair)
+                        outcomes.add(found[0] is None)
+        assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("field", [Q, GF7, GF_BIG], ids=["q", "gf7", "gf_big"])

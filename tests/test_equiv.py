@@ -27,7 +27,7 @@ from wroca import (
 )
 from wroca import equiv
 from wroca.dwa import EquivalenceVerdict, Witness, _difference_search
-from wroca.equiv import _classes, _lockstep, _zero_series
+from wroca.dwa import _classes, _lockstep, _zero_series
 from wroca.fields import FieldElement
 from wroca.testkit import GeneratorConfig, brute_force_witness, generate, split_state
 
