@@ -129,6 +129,7 @@ class Configuration(_Record):
     def __init__(self, state: int, counter: int, weight: FieldElement):
         if counter < 0:
             raise ValueError("counter values are never negative")
+        _field_of(weight, "configuration weight")
         _setattr(self, "state", state)
         _setattr(self, "counter", counter)
         _setattr(self, "weight", weight)

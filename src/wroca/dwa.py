@@ -57,8 +57,8 @@ divided or reduced the same way. A queue entry links to its parent's
 entry, and a witness's word is read back along these links.
 
 The lockstep certificate (``_lockstep``), which a search with ``certify``
-asks once ``_CERTIFY_AFTER`` words pass without a witness, reads the rows
-the search reads: both machines through ``_side``, a pair of states' steps
+asks once the empty word is tested without a witness, reads the rows the
+search reads: both machines through ``_side``, a pair of states' steps
 through ``_children``. It relates (left state, right state, counter class)
 triples to the search's int pairs, starting from the empty word's, steps
 them as the search steps a word, and tests each triple's final weights
@@ -114,6 +114,9 @@ class Dwa(_Frozen):
         initial: tuple[str, FieldElement] | None = None,
     ):
         states, alphabet, index, finals = _intern_states(states, alphabet, final_weights)
+        for (src, symbol), entry in transitions.items():
+            if not isinstance(entry, tuple) or len(entry) != 2:
+                raise ValueError(f"transition ({src!r}, {symbol!r}) is {entry!r}, not a (state, weight) pair")
         if initial is not None:
             name, weight = initial
             if name not in index:
@@ -229,7 +232,8 @@ class SearchStats(_Record):
     the highest counter row either side reached on a word it tested.
 
     A ``Dwa`` side stays at row 0. A run the lockstep certificate ends
-    reports the words tested before the certificate was asked.
+    reports the one word tested before the certificate was asked, the
+    empty word: (1, 1, 0).
     ``ResourceBudgetExceeded.stats`` counts the word over budget in
     ``explored_words``, though that word was not tested.
     """
@@ -331,9 +335,6 @@ def _children(table_l, sl, table_r, sr, symbol_count: int) -> list:
 # Rows a walk passes along one chain of links before it re-points the
 # chain's first row to the chain's end.
 _SHORTCUT_AFTER = 8
-
-# Words a search tests without a witness before ``certify`` asks ``_lockstep``.
-_CERTIFY_AFTER = 64
 
 
 class _PairBasis:
@@ -519,11 +520,11 @@ def _difference_search(
     machines' dimensions add up to, or when a witness's true weights,
     stepped once more through the tables (``_weigh``), are equal.
     With ``certify``, the search asks ``_lockstep(left, right)`` once, when
-    ``_CERTIFY_AFTER`` words are tested without a witness and the budget
-    allows more: True ends the search with no witness, its stats covering
-    those words, as a proof that there is none; False lets the same search
+    the empty word is tested without a witness and the budget allows a
+    second word: True ends the search with no witness, its stats covering
+    that word, as a proof that there is none; False lets the same search
     go on. The certificate starts from both initial configurations, so
-    ``certify`` and ``start`` do not go together. ``replay``, a callable
+    ``certify`` with ``start`` is a ValueError. ``replay``, a callable
     from a witness's symbols to a ``Witness``, weighs the witness by other
     means: the search returns its record, and raises InternalError unless
     it has the witness's word and exactly the stepped weights, each compared
@@ -531,6 +532,8 @@ def _difference_search(
     the witness's weights are the stepped ones.
     """
     _require_compatible(left, right)
+    if certify and start is not None:
+        raise ValueError("the certificate starts from both initial configurations: certify excludes start")
     side_l, side_r = _side(left, start, max_len), _side(right, None, max_len)
     init_l, zero_l, plus_l, finals_l, dimension_l = side_l
     init_r, zero_r, plus_r, finals_r, dimension_r = side_r
@@ -559,11 +562,11 @@ def _difference_search(
     rows, insert = basis.others, basis.insert
     explored = 0
     max_row = 0
-    # one test per word serves both: the loop stops at the certificate's
-    # count first, if it comes before the budget's
+    # one test per word serves both: with ``certify``, the loop stops after
+    # the empty word to ask the certificate, if the budget allows a second
     stop = inf if budget is None else budget
-    if certify and _CERTIFY_AFTER < stop:
-        stop = _CERTIFY_AFTER
+    if certify and 1 < stop:
+        stop = 1
 
     while queue:
         entry = queue.popleft()
@@ -757,9 +760,12 @@ def _lockstep(left, right) -> bool:
     (sr, _, wr), zero_r, plus_r, finals_r, _ = _side(right, None, None)
     p = left.field.modulus
     symbol_count = len(left.alphabet)
+    finals = (finals_l, finals_r)
     zero = [None, None]  # each machine's zero-series pairs, once one is asked for
 
     def dead(side: int, state: int, positive: bool) -> bool:
+        if finals[side][state].value:
+            return False  # a nonzero final weight is never in the zero series
         if zero[side] is None:
             zero[side] = _zero_series((left, right)[side])
         return (state, positive) in zero[side]

@@ -11,9 +11,9 @@ InternalError unless the replay gives exactly those weights.
 
 The theoretical bound is astronomically large even for tiny machines, so a
 verdict in default mode relies on the search ending early. It ends when the
-kept-vector basis saturates, or, once it has tested ``_CERTIFY_AFTER`` words
-without a witness, when the lockstep certificate (``dwa._lockstep``) proves
-the machines equivalent from their tables: a relation on (left state, right
+kept-vector basis saturates, or, once it has tested the empty word without
+a witness, when the lockstep certificate (``dwa._lockstep``) proves the
+machines equivalent from their tables: a relation on (left state, right
 state, counter class) under which both machines make equal counter moves.
 A pair whose counters climb out of step, like a counting machine against
 its counter-free copy, is left to the search, which then stops with
@@ -54,7 +54,7 @@ def check_equivalence(
     Without ``bound_override`` the word-length limit is the proven witness
     bound and an Equivalent verdict is a proof: either no word within the
     bound is a witness, or the lockstep certificate, asked once the search
-    has tested ``_CERTIFY_AFTER`` words, proves that none is. An override
+    has tested the empty word, proves that none is. An override
     below that bound demotes the verdict to mode "bounded": Equivalent then
     only means no witness of length <= override exists, and the certificate
     is not asked. ``budget`` caps dequeued words (None: no cap); exceeding

@@ -15,6 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from wroca import (
     Configuration,
     Dwa,
+    ResourceBudgetExceeded,
     bounds_for_k,
     check_equivalence,
     compute_bounds,
@@ -26,8 +27,8 @@ from wroca import (
     unfold,
 )
 from wroca.cli import main as cli_main
-from wroca.dwa import WaConfig
-from wroca.dwa import _lockstep
+from wroca.dwa import SearchStats, WaConfig
+from wroca.dwa import _difference_search, _lockstep
 from wroca.testkit import (
     GeneratorConfig,
     brute_force_witness,
@@ -48,12 +49,12 @@ def _report(name, detail):
     print(f"ACCEPTANCE {name}: PASS ({detail})")
 
 
-def _pair_stream(base_seed, count, num_states=(2, 4), split_every=5):
+def _pair_stream(base_seed, count, num_states=(2, 4), split_every=5, fields=FIELDS):
     """Seeded random automaton pairs mixing fields, alphabet sizes, and
     equivalent-by-construction split pairs."""
     for i in range(count):
         rng = random.Random(base_seed + i)
-        field = FIELDS[i % 2]
+        field = fields[i % len(fields)]
         sigma = 2 + (i // 2) % 2
         left = generate(
             GeneratorConfig(
@@ -123,6 +124,37 @@ def test_lockstep_certificate_soundness():
             splits += i % 5 == 4
     assert (certified, splits) == (411, 400)
     _report("lockstep certificate", f"2000 pairs, {certified} certified, no oracle witness among them")
+
+
+def test_certificate_first_verdicts():
+    """600 pairs over Q, GF(7) and GF(2^31 - 1) at budget 2,000, each also
+    searched without the certificate: a NotEquivalent verdict has that
+    search's witness, weights and stats; a verdict the certificate ends
+    after the empty word, stats (1, 1, 0), has ``_lockstep`` True, and that
+    search finds no witness: it saturates or runs out of budget."""
+    fields = (*FIELDS, prime_field(2**31 - 1))
+    separated = certified = exhausted = 0
+    for left, right in _pair_stream(25_000, 600, fields=fields):
+        verdict = check_equivalence(left, right, budget=2000)
+        limit = compute_bounds(left.size, right.size).witness_bound
+        try:
+            witness, stats = _difference_search(left, right, max_len=limit, budget=2000)
+        except ResourceBudgetExceeded:
+            witness, stats = None, None
+            exhausted += 1
+        if verdict.equivalent and verdict.stats == SearchStats(1, 1, 0):
+            assert _lockstep(left, right)
+            assert witness is None
+            certified += 1
+        else:  # the certificate failed or was not asked: the search went on
+            assert (witness, stats) == (verdict.witness, verdict.stats)
+            separated += not verdict.equivalent
+    assert (separated, certified, exhausted) == (478, 122, 61)
+    _report(
+        "certificate first",
+        f"600 pairs, {separated} witnesses as searched uncertified, {certified} certified "
+        f"({exhausted} of the uncertified searches ran out of budget)",
+    )
 
 
 def test_witness_replay():

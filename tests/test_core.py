@@ -562,6 +562,12 @@ class TestConstruction:
         with pytest.raises(FieldMismatch, match=f"^initial weight {weight!r} is not a field element$"):
             Dwroca(["q"], ["a"], "q", weight, {}, {}, {"q": Q.one()})
 
+    @pytest.mark.parametrize("weight", [1, "1"], ids=["int", "str"])
+    def test_non_element_configuration_weight_is_a_field_mismatch(self, Q, weight):
+        # refused when built, before acceptance or a search reads it
+        with pytest.raises(FieldMismatch, match=f"^configuration weight {weight!r} is not a field element$"):
+            Configuration(0, 0, weight)
+
 
 class TestStartState:
     """A configuration whose state is not one of the machine's is refused

@@ -928,10 +928,10 @@ class TestLongSearchShapes:
                 check_equivalence(left, right, budget=200)
             assert str(info.value) == "explored 201 words, budget is 200"
             assert info.value.stats == SearchStats(201, 200, 199)
-        # in step, the lockstep certificate proves the pair once a^0 .. a^63
-        # are tested, all kept
+        # in step, the lockstep certificate proves the pair once the empty
+        # word is tested and kept
         verdict = check_equivalence(e1, e1, budget=200)
-        assert verdict.equivalent and verdict.stats == SearchStats(64, 64, 63)
+        assert verdict.equivalent and verdict.stats == SearchStats(1, 1, 0)
 
 
 def k_equiv(left, right, k):
@@ -1139,6 +1139,38 @@ class TestNonElementWeights:
         for call, what in calls:
             with pytest.raises(FieldMismatch, match=f"^{what} {weight!r} is not a field element$"):
                 call()
+
+
+class TestTransitionEntryShape:
+    """A ``Dwa``'s transition entry is a ``(dst, weight)`` pair; any other
+    entry is refused when the automaton is built, naming its transition."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [("s", 0, Q.one()), ("s",), ["s", Q.one()], "s"],
+        ids=["counter-style", "one-item", "list", "str"],
+    )
+    def test_refused_with_value_error(self, entry):
+        with pytest.raises(ValueError, match=r"^transition \('s', 'a'\) is .*, not a \(state, weight\) pair$"):
+            Dwa(["s"], ["a"], {("s", "a"): entry}, {"s": Q.one()}, ("s", Q.one()))
+
+
+class TestCertifyFromAStart:
+    """The certificate starts from both initial configurations, so a
+    search from another start is never certified."""
+
+    def test_certify_and_start_are_refused_together(self):
+        # b weighs 1 at counter 0 and 2 above it: from counter 3 the word b
+        # weighs 2 on the left and 1 on the right
+        one = Q.one()
+        zero_table = {("s", "a"): ("s", 1, one), ("s", "b"): ("s", 0, one)}
+        plus_table = {("s", "a"): ("s", 1, one), ("s", "b"): ("s", 0, Q.element(2))}
+        m = Dwroca(["s"], ["a", "b"], "s", one, zero_table, plus_table, {"s": one})
+        start = Configuration(0, 3, one)
+        with pytest.raises(ValueError, match="certify excludes start"):
+            _difference_search(m, m, max_len=10, start=start, certify=True)
+        witness, _ = _difference_search(m, m, max_len=10, start=start)
+        assert witness == Witness(("b",), Q.element(2), one)
 
 
 class TestOneTableShape:

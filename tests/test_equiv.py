@@ -19,6 +19,7 @@ from wroca import (
     InvalidAutomaton,
     LazyUnfolding,
     ResourceBudgetExceeded,
+    SearchStats,
     check_equivalence,
     prime_field,
     rational,
@@ -80,13 +81,13 @@ class TestCheckEquivalence:
         assert check_equivalence(e1, e1, budget=None).equivalent  # None: no cap
 
     def test_counters_climbing_in_step_are_proved(self, e1, e2):
-        # the search alone never saturates on these; after 64 words without
-        # a witness the lockstep certificate proves them at the default budget
+        # the search alone never saturates on these; once the empty word is
+        # tested without a witness the lockstep certificate proves them
         for right in (e1, e2):
             verdict = check_equivalence(e1, right)
             assert verdict.equivalent and verdict.witness is None
             assert verdict.mode == "theoretical"
-            assert verdict.stats.explored_words == 64
+            assert verdict.stats == SearchStats(1, 1, 0)
 
     def test_override_at_or_above_proof_bound_stays_theoretical(self):
         left = flat({"a": 2, "b": 3})
@@ -588,7 +589,7 @@ class TestLockstep:
                 same = machine(steps, steps, {"q0": 1}, field=field)
                 if b_weight:
                     verdict = check_equivalence(same, same)
-                    assert verdict.equivalent and verdict.stats.explored_words == 64
+                    assert verdict.equivalent and verdict.stats == SearchStats(1, 1, 0)
                 else:
                     with pytest.raises(InvalidAutomaton, match="zero transition weight"):
                         check_equivalence(same, same)
@@ -761,17 +762,19 @@ class TestPinnedAnswers:
     def test_verdict_digest(self, e1, e1p, e2):
         lines = _pinned_lines(e1, e1p, e2)
         assert len(lines) == 318
-        # the searches that once ran out of their 300-word budget: the
-        # lockstep certificate proves each after 64 words
+        # the lockstep certificate proves these once the empty word is
+        # tested: the 11 searches that once ran out of their 300-word budget
+        # (18, 105, ..., 317) and 12 that saturated after 2 to 18 words
         assert not any(text.startswith("budget:") for text in lines)
-        certified = [i for i, text in enumerate(lines) if '"explored_words": 64,' in text]
-        assert certified == [18, 105, 118, 155, 168, 193, 218, 243, 266, 300, 317]
-        assert all('"mode": "theoretical", "outcome": "equivalent"' in lines[i] for i in certified)
-        # check_equivalence's lines, the only ones with a bound, have not
-        # moved since its search stepped the machines through unfolding views
+        certified = [i for i, text in enumerate(lines) if '"explored_words": 1, "max_counter_row": 0}' in text
+                     and '"mode": "theoretical", "outcome": "equivalent"' in text]
+        assert certified == [5, 18, 30, 43, 55, 68, 80, 93, 105, 118, 130, 143,
+                             155, 168, 180, 193, 205, 218, 230, 243, 266, 300, 317]
+        assert all('"stats": {"basis_size": 1, ' in lines[i] for i in certified)
+        # check_equivalence's lines, the only ones with a bound
         checked = [text for text in lines if '"bound": ' in text]
         assert len(checked) == 220
         digest = hashlib.sha256("\n".join(checked).encode()).hexdigest()
-        assert digest == "c7b9945b0413f0fc86f484bd5efb8b9374a57e72ef752c24b5b3b35b33581421"
+        assert digest == "6e52dd2fc96e1a87cd1f87b9cb83db223afc3827404cd10d1040e26560cacdb1"
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "dda7c6370676d4c8ae1b6f4c706321c6d25a8cb5edb0deea85866617316dfdae"
+        assert digest == "d613a6c9260b54842fd61f5697965b97bb22d76ad9c67434dead3103e9df9f36"

@@ -110,8 +110,8 @@ class TestRecord:
 
 
 def test_records_of_different_classes_with_equal_fields_differ():
-    assert SearchStats(1, 2, 3) != Configuration(1, 2, 3)
-    assert Configuration(1, 2, 3) != SearchStats(1, 2, 3)
+    assert SearchStats(1, 2, Q.one()) != Configuration(1, 2, Q.one())
+    assert Configuration(1, 2, Q.one()) != SearchStats(1, 2, Q.one())
 
 
 def test_constructor_checks():
