@@ -127,6 +127,8 @@ class Configuration(_Record):
     __slots__ = ("state", "counter", "weight")
 
     def __init__(self, state: int, counter: int, weight: FieldElement):
+        if not isinstance(counter, int) or isinstance(counter, bool):
+            raise ValueError(f"counter value {counter!r} is not an int")
         if counter < 0:
             raise ValueError("counter values are never negative")
         _field_of(weight, "configuration weight")

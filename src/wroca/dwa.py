@@ -38,12 +38,13 @@ its zero-row and positive-row transition tables and its final weights. A
 counter machine hands over its two tables; a weighted automaton is a
 machine that stays at row 0, its one table serving both with counter
 effect 0. A configuration is then a control state and a row, both ints,
-and the search applies the counter effects itself. A real-time machine
-moves its counter by at most 1 a step, so a word of length n from row r
-never leaves rows 0..r + n: the search needs no row bound, and on every
-word it tests it agrees with the unfolding cut at ``max_len``. That
-unfolding's state count, |Q| * (r + max_len + 1) for a counter machine and
-|Q| for a weighted automaton, bounds the kept rows.
+and the search applies the counter effects itself. Every search starts at
+both initial configurations, at row 0, and a real-time machine moves its
+counter by at most 1 a step, so a word of length n never leaves rows 0..n:
+the search needs no row bound, and on every word it tests it agrees with
+the unfolding cut at ``max_len``. That unfolding's state count, |Q| *
+(max_len + 1) for a counter machine and |Q| for a weighted automaton,
+bounds the kept rows.
 
 Each word costs one table lookup, for its pair of states and whether each
 side's row is 0. The first word there fills in the two final weights
@@ -460,43 +461,35 @@ def _cross(x, y) -> tuple:
     return x.numerator * y.denominator, y.numerator * x.denominator
 
 
-def _side(machine, start, max_len: int | None) -> tuple:
-    """One machine as the search reads it: ``((state, row, weight),
-    zero_table, positive_table, final_weights, dimension)``.
+def _side(machine, max_len: int | None) -> tuple:
+    """One machine as the search reads it: ``((state, weight), zero_table,
+    positive_table, final_weights, dimension)``, starting from its initial
+    configuration at row 0.
 
     A machine with counter tables (a ``Dwroca``) must be valid, so that its
-    zero-row table never decrements and no row falls below 0. It starts
-    from ``start``, a counter configuration whose state and field are
-    checked here, or from its initial configuration at row 0. A word no
-    longer than ``max_len`` keeps its rows within start row + ``max_len``,
-    so the dimension is |Q| * (row + max_len + 1). Any other machine is read
-    as an initialised ``Dwa``: one table serving both rows, with dimension
-    |Q|, its entries ``(dst, weight)`` read as ``(dst, 0, weight)``, so
-    every table the search reads has one entry shape. A ``Dwa`` records no
+    zero-row table never decrements and no row falls below 0. A word no
+    longer than ``max_len`` keeps its rows within ``max_len``, so the
+    dimension is |Q| * (max_len + 1). Any other machine is read as an
+    initialised ``Dwa``: one table serving both rows, with dimension |Q|,
+    its entries ``(dst, weight)`` read as ``(dst, 0, weight)``, so every
+    table the search reads has one entry shape. A ``Dwa`` records no
     violations, so one pass over its weights checks here that each, zero or
     not, is an element of its field: any other is a FieldMismatch.
     """
     if not hasattr(machine, "delta0"):
         if machine.initial is None:
             raise ValueError("equivalence search needs initialised automata")
-        state, weight = machine.initial
         field = machine.field
         table = {key: (dst, 0, w) for key, (dst, w) in machine.transitions.items()}
-        for w in (weight, *machine.final_weights, *[step[2] for step in table.values()]):
+        for w in (machine.initial[1], *machine.final_weights, *[step[2] for step in table.values()]):
             if not isinstance(w, FieldElement) or (w.spec is not field and w.spec != field):
                 raise FieldMismatch(f"weight {w!r} in an automaton over {field}")
-        return (state, 0, weight), table, table, machine.final_weights, machine.size
+        return machine.initial, table, table, machine.final_weights, machine.size
     if machine._violations:
         raise InvalidAutomaton(machine._violations)
-    if start is None:
-        state, row, weight = machine.initial_state, 0, machine.initial_weight
-    else:
-        state, row, weight = start.state, start.counter, start.weight
-        _require_state(machine, state, "initial state")
-        if weight.spec != machine.field:
-            raise FieldMismatch(f"initial weight of {weight.spec} for a machine over {machine.field}")
-    dimension = inf if max_len is None else machine.size * (row + max_len + 1)
-    return (state, row, weight), machine.delta0, machine.delta1, machine.final_weights, dimension
+    dimension = inf if max_len is None else machine.size * (max_len + 1)
+    initial = (machine.initial_state, machine.initial_weight)
+    return initial, machine.delta0, machine.delta1, machine.final_weights, dimension
 
 
 def _difference_search(
@@ -507,34 +500,30 @@ def _difference_search(
     budget: int | None = None,
     certify: bool = False,
     replay=None,
-    start=None,
 ):
     """Breadth-first difference-vector search of two machines, each a
     ``Dwroca`` or an initialised ``Dwa`` (``_side``).
 
     Returns ``(witness | None, stats)``; None means no witness among the
-    words of length up to ``max_len`` (all words, when ``max_len`` is None).
-    ``start``, a counter configuration, replaces the left machine's initial
-    one. Raises ResourceBudgetExceeded when more than ``budget`` words get
-    dequeued, and InternalError when more vectors get kept than the
-    machines' dimensions add up to, or when a witness's true weights,
-    stepped once more through the tables (``_weigh``), are equal.
+    words of length up to ``max_len`` (all words, when ``max_len`` is None),
+    weighed from both machines' initial configurations. Raises
+    ResourceBudgetExceeded when more than ``budget`` words get dequeued,
+    and InternalError when more vectors get kept than the machines'
+    dimensions add up to, or when a witness's true weights, stepped once
+    more through the tables (``_weigh``), are equal.
     With ``certify``, the search asks ``_lockstep(left, right)`` once, when
     the empty word is tested without a witness and the budget allows a
     second word: True ends the search with no witness, its stats covering
     that word, as a proof that there is none; False lets the same search
-    go on. The certificate starts from both initial configurations, so
-    ``certify`` with ``start`` is a ValueError. ``replay``, a callable
-    from a witness's symbols to a ``Witness``, weighs the witness by other
-    means: the search returns its record, and raises InternalError unless
-    it has the witness's word and exactly the stepped weights, each compared
-    by cross-multiplication, not up to a common scalar. Without ``replay``
-    the witness's weights are the stepped ones.
+    go on. ``replay``, a callable from a witness's symbols to a ``Witness``,
+    weighs the witness by other means: the search returns its record, and
+    raises InternalError unless it has the witness's word and exactly the
+    stepped weights, each compared by cross-multiplication, not up to a
+    common scalar. Without ``replay`` the witness's weights are the stepped
+    ones.
     """
     _require_compatible(left, right)
-    if certify and start is not None:
-        raise ValueError("the certificate starts from both initial configurations: certify excludes start")
-    side_l, side_r = _side(left, start, max_len), _side(right, None, max_len)
+    side_l, side_r = _side(left, max_len), _side(right, max_len)
     init_l, zero_l, plus_l, finals_l, dimension_l = side_l
     init_r, zero_r, plus_r, finals_r, dimension_r = side_r
     p = left.field.modulus
@@ -555,9 +544,9 @@ def _difference_search(
     # so the word is a witness when a * ea != b * eb, and, from the first
     # time a word there is extended, its ``_children``.
     pairs: dict = {}
-    (sl, rl, wl), (sr, rr, wr) = init_l, init_r
+    (sl, wl), (sr, wr) = init_l, init_r
     a, b = _ray(*_cross(wl.value, wr.value), p)
-    queue: deque = deque([(None, None, 0, sl, rl, a, sr, rr, b)])
+    queue: deque = deque([(None, None, 0, sl, 0, a, sr, 0, b)])
     basis = _PairBasis(p)
     rows, insert = basis.others, basis.insert
     explored = 0
@@ -661,12 +650,12 @@ def _difference_search(
 
 def _weigh(side, word: list[int], p: int | None) -> tuple:
     """A word's exact acceptance weight ``(n, d)``, meaning n / d, stepped
-    from ``_side``'s initial configuration: a side without a step weighs
-    (0, 1). Numerators and denominators are multiplied without normalising;
-    over GF(p) the numerator is reduced mod ``p`` and the denominator stays
-    1."""
-    (state, row, weight), zero, plus, finals, _ = side
-    value = weight.value
+    from ``_side``'s initial configuration at row 0: a side without a step
+    weighs (0, 1). Numerators and denominators are multiplied without
+    normalising; over GF(p) the numerator is reduced mod ``p`` and the
+    denominator stays 1."""
+    (state, weight), zero, plus, finals, _ = side
+    row, value = 0, weight.value
     n, d = value.numerator, value.denominator
     for sym in word:
         step = (zero if row == 0 else plus).get((state, sym))
@@ -708,7 +697,7 @@ def _zero_series(machine) -> set:
     every counter value of the class: the greatest set whose members have
     final weight zero and step only to members, in every class reached.
     The machine is read as the search reads it (``_side``)."""
-    _, *tables, finals, _ = _side(machine, None, None)
+    _, *tables, finals, _ = _side(machine, None)
     symbols = range(len(machine.alphabet))
     zero = {(s, c) for s, w in enumerate(finals) if w.is_zero for c in (False, True)}
     changed = True
@@ -756,8 +745,8 @@ def _lockstep(left, right) -> bool:
     nonzero step weights give no pair a zero: ``check_equivalence`` reads
     both machines' recorded violations before the search can ask.
     """
-    (sl, _, wl), zero_l, plus_l, finals_l, _ = _side(left, None, None)
-    (sr, _, wr), zero_r, plus_r, finals_r, _ = _side(right, None, None)
+    (sl, wl), zero_l, plus_l, finals_l, _ = _side(left, None)
+    (sr, wr), zero_r, plus_r, finals_r, _ = _side(right, None)
     p = left.field.modulus
     symbol_count = len(left.alphabet)
     finals = (finals_l, finals_r)
@@ -815,7 +804,10 @@ def dwa_equiv(left: Dwa, right: Dwa) -> EquivalenceVerdict:
     """Decide equivalence of two initialised weighted automata.
 
     The verdict is complete (a proof either way); a reported witness has
-    minimal length, ties broken lexicographically by alphabet order.
+    minimal length, ties broken lexicographically by alphabet order. A
+    machine that is not a ``Dwa`` is a TypeError.
     """
+    if not (isinstance(left, Dwa) and isinstance(right, Dwa)):
+        raise TypeError("dwa_equiv compares two Dwa; use check_equivalence for counter automata")
     witness, stats = _difference_search(left, right)
     return EquivalenceVerdict(witness is None, witness, "theoretical", None, stats)

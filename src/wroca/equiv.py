@@ -64,20 +64,19 @@ def check_equivalence(
     search raises InternalError unless that replay has exactly the weights
     it steps through the machines' tables, or when those are equal.
     Machines over different alphabets or fields raise AlphabetMismatch or
-    FieldMismatch.
+    FieldMismatch, and a machine that is not a ``Dwroca`` a TypeError.
     """
+    if not (isinstance(a1, Dwroca) and isinstance(a2, Dwroca)):
+        raise TypeError("check_equivalence compares two Dwroca; use dwa_equiv for weighted automata")
     _require_valid(a1, a2)
-    bounds = compute_bounds(a1.size, a2.size)
-    if bound_override is None:
-        limit = bounds.witness_bound
-        mode = "theoretical"
-    else:
-        if bound_override < 0:
-            raise ValueError("bound override must be a natural number")
-        limit = bound_override
-        mode = "theoretical" if bound_override >= bounds.witness_bound else "bounded"
-    if budget is not None and budget < 0:
+    # type(...) is int: a bool is not a natural number
+    if bound_override is not None and (type(bound_override) is not int or bound_override < 0):
+        raise ValueError("bound override must be a natural number")
+    if budget is not None and (type(budget) is not int or budget < 0):
         raise ValueError("budget must be a natural number")
+    bounds = compute_bounds(a1.size, a2.size)
+    limit = bounds.witness_bound if bound_override is None else bound_override
+    mode = "theoretical" if limit >= bounds.witness_bound else "bounded"
     witness, stats = _difference_search(
         a1,
         a2,

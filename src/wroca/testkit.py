@@ -18,10 +18,11 @@ import itertools
 import random
 from dataclasses import dataclass, field as dataclass_field
 
-from .core import Alphabet, Configuration, Dwroca, PumpingIntervals, Word, remove_intervals
+from .core import Alphabet, Configuration, Dwroca, PumpingIntervals, Word, _require_state, remove_intervals
 from .dwa import Dwa, WaConfig, _difference_search, _require_compatible
 from .errors import PreconditionViolated, ResourceBudgetExceeded
 from .fields import FieldElement, FieldSpec, rational
+from .unfold import unfold
 
 DEFAULT_ORACLE_BUDGET = 5_000_000
 
@@ -413,20 +414,25 @@ def find_k_equiv_wa_config(
     (q, 1) pins c: no witness means 1 works; a witness on which one side
     weighs zero rules q out; otherwise its weights force c = f1 / f2, which
     a second depth-k search verifies. Returns the first state that admits a
-    weight, or None when none does.
+    weight, or None when none does. Each search runs from ``config``'s
+    state in row r = min(counter, k) of the unfolding cut at r + k: from
+    row k up no word of length at most k reaches the zero test.
     """
     _require_compatible(automaton, wa)
     if k < 0:
         raise ValueError("k must be a natural number")
+    _require_state(automaton, config.state, "initial state")
+    row = min(config.counter, k)
+    start = unfold(automaton, row + k).with_initial(row * automaton.size + config.state, config.weight)
     one = automaton.field.one()
     for q in range(wa.size):
-        witness, _stats = _difference_search(automaton, wa.with_initial(q, one), max_len=k, start=config)
+        witness, _stats = _difference_search(start, wa.with_initial(q, one), max_len=k)
         if witness is None:
             return WaConfig(q, one)
         if witness.f1.is_zero or witness.f2.is_zero:
             continue
         candidate = witness.f1 / witness.f2
-        if _difference_search(automaton, wa.with_initial(q, candidate), max_len=k, start=config)[0] is None:
+        if _difference_search(start, wa.with_initial(q, candidate), max_len=k)[0] is None:
             return WaConfig(q, candidate)
     return None
 

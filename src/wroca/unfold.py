@@ -12,10 +12,10 @@ from two fixed coefficients (``INITIAL_SPACE_COEFF``,
 ``BELT_THICKNESS_COEFF``): the witness-length bound grows like K^26 and the
 counter-value bound like K^12 in the combined state count K, so the
 theoretical bound is a completeness guarantee rather than a practical loop
-count. Equivalence search builds no unfolding: it steps the machines
-themselves, and a word of length n from row 0 never climbs above row n, so
-on the words it tests it agrees with the unfolding cut at its word-length
-limit.
+count. Deciding equivalence builds no unfolding: the search steps both
+machines from row 0, and a word of length n never climbs above row n, so on
+the words it tests it agrees with the unfolding cut at its word-length
+limit. Only ``testkit.find_k_equiv_wa_config`` searches an unfolding.
 """
 
 from __future__ import annotations
@@ -90,8 +90,9 @@ def compute_bounds(size1: int, size2: int) -> BoundReport:
 class LazyUnfolding(_Frozen):
     """On-demand view of the unfolding: states are (state, row) pairs.
 
-    ``step_config`` steps one such pair as the materialized unfolding does,
-    so ``unfold`` builds its tables through it.
+    ``step_config`` steps one such pair as ``unfold`` does. No package code
+    builds a view; tests compare it with ``unfold``, and perfbench's tracer
+    wraps ``step_config``.
     """
 
     __slots__ = ("automaton", "bound")
@@ -127,20 +128,19 @@ def unfold(automaton: Dwroca, bound: int, state_cap: int | None = None) -> Dwa:
     """
     if automaton._violations:
         raise InvalidAutomaton(automaton._violations)
-    view = LazyUnfolding(automaton, bound)  # rejects a negative bound
+    if bound < 0:
+        raise ValueError("unfold bound must be a natural number")
+    size, count = automaton.size, automaton.size * (bound + 1)
     cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
-    if view.size > cap:
-        raise BoundTooLarge(view.size, cap)
-    size, rows, step_config = automaton.size, range(bound + 1), view.step_config
+    if count > cap:
+        raise BoundTooLarge(count, cap)
+    rows = range(bound + 1)
     states = tuple([f"{name}#{row}" for row in rows for name in automaton.states])
     transitions = {}
-    for row in rows:
-        for q in range(size):
-            for sym in range(len(automaton.alphabet)):
-                step = step_config((q, row), sym)
-                if step is not None:
-                    (dst, dst_row), weight = step
-                    transitions[row * size + q, sym] = (dst_row * size + dst, weight)
+    for row in rows:  # a valid machine's steps never fall below row 0
+        for (q, sym), (dst, effect, weight) in (automaton.delta1 if row else automaton.delta0).items():
+            if row + effect <= bound:
+                transitions[row * size + q, sym] = ((row + effect) * size + dst, weight)
     initial = (automaton.initial_state, automaton.initial_weight)
     finals = automaton.final_weights * (bound + 1)
     return Dwa._from_parts(states, automaton.alphabet, automaton.field, transitions, finals, initial)

@@ -318,6 +318,14 @@ class TestDwaEquiv:
         with pytest.raises(ValueError):
             dwa_equiv(underlying_wa(e1), one_state_dwa(2))
 
+    def test_counter_machines_refused(self, e1):
+        # e1 against itself would search unbounded rows with no length
+        # limit and no budget
+        wa = one_state_dwa(2)
+        for pair in ((e1, e1), (e1, wa), (wa, e1)):
+            with pytest.raises(TypeError, match="use check_equivalence"):
+                dwa_equiv(*pair)
+
     def test_alphabet_mismatch(self):
         other = Dwa(["q0"], ["b"], {}, {"q0": Q.one()}, ("q0", Q.one()))
         with pytest.raises(AlphabetMismatch):
@@ -997,7 +1005,8 @@ class TestFindKEquivConfig:
             machine = generate(GeneratorConfig(seed=5000 + seed, field=field, num_states=(2, 3)))
             wa = underlying_wa(generate(GeneratorConfig(seed=6000 + seed, field=field, num_states=(2, 3))))
             k = rng.randint(0, 3)
-            config = Configuration(rng.randrange(machine.size), rng.randint(0, 3), rng.choice(pool))
+            counter = rng.choice((0, 1, 2, 3, 4, 7, 1_000))
+            config = Configuration(rng.randrange(machine.size), counter, rng.choice(pool))
             found = find_k_equiv_wa_config(machine, config, wa, k)
             if found is None:
                 continue
@@ -1043,6 +1052,17 @@ class TestFindKEquivConfig:
             found += expected is not None
             missing += expected is None
         assert found > 50 and missing > 50
+
+    def test_counters_above_k_answer_as_at_k(self, e2):
+        # e2's q0 steps only at counter 0: from any counter >= k >= 1 no
+        # word of length <= k reaches the zero test, so counter 10^6 gives
+        # the answer counter k gives, and counter 0 another one
+        loop = Dwa(["p"], ["a"], {("p", "a"): ("p", Q.element(2))}, {"p": Q.one()})
+        stuck = Dwa(["p"], ["a"], {}, {"p": Q.one()})
+        k = 3
+        for wa, at_zero, above in ((loop, WaConfig(0, Q.one()), None), (stuck, None, WaConfig(0, Q.one()))):
+            answers = [find_k_equiv_wa_config(e2, Configuration(0, n, Q.one()), wa, k) for n in (0, k, 10**6)]
+            assert answers == [at_zero, above, above]
 
     def test_scaling_property(self, e1):
         wa = underlying_wa(e1)
@@ -1153,24 +1173,6 @@ class TestTransitionEntryShape:
     def test_refused_with_value_error(self, entry):
         with pytest.raises(ValueError, match=r"^transition \('s', 'a'\) is .*, not a \(state, weight\) pair$"):
             Dwa(["s"], ["a"], {("s", "a"): entry}, {"s": Q.one()}, ("s", Q.one()))
-
-
-class TestCertifyFromAStart:
-    """The certificate starts from both initial configurations, so a
-    search from another start is never certified."""
-
-    def test_certify_and_start_are_refused_together(self):
-        # b weighs 1 at counter 0 and 2 above it: from counter 3 the word b
-        # weighs 2 on the left and 1 on the right
-        one = Q.one()
-        zero_table = {("s", "a"): ("s", 1, one), ("s", "b"): ("s", 0, one)}
-        plus_table = {("s", "a"): ("s", 1, one), ("s", "b"): ("s", 0, Q.element(2))}
-        m = Dwroca(["s"], ["a", "b"], "s", one, zero_table, plus_table, {"s": one})
-        start = Configuration(0, 3, one)
-        with pytest.raises(ValueError, match="certify excludes start"):
-            _difference_search(m, m, max_len=10, start=start, certify=True)
-        witness, _ = _difference_search(m, m, max_len=10, start=start)
-        assert witness == Witness(("b",), Q.element(2), one)
 
 
 class TestOneTableShape:

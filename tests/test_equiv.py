@@ -24,6 +24,7 @@ from wroca import (
     prime_field,
     rational,
     replay_witness,
+    underlying_wa,
     unfold,
 )
 from wroca import equiv
@@ -79,6 +80,21 @@ class TestCheckEquivalence:
         with pytest.raises(ResourceBudgetExceeded, match="explored 1 words, budget is 0"):
             check_equivalence(e1, e1, budget=0)
         assert check_equivalence(e1, e1, budget=None).equivalent  # None: no cap
+
+    @pytest.mark.parametrize("value", [True, False, 2.5, "3", -1], ids=["true", "false", "float", "str", "neg"])
+    def test_natural_arguments_are_ints(self, e1, e1p, value):
+        with pytest.raises(ValueError, match="^bound override must be a natural number$"):
+            check_equivalence(e1, e1p, value)
+        with pytest.raises(ValueError, match="^budget must be a natural number$"):
+            check_equivalence(e1, e1p, budget=value)
+
+    def test_weighted_automata_refused(self, e1, e1p):
+        # a Dwa has no counter to replay a witness through, and dwa_equiv
+        # decides a pair of them
+        left, right = (underlying_wa(m).with_initial(0, Q.one()) for m in (e1, e1p))
+        for pair in ((left, right), (left, left), (e1, left), (left, e1)):
+            with pytest.raises(TypeError, match="use dwa_equiv"):
+                check_equivalence(*pair)
 
     def test_counters_climbing_in_step_are_proved(self, e1, e2):
         # the search alone never saturates on these; once the empty word is

@@ -114,6 +114,12 @@ def test_records_of_different_classes_with_equal_fields_differ():
     assert Configuration(1, 2, Q.one()) != SearchStats(1, 2, Q.one())
 
 
+@pytest.mark.parametrize("counter", [1.5, True, "1", None], ids=["float", "bool", "str", "none"])
+def test_configuration_counter_is_an_int(counter):
+    with pytest.raises(ValueError, match="is not an int"):
+        Configuration(0, counter, Q.one())
+
+
 def test_constructor_checks():
     with pytest.raises(ValueError, match="never negative"):
         Configuration(0, -1, Q.one())

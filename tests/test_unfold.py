@@ -9,7 +9,6 @@ from wroca import (
     Configuration,
     Dwa,
     Dwroca,
-    FieldMismatch,
     InvalidAutomaton,
     LazyUnfolding,
     ResourceBudgetExceeded,
@@ -22,17 +21,15 @@ from wroca import (
     underlying_wa,
     unfold,
 )
-from wroca.dwa import WaConfig, Witness, _difference_search
+from wroca.dwa import WaConfig, _difference_search
 from wroca.testkit import (
     GeneratorConfig,
-    default_weight_pool,
     find_k_equiv_wa_config,
     generate,
     split_state,
 )
 
 Q = rational()
-GF7 = prime_field(7)
 
 
 class TestUnfoldConstruction:
@@ -144,22 +141,15 @@ class TestLazyUnfolding:
                 assert lazy_value == wa.accept_weight(WaConfig(*wa.initial), w)
 
     def test_custom_start(self, e1):
-        # a view steps from any row; the search starts from any counter
-        # configuration and climbs one row a symbol from there
+        # a view steps from any row; a search from any counter configuration
+        # searches the unfolding initialised there
         assert LazyUnfolding(e1, 10).step_config((0, 4), 0) == ((0, 5), Q.element(2))
-        wa = underlying_wa(e1).with_initial(0, Q.element(5))
-        witness, stats = _difference_search(e1, wa, max_len=6, start=Configuration(0, 4, Q.element(5)))
-        assert witness is None and stats.max_counter_row == 4 + 6
+        found = find_k_equiv_wa_config(e1, Configuration(0, 4, Q.element(5)), underlying_wa(e1), 6)
+        assert found == WaConfig(0, Q.element(5))
 
     def test_rows_clip_at_bound(self, e1):
         lazy = LazyUnfolding(e1, 2)
         assert lazy.step_config((0, 2), 0) is None
-
-    def test_other_field_start_cannot_reach_a_search(self, e1):
-        # such a start used to compare as k-equivalent to a machine over Q
-        wa = underlying_wa(e1).with_initial(0, Q.element(3))
-        with pytest.raises(FieldMismatch):
-            _difference_search(e1, wa, max_len=4, start=Configuration(0, 0, GF7.element(3)))
 
     def test_size_matches_materialized_unfolding(self, e1, e2):
         for machine in (e1, e2):
@@ -168,16 +158,16 @@ class TestLazyUnfolding:
 
 
 class TestSearchClip:
-    """The search clips no rows. A word of length n from row r stays in rows
-    0..r + n, so a search of the machines at ``max_len`` equals a search of
-    their unfoldings cut at r + ``max_len``, whose states number the rows and
-    states as the search's coordinates do: the two agree word for word.
-    Only unfoldings cut lower clip rows, in ``step_config``."""
+    """The search clips no rows. A word of length n stays in rows 0..n, so a
+    search of the machines at ``max_len`` equals a search of their
+    unfoldings cut at ``max_len``, whose states number the rows and states
+    as the search's coordinates do: the two agree word for word. Only
+    unfoldings cut lower clip rows."""
 
     @staticmethod
-    def outcome(left, right, max_len, start=None):
+    def outcome(left, right, max_len):
         try:
-            witness, stats = _difference_search(left, right, max_len=max_len, budget=400, start=start)
+            witness, stats = _difference_search(left, right, max_len=max_len, budget=400)
         except ResourceBudgetExceeded as exc:
             return "budget", exc.stats.explored_words, exc.stats.basis_size
         word = None if witness is None else (witness.word, witness.f1, witness.f2)
@@ -186,7 +176,6 @@ class TestSearchClip:
     @pytest.mark.parametrize("field", [rational(), prime_field(7)], ids=["q", "gf7"])
     def test_lazy_rows_clip_like_the_materialized_unfolding(self, field):
         rng = random.Random(4242 if field.modulus is None else 4343)
-        pool = default_weight_pool(field)
         top = witnesses = 0
         for i in range(100):
             sigma = 2 + i % 2
@@ -196,16 +185,11 @@ class TestSearchClip:
             left = generate(config())
             right = split_state(left, rng.randrange(2**32)) if i % 2 else generate(config())
             max_len = 1 + rng.randrange(5)
-            state, row, weight = left.initial_state, 0, left.initial_weight
-            if i % 3 == 0:
-                state, row, weight = rng.randrange(left.size), rng.randrange(4), rng.choice(pool)
-            start = Configuration(state, row, weight)
-            unfolded = unfold(left, row + max_len).with_initial(row * left.size + state, weight)
-            machines = self.outcome(left, right, max_len, start)
-            assert machines[:3] == self.outcome(unfolded, unfold(right, max_len), max_len)[:3]
+            machines = self.outcome(left, right, max_len)
+            assert machines[:3] == self.outcome(unfold(left, max_len), unfold(right, max_len), max_len)[:3]
             if machines[0] != "budget":
-                assert machines[3] <= row + max_len
-                top += machines[3] == row + max_len
+                assert machines[3] <= max_len
+                top += machines[3] == max_len
                 witnesses += machines[0] is not None
         assert top >= 10 and witnesses >= 30
 
@@ -324,9 +308,9 @@ class TestBounds:
 
 class TestStartConfiguration:
     def test_lazy_start_equals_counter_run(self, e2):
-        # the search steps e2 from (q1, row 3, weight 2) itself: a^n weighs
-        # 2^n there, as on a one-state loop of weight 2, and a loop of
-        # weight 3 first differs on a, where the counter run weighs 2
+        # e2 from (q1, row 3, weight 2): a^n weighs 2^n there, as on a
+        # one-state loop of weight 2 from weight 1, and no weight makes a
+        # loop of weight 3 agree on both the empty word and a
         start = Configuration(1, 3, Q.element(2))
         weights = [e2.accept_weight_or_zero(("a",) * n, start) for n in range(6)]
         assert weights == [Q.element(2**n) for n in range(6)]
@@ -334,7 +318,5 @@ class TestStartConfiguration:
         def loop(weight):
             return Dwa(["p"], ["a"], {("p", "a"): ("p", Q.element(weight))}, {"p": Q.one()}, ("p", Q.one()))
 
-        witness, stats = _difference_search(e2, loop(2), max_len=5, start=start)
-        assert witness is None and stats.max_counter_row == 3 + 5
-        witness, _stats = _difference_search(e2, loop(3), max_len=5, start=start)
-        assert witness == Witness(("a",), Q.element(2), Q.element(3))
+        assert find_k_equiv_wa_config(e2, start, loop(2), 5) == WaConfig(0, Q.one())
+        assert find_k_equiv_wa_config(e2, start, loop(3), 5) is None
