@@ -461,6 +461,13 @@ class Dwroca(_Frozen):
 # -- model plumbing shared with the weighted automata of ``dwa`` ----------
 
 
+def _require_natural(value, message: str, least: int = 0) -> None:
+    """Refuse ``value`` with ValueError ``message`` unless it is an int of
+    at least ``least``; a bool, a float or a string is not a count."""
+    if type(value) is not int or value < least:
+        raise ValueError(message)
+
+
 def _require_state(machine, state: int, what: str = "state") -> None:
     """Refuse a configuration's state that is not one of ``machine``'s
     state indices, with a ValueError."""

@@ -64,7 +64,12 @@ through ``_children``. It relates (left state, right state, counter class)
 triples to the search's int pairs, starting from the empty word's, steps
 them as the search steps a word, and tests each triple's final weights
 with the search's witness test, so it proves equivalence, a weighted
-bisimulation, without a FieldElement operation.
+bisimulation, without a FieldElement operation. Where a rule asks whether
+a state weighs zero on every word from a counter class, a depth-first walk
+over the (state, class) pairs reachable from it answers (``_dead``),
+stopping at the first nonzero final weight. It walks only the pairs the
+rules ask about, its answers last for one call, and no machine stores
+anything for it.
 """
 
 from __future__ import annotations
@@ -682,35 +687,47 @@ def _element(field, n: int, d: int) -> FieldElement:
     return FieldElement(field, n % field.modulus if field.modulus else Fraction(n, d))
 
 
-def _classes(positive: bool, effect: int) -> tuple:
-    """The counter classes, as "is positive", that a step with counter
-    ``effect`` reaches from a counter in class ``positive``. A decrement
-    from a positive counter reaches zero from 1 and stays positive above
-    it."""
-    if not positive:
-        return (effect > 0,)
-    return (False, True) if effect < 0 else (True,)
+# The counter classes, as "is positive", that a step reaches from a counter
+# in class c with counter effect e: ``_CLASSES[c][e]``, e in {-1, 0, +1}, -1
+# read from the end. From zero, 0 stays at zero and +1 goes positive (a
+# valid machine never decrements there); from positive, a decrement reaches
+# zero from 1 and stays positive above it, and 0 or +1 stays positive.
+_CLASSES = (
+    ((False,), (True,), (False,)),
+    ((True,), (True,), (False, True)),
+)
 
 
-def _zero_series(machine) -> set:
-    """The (state, positive) pairs from which every word weighs zero at
-    every counter value of the class: the greatest set whose members have
-    final weight zero and step only to members, in every class reached.
-    The machine is read as the search reads it (``_side``)."""
-    _, *tables, finals, _ = _side(machine, None)
-    symbols = range(len(machine.alphabet))
-    zero = {(s, c) for s, w in enumerate(finals) if w.is_zero for c in (False, True)}
-    changed = True
-    while changed:
-        changed = False
-        for s, c in list(zero):
-            for sym in symbols:
-                step = tables[c].get((s, sym))
-                if step is not None and any((step[0], c2) not in zero for c2 in _classes(c, step[1])):
-                    zero.discard((s, c))
-                    changed = True
-                    break
-    return zero
+def _dead(side, symbol_count: int, state: int, positive: bool, memo: dict) -> bool:
+    """Whether every word weighs zero from ``state`` at every counter value
+    of class ``positive``, on a machine as ``_side`` reads it: whether no
+    (state, class) pair with a nonzero final weight is reachable from it,
+    stepping with ``_CLASSES``. A depth-first walk that stops at the first
+    such weight. ``memo`` holds the answers found so far for this machine:
+    a dead pair's walk proves every pair it met dead too."""
+    _, zero, plus, finals, _ = side
+    if finals[state].value:
+        return False  # the common answer, before any walk
+    tables, start = (zero, plus), (state, positive)
+    met, stack = {start}, [start]
+    while stack:
+        s, c = pair = stack.pop()
+        known = memo.get(pair)
+        if known is False or finals[s].value:
+            memo[start] = False
+            return False
+        if known:
+            continue  # every pair it reaches is dead
+        table, classes = tables[c], _CLASSES[c]
+        for sym in range(symbol_count):
+            step = table.get((s, sym))
+            if step is not None:
+                for c2 in classes[step[1]]:
+                    if (key := (step[0], c2)) not in met:
+                        met.add(key)
+                        stack.append(key)
+    memo.update(dict.fromkeys(met, True))
+    return True
 
 
 def _lockstep(left, right) -> bool:
@@ -729,9 +746,11 @@ def _lockstep(left, right) -> bool:
       stuck; or one side is stuck and the other steps to a state with
       zero series in every class it reaches; or both step with equal
       counter effects, to (sl', sr') with the search's child pair, in
-      every class they reach (``_classes``): from zero, 0 stays at zero
-      and +1 goes positive; from positive, -1 reaches both classes, and 0
-      or +1 stays positive.
+      every class they reach (``_CLASSES``).
+
+    A state has zero series in a class when every word weighs zero from it
+    at every counter value of the class: when no (state, class) pair with a
+    nonzero final weight is reachable from it (``_dead``).
 
     A triple where both sides have zero series holds with any pair, so a
     rule it breaks or a second pair for it is no conflict. Anywhere else,
@@ -745,49 +764,48 @@ def _lockstep(left, right) -> bool:
     nonzero step weights give no pair a zero: ``check_equivalence`` reads
     both machines' recorded violations before the search can ask.
     """
-    (sl, wl), zero_l, plus_l, finals_l, _ = _side(left, None)
-    (sr, wr), zero_r, plus_r, finals_r, _ = _side(right, None)
+    sides = _side(left, None), _side(right, None)
+    ((sl, wl), zero_l, plus_l, finals_l, _), ((sr, wr), zero_r, plus_r, finals_r, _) = sides
     p = left.field.modulus
     symbol_count = len(left.alphabet)
-    finals = (finals_l, finals_r)
-    zero = [None, None]  # each machine's zero-series pairs, once one is asked for
-
-    def dead(side: int, state: int, positive: bool) -> bool:
-        if finals[side][state].value:
-            return False  # a nonzero final weight is never in the zero series
-        if zero[side] is None:
-            zero[side] = _zero_series((left, right)[side])
-        return (state, positive) in zero[side]
+    memos = ({}, {})  # per side: (state, class) -> has zero series
 
     pairs: dict = {}
-    todo = [(sl, sr, False, _ray(*_cross(wl.value, wr.value), p))]
+    a, b = _ray(*_cross(wl.value, wr.value), p)
+    todo = [(sl, sr, False, a, b)]
     while todo:
-        sl, sr, c, pair = todo.pop()
-        seen = pairs.get((sl, sr, c))
+        sl, sr, c, a, b = todo.pop()
+        seen = pairs.get(key := (sl, sr, c))
         if seen is None:
-            pairs[(sl, sr, c)] = pair
-            a, b = pair
+            pairs[key] = a, b
             # the final-weight rule is the search's witness test, ``_cross`` inline
             fl, fr = finals_l[sl].value, finals_r[sr].value
             if _vanishes(a * fl.numerator * fr.denominator - b * fr.numerator * fl.denominator, p):
                 table_l, table_r = (plus_l, plus_r) if c else (zero_l, zero_r)
+                classes = _CLASSES[c]
                 found = []
                 for _, sl2, el, sr2, er, ml, mr in _children(table_l, sl, table_r, sr, symbol_count):
                     if sl2 is None or sr2 is None:
-                        side, dst, effect = (1, sr2, er) if sl2 is None else (0, sl2, el)
-                        if not all(dead(side, dst, c2) for c2 in _classes(c, effect)):
+                        i, dst, effect = (1, sr2, er) if sl2 is None else (0, sl2, el)
+                        if not all(_dead(sides[i], symbol_count, dst, c2, memos[i]) for c2 in classes[effect]):
                             break
                     elif el != er:
                         break
                     else:
-                        child = _ray(a * ml, b * mr, p)
-                        found += [(sl2, sr2, c2, child) for c2 in _classes(c, el)]
+                        ca, cb = a * ml, b * mr  # the child's pair, as the search's children loop has it
+                        if p:
+                            ca, cb = ca % p, cb % p
+                        else:
+                            g = gcd(ca, cb) or 1
+                            ca, cb = ca // g, cb // g
+                        for c2 in classes[el]:
+                            found.append((sl2, sr2, c2, ca, cb))
                 else:  # every rule holds at the triple: relate its successors
                     todo += found
                     continue
-        elif _vanishes(seen[0] * pair[1] - pair[0] * seen[1], p):
+        elif _vanishes(seen[0] * b - a * seen[1], p):
             continue
-        if not (dead(0, sl, c) and dead(1, sr, c)):
+        if not (_dead(sides[0], symbol_count, sl, c, memos[0]) and _dead(sides[1], symbol_count, sr, c, memos[1])):
             return False
     return True
 

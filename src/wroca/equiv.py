@@ -24,7 +24,7 @@ the certificate.
 
 from __future__ import annotations
 
-from .core import Dwroca, Word
+from .core import Dwroca, Word, _require_natural
 from .dwa import EquivalenceVerdict, Witness, _difference_search
 from .errors import InvalidAutomaton
 from .unfold import compute_bounds
@@ -69,11 +69,10 @@ def check_equivalence(
     if not (isinstance(a1, Dwroca) and isinstance(a2, Dwroca)):
         raise TypeError("check_equivalence compares two Dwroca; use dwa_equiv for weighted automata")
     _require_valid(a1, a2)
-    # type(...) is int: a bool is not a natural number
-    if bound_override is not None and (type(bound_override) is not int or bound_override < 0):
-        raise ValueError("bound override must be a natural number")
-    if budget is not None and (type(budget) is not int or budget < 0):
-        raise ValueError("budget must be a natural number")
+    if bound_override is not None:
+        _require_natural(bound_override, "bound override must be a natural number")
+    if budget is not None:
+        _require_natural(budget, "budget must be a natural number")
     bounds = compute_bounds(a1.size, a2.size)
     limit = bounds.witness_bound if bound_override is None else bound_override
     mode = "theoretical" if limit >= bounds.witness_bound else "bounded"

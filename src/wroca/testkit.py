@@ -18,7 +18,8 @@ import itertools
 import random
 from dataclasses import dataclass, field as dataclass_field
 
-from .core import Alphabet, Configuration, Dwroca, PumpingIntervals, Word, _require_state, remove_intervals
+from .core import Alphabet, Configuration, Dwroca, PumpingIntervals, Word, remove_intervals
+from .core import _require_natural, _require_state
 from .dwa import Dwa, WaConfig, _difference_search, _require_compatible
 from .errors import PreconditionViolated, ResourceBudgetExceeded
 from .fields import FieldElement, FieldSpec, rational
@@ -164,10 +165,8 @@ def brute_force_witness(
     is one word, so processing more than ``node_budget`` of them raises
     ResourceBudgetExceeded.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be a natural number")
-    if node_budget < 0:
-        raise ValueError("budget must be a natural number")
+    _require_natural(max_len, "max_len must be a natural number")
+    _require_natural(node_budget, "budget must be a natural number")
     _require_compatible(a1, a2)
     zero = a1.field.zero()
     symbols = a1.alphabet.symbols
@@ -239,8 +238,7 @@ def _collapse_key(c1, c2):
 def language_equiv_witness(a1: Dwroca, a2: Dwroca, max_len: int):
     """First word (shortest-then-lex) accepted with nonzero weight by exactly
     one machine, or None. Plain language comparison, no weight arithmetic."""
-    if max_len < 0:
-        raise ValueError("max_len must be a natural number")
+    _require_natural(max_len, "max_len must be a natural number")
     _require_compatible(a1, a2)
     symbols = a1.alphabet.symbols
     m = len(symbols)
@@ -419,8 +417,7 @@ def find_k_equiv_wa_config(
     row k up no word of length at most k reaches the zero test.
     """
     _require_compatible(automaton, wa)
-    if k < 0:
-        raise ValueError("k must be a natural number")
+    _require_natural(k, "k must be a natural number")
     _require_state(automaton, config.state, "initial state")
     row = min(config.counter, k)
     start = unfold(automaton, row + k).with_initial(row * automaton.size + config.state, config.weight)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Dwroca, _Record
+from .core import Dwroca, _Record, _require_natural
 from .dwa import Dwa
 from .errors import BoundTooLarge, InvalidAutomaton
 from .fields import _Frozen, _setattr
@@ -63,16 +63,21 @@ class BoundReport(_Record):
         }
 
 
-@lru_cache(maxsize=256)  # pure, and the report is immutable
 def bounds_for_k(k: int) -> BoundReport:
-    """Evaluate the bound polynomials at a combined state count k >= 1.
+    """Evaluate the bound polynomials at a combined state count k >= 1, an
+    int: a bool, a float or a string is a ValueError.
 
     Initial space ``14 k^6``, belt thickness ``6 k^4``, counter bound
     ``P1 + 2 ((k^2 P2)^2 + 1)``, witness bound ``2 (k * P3)^2``; all exact
     big integers.
     """
-    if k < 1:
-        raise ValueError("combined size must be at least 1")
+    # checked before the cache, which may answer k=True with k=1's entry
+    _require_natural(k, "combined size must be at least 1", 1)
+    return _bounds(k)
+
+
+@lru_cache(maxsize=256)  # pure, and the report is immutable
+def _bounds(k: int) -> BoundReport:
     initial_space = INITIAL_SPACE_COEFF * k**6
     belt_thickness = BELT_THICKNESS_COEFF * k**4
     counter_bound = initial_space + 2 * ((k * k * belt_thickness) ** 2 + 1)
@@ -84,7 +89,7 @@ def compute_bounds(size1: int, size2: int) -> BoundReport:
     """Exact bounds for a pair of machines of the given sizes."""
     if size1 < 1 or size2 < 1:
         raise ValueError("automaton sizes must be at least 1")
-    return bounds_for_k(size1 + size2)
+    return _bounds(size1 + size2)
 
 
 class LazyUnfolding(_Frozen):
@@ -98,8 +103,7 @@ class LazyUnfolding(_Frozen):
     __slots__ = ("automaton", "bound")
 
     def __init__(self, automaton: Dwroca, bound: int):
-        if bound < 0:
-            raise ValueError("unfold bound must be a natural number")
+        _require_natural(bound, "unfold bound must be a natural number")
         _setattr(self, "automaton", automaton)
         _setattr(self, "bound", bound)
 
@@ -128,8 +132,7 @@ def unfold(automaton: Dwroca, bound: int, state_cap: int | None = None) -> Dwa:
     """
     if automaton._violations:
         raise InvalidAutomaton(automaton._violations)
-    if bound < 0:
-        raise ValueError("unfold bound must be a natural number")
+    _require_natural(bound, "unfold bound must be a natural number")
     size, count = automaton.size, automaton.size * (bound + 1)
     cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
     if count > cap:

@@ -985,6 +985,12 @@ class TestFindKEquivConfig:
         with pytest.raises(FieldMismatch):
             find_k_equiv_wa_config(e1, Configuration(0, 0, GF7.element(5)), wa, 3)
 
+    @pytest.mark.parametrize("value", [True, 2.5, "3"], ids=["true", "float", "str"])
+    def test_k_is_an_int(self, e1, value):
+        config, wa = Configuration(0, 0, Q.one()), underlying_wa(e1)
+        with pytest.raises(ValueError, match="^k must be a natural number$"):
+            find_k_equiv_wa_config(e1, config, wa, value)
+
     def test_e1_counter_zero(self, e1):
         wa = underlying_wa(e1)
         found = find_k_equiv_wa_config(e1, Configuration(0, 0, Q.one()), wa, 2)

@@ -27,9 +27,9 @@ from wroca import (
     underlying_wa,
     unfold,
 )
-from wroca import equiv
+from wroca import dwa, equiv
 from wroca.dwa import EquivalenceVerdict, Witness, _difference_search
-from wroca.dwa import _classes, _lockstep, _zero_series
+from wroca.dwa import _dead, _lockstep, _side
 from wroca.fields import FieldElement
 from wroca.testkit import GeneratorConfig, brute_force_witness, generate, split_state
 
@@ -526,6 +526,28 @@ class TestLockstep:
             assert not _lockstep(to_live, stuck) and not _lockstep(stuck, to_live)
             assert _lockstep(to_dead, stuck) and _lockstep(stuck, to_dead)
 
+    def test_stuck_side_walks_into_the_positive_class(self):
+        # the live side steps by a to q1 while the other is stuck. From q1 a
+        # +1 from zero enters the positive class at q2, whose positive
+        # table, and q3's, lead to q4: a nonzero final three steps past q1.
+        # q2's and q3's zero tables only loop back to q1, so a look at
+        # direct successors, or a walk that ignores classes, calls q1 dead
+        live = {
+            ("q0", "a"): ("q1", 0, 1),
+            ("q1", "a"): ("q2", 1, 1),
+            ("q2", "b"): ("q3", 0, 1),
+            ("q3", "b"): ("q1", 0, 1),
+        }
+        positive = {("q2", "a"): ("q3", 0, 1), ("q3", "a"): ("q4", 0, 1), ("q4", "a"): ("q4", 0, 1)}
+        for field in LOCKSTEP_FIELDS:
+            stuck = machine({}, {}, {"q0": 1}, field=field)
+            for final, certified in ((5, False), (0, True)):
+                finals = {"q0": 1, "q1": 0, "q2": 0, "q3": 0, "q4": final}
+                walker = machine(live, positive, finals, field=field)
+                witness = brute_force_witness(walker, stuck, 5).shortest_witness
+                assert witness == (None if certified else ("a", "a", "a", "a"))
+                assert _lockstep(walker, stuck) is certified and _lockstep(stuck, walker) is certified
+
     def test_both_zero_series_triple_holds_with_any_ratio(self):
         # (d, d) is reached with ratios 3/2 and 1, and there the sides
         # step with unequal effects; both weigh zero from d, so no conflict
@@ -611,15 +633,44 @@ class TestLockstep:
                         check_equivalence(same, same)
 
 
+def _reference_classes(positive, effect):
+    """The counter classes a step with ``effect`` reaches from class
+    ``positive``: from zero, 0 stays and +1 goes positive; from positive,
+    -1 reaches both, 0 and +1 stay positive."""
+    if not positive:
+        return (effect > 0,)
+    return (False, True) if effect < 0 else (True,)
+
+
+def _reference_zero_series(machine):
+    """The (state, positive) pairs from which every word weighs zero at
+    every counter value of the class, as a greatest fixpoint over the
+    machine's own tables: start from every pair with final weight zero and
+    drop a pair while one of its steps reaches a pair outside the set."""
+    tables = (machine.delta0, machine.delta1)
+    symbols = range(len(machine.alphabet))
+    zero = {(s, c) for s, w in enumerate(machine.final_weights) if w.is_zero for c in (False, True)}
+    changed = True
+    while changed:
+        changed = False
+        for s, c in sorted(zero):
+            steps = [tables[c].get((s, sym)) for sym in symbols]
+            if any((dst, c2) not in zero for dst, e, _ in filter(None, steps) for c2 in _reference_classes(c, e)):
+                zero.discard((s, c))
+                changed = True
+    return zero
+
+
 def _reference_lockstep(a1, a2):
     """``equiv._lockstep`` as first written, on FieldElement arithmetic: the
-    same relation, rules and traversal order, ratios as field elements."""
+    same relation, rules and traversal order, ratios as field elements, and
+    zero series from ``_reference_zero_series``."""
     symbols = range(len(a1.alphabet))
     zero = [None, None]
 
     def dead(side, state, positive):
         if zero[side] is None:
-            zero[side] = _zero_series((a1, a2)[side])
+            zero[side] = _reference_zero_series((a1, a2)[side])
         return (state, positive) in zero[side]
 
     def successors(p, q, c, rho):
@@ -633,13 +684,13 @@ def _reference_lockstep(a1, a2):
                 continue
             if step1 is None or step2 is None:
                 side, (dst, effect, _) = (0, step1) if step2 is None else (1, step2)
-                if not all(dead(side, dst, c2) for c2 in _classes(c, effect)):
+                if not all(dead(side, dst, c2) for c2 in _reference_classes(c, effect)):
                     return None
             elif step1[1] != step2[1]:
                 return None
             else:
                 ratio = rho * step2[2] / step1[2]
-                found += [(step1[0], step2[0], c2, ratio) for c2 in _classes(c, step1[1])]
+                found += [(step1[0], step2[0], c2, ratio) for c2 in _reference_classes(c, step1[1])]
         return found
 
     ratios = {}
@@ -689,16 +740,16 @@ def _rescaled(machine, rng, perturb=False):
     )
 
 
-def _lockstep_stream(base_seed, count):
+def _lockstep_stream(base_seed, count, **knobs):
     """Seeded acceptance-stream pairs over Q, GF(7) and GF(2^31 - 1): of
     every five, two pairs of generated machines, a ``split_state`` copy of
     the left machine, that copy rescaled, and the rescaled copy with one
-    step weight doubled."""
+    step weight doubled. ``knobs`` go to every ``GeneratorConfig``."""
     for i in range(count):
         rng = random.Random(base_seed + i)
         sigma = 2 + (i // 3) % 2
         config = lambda seed: GeneratorConfig(  # noqa: E731
-            seed=seed, field=LOCKSTEP_FIELDS[i % 3], alphabet_size=(sigma, sigma)
+            seed=seed, field=LOCKSTEP_FIELDS[i % 3], alphabet_size=(sigma, sigma), **knobs
         )
         left = generate(config(rng.randrange(2**32)))
         kind = i % 5
@@ -710,15 +761,54 @@ def _lockstep_stream(base_seed, count):
 
 
 class TestLockstepOnInts:
-    def test_agrees_with_field_element_reference(self):
-        certified = [0, 0, 0]
-        for i, (left, right) in enumerate(_lockstep_stream(61_000, 1500)):
-            for pair in ((left, right), (right, left)):
-                expected = _reference_lockstep(*pair)
-                assert _lockstep(*pair) is expected, (i, pair)
-                certified[i % 3] += expected
-        # every field certifies some pairs and refuses others
-        assert all(0 < count < 1000 for count in certified), certified
+    def test_agrees_with_field_element_reference(self, monkeypatch):
+        # the default stream, and a sparse one whose many stuck sides and
+        # zero final weights make the stuck-side rule ask ``_dead``
+        asked = [0]
+
+        def counted(*args):
+            asked[0] += 1
+            return _dead(*args)
+
+        monkeypatch.setattr(dwa, "_dead", counted)
+        for base_seed, knobs in ((61_000, {}), (63_000, {"density": 0.5, "zero_final_prob": 0.6})):
+            certified, asking = [0, 0, 0], 0
+            for i, (left, right) in enumerate(_lockstep_stream(base_seed, 1500, **knobs)):
+                for pair in ((left, right), (right, left)):
+                    expected = _reference_lockstep(*pair)
+                    asked[0] = 0
+                    assert _lockstep(*pair) is expected, (base_seed, i, pair)
+                    certified[i % 3] += expected
+                    asking += expected and asked[0] > 0
+            # every field certifies some pairs and refuses others
+            assert all(0 < count < 1000 for count in certified), (base_seed, certified)
+        assert asking > 200, asking  # certified sparse pairs that asked ``_dead``
+
+    def test_dead_agrees_with_greatest_fixpoint(self):
+        # sparse tables and many zero final weights, over Q and GF(7); every
+        # pair asked with a fresh memo, then all with one memo per machine
+        machines = 0
+        for i in range(2400):
+            rng = random.Random(64_000 + i)
+            config = GeneratorConfig(
+                seed=rng.randrange(2**32),
+                num_states=(1, 5),
+                alphabet_size=(1, 3),
+                field=LOCKSTEP_FIELDS[i % 2],
+                density=rng.uniform(0.3, 0.8),
+                zero_final_prob=rng.uniform(0.3, 0.9),
+            )
+            m = generate(config)
+            side, symbol_count = _side(m, None), len(m.alphabet)
+            zero = _reference_zero_series(m)
+            pairs = [(s, c) for s in range(m.size) for c in (False, True)]
+            memo = {}
+            for s, c in pairs:
+                assert _dead(side, symbol_count, s, c, {}) is ((s, c) in zero), (i, s, c)
+            for s, c in reversed(pairs):
+                assert _dead(side, symbol_count, s, c, memo) is ((s, c) in zero), (i, s, c)
+            machines += 0 < len(zero) < len(pairs)
+        assert machines > 600, machines  # machines with both live and dead pairs
 
     def test_certifies_without_field_element_arithmetic(self, e1, e2, monkeypatch):
         pairs = [(e1, e2), (e2, e1)]

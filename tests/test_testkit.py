@@ -24,6 +24,7 @@ from wroca.testkit import (
 )
 
 Q = rational()
+NOT_NATURAL = pytest.mark.parametrize("value", [True, 2.5, "3"], ids=["true", "float", "str"])
 
 
 class TestGenerator:
@@ -121,6 +122,13 @@ class TestBruteForceWitness:
         with pytest.raises(ValueError, match="budget must be a natural number"):
             brute_force_witness(e1, e1, 6, node_budget=-1)
 
+    @NOT_NATURAL
+    def test_natural_arguments_are_ints(self, e1, value):
+        with pytest.raises(ValueError, match="^max_len must be a natural number$"):
+            brute_force_witness(e1, e1, value)
+        with pytest.raises(ValueError, match="^budget must be a natural number$"):
+            brute_force_witness(e1, e1, 6, node_budget=value)
+
     def test_collapse_matches_plain_walk(self):
         for seed in range(120):
             rng = random.Random(2000 + seed)
@@ -149,6 +157,11 @@ class TestLanguageOracle:
             weighted = brute_force_witness(left, right, 7).shortest_witness
             plain = language_equiv_witness(left, right, 7)
             assert weighted == plain
+
+    @NOT_NATURAL
+    def test_max_len_is_an_int(self, e1, value):
+        with pytest.raises(ValueError, match="^max_len must be a natural number$"):
+            language_equiv_witness(e1, e1, value)
 
     def test_weight_blind(self, e1, e1p):
         # same language, different weights: the language oracle sees nothing

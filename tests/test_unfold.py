@@ -30,9 +30,15 @@ from wroca.testkit import (
 )
 
 Q = rational()
+NOT_NATURAL = pytest.mark.parametrize("value", [True, 2.5, "3"], ids=["true", "float", "str"])
 
 
 class TestUnfoldConstruction:
+    @NOT_NATURAL
+    def test_bound_is_an_int(self, e1, value):
+        with pytest.raises(ValueError, match="^unfold bound must be a natural number$"):
+            unfold(e1, value)
+
     def test_e1_one_row(self, e1):
         wa = unfold(e1, 1)
         assert wa.states == ("q0#0", "q0#1")
@@ -117,6 +123,11 @@ class TestUnfoldFaithfulness:
 
 
 class TestLazyUnfolding:
+    @NOT_NATURAL
+    def test_bound_is_an_int(self, e1, value):
+        with pytest.raises(ValueError, match="^unfold bound must be a natural number$"):
+            LazyUnfolding(e1, value)
+
     def test_matches_materialized(self):
         rng = random.Random(7)
         for seed in range(20):
@@ -247,6 +258,14 @@ class TestSearchClip:
 
 
 class TestBounds:
+    @NOT_NATURAL
+    def test_k_is_an_int(self, value):
+        bounds_for_k(1), bounds_for_k(k=1)  # the cached 1s must not answer for True
+        with pytest.raises(ValueError, match="^combined size must be at least 1$"):
+            bounds_for_k(value)
+        with pytest.raises(ValueError, match="^combined size must be at least 1$"):
+            bounds_for_k(k=value)
+
     def test_exact_values_for_two_singletons(self):
         report = compute_bounds(1, 1)
         assert report.k == 2
