@@ -10,15 +10,17 @@ than the two machines' dimensions add up to (``_side``), and the first
 witness reported is shortest, with ties broken by the alphabet's declared
 symbol order.
 
-A word's vector has at most two nonzero coordinates, one per side whose
-run is not stuck. The kept vectors form an echelon basis whose rows have at
+A word's vector has at most two nonzero coordinates, one per side whose run
+is not stuck. The kept vectors form an echelon basis whose rows have at
 most one coordinate besides the pivot, above it, so reducing a vector at
-its smallest coordinate leaves at most two. A new vector walks the rows
-this way, keeping it at the first coordinate without a row and pruning its
-word if it cancels; it costs work in the rows met, never a basis scan. A
-walk that follows one chain of row links past ``_SHORTCUT_AFTER`` rows
-re-points the chain's first row to the chain's end, so walks stay short
-even when one side's counter climbs while the other's stays put.
+its smallest coordinate leaves at most two. The search keeps a
+two-coordinate vector whose smaller coordinate has no row there as it is;
+any other walks the rows this way (``_PairBasis.insert``), kept at the
+first coordinate without a row, its word pruned if it cancels: work in the
+rows met, never a basis scan. A walk that follows one chain of row links
+past ``_SHORTCUT_AFTER`` rows re-points the chain's first row to the
+chain's end, so walks stay short even when one side's counter climbs while
+the other's stays put.
 
 The search computes on Python ints only, over the rationals as over GF(p).
 A word's vector matters only up to a nonzero scalar: its extensions'
@@ -51,25 +53,25 @@ side's row is 0. The first word there fills in the two final weights
 cross-multiplied by each other's denominators, so the witness test is two
 products. The first word there that is kept and extended fills in its
 children (``_children``): per symbol, both sides' next states and counter
-effects, and the two step weights cross-multiplied the same way, so a
-child's pair is the parent's times these, divided by the gcd or reduced mod
-p. The empty word's pair is the two initial weights, cross-multiplied and
-divided or reduced the same way. A queue entry links to its parent's
-entry, and a witness's word is read back along these links.
+effects, and the two step weights cross-multiplied the same way and divided
+by their gcd, so a child's pair is the parent's times these, divided by the
+gcd where it is above 1, or reduced mod p. The empty word's pair is the two
+initial weights, cross-multiplied and divided or reduced the same way. A
+queue entry links to its parent's entry, and a witness's word is read back
+along these links.
 
 The lockstep certificate (``_lockstep``), which a search with ``certify``
-asks once the empty word is tested without a witness, reads the rows the
-search reads: both machines through ``_side``, a pair of states' steps
-through ``_children``. It relates (left state, right state, counter class)
-triples to the search's int pairs, starting from the empty word's, steps
-them as the search steps a word, and tests each triple's final weights
-with the search's witness test, so it proves equivalence, a weighted
-bisimulation, without a FieldElement operation. Where a rule asks whether
-a state weighs zero on every word from a counter class, a depth-first walk
-over the (state, class) pairs reachable from it answers (``_dead``),
-stopping at the first nonzero final weight. It walks only the pairs the
-rules ask about, its answers last for one call, and no machine stores
-anything for it.
+asks once, as it would extend the empty word, reads the rows the search
+reads: both machines through ``_side``, a pair of states' steps through
+``_children``. It relates (left state, right state, counter class) triples
+to the search's int pairs, starting from the empty word's, steps them as
+the search steps a word, and tests each triple's final weights with the
+search's witness test, so it proves equivalence, a weighted bisimulation,
+without a FieldElement operation. Where a rule asks whether a state weighs
+zero on every word from a counter class, a depth-first walk over the
+(state, class) pairs reachable from it answers (``_dead``), stopping at the
+first nonzero final weight. It walks only the pairs the rules ask about,
+its answers last for one call, and no machine stores anything for it.
 """
 
 from __future__ import annotations
@@ -316,8 +318,8 @@ def _children(table_l, sl, table_r, sr, symbol_count: int) -> list:
     one per symbol on which a side steps, as ``(sym, sl2, effect_l, sr2,
     effect_r, ml, mr)``. A child of the word pair (a, b) has the pair (a *
     ml, b * mr) up to a nonzero scalar: ``ml, mr`` are the two step weights
-    as ``_cross`` pairs them. A side without a step gets stuck, with state
-    None, effect 0 and weight 0."""
+    as ``_cross`` pairs them, divided by their gcd. A side without a step
+    gets stuck, with state None, effect 0 and weight 0."""
     children = []
     for sym in range(symbol_count):
         step_l, step_r = table_l.get((sl, sym)), table_r.get((sr, sym))
@@ -334,7 +336,9 @@ def _children(table_l, sl, table_r, sr, symbol_count: int) -> list:
             sr2, er, wr = step_r
             ur = wr.value
         # ``_cross(ul, ur)``, inline: the certificate calls this per triple
-        children.append((sym, sl2, el, sr2, er, ul.numerator * ur.denominator, ur.numerator * ul.denominator))
+        ml, mr = ul.numerator * ur.denominator, ur.numerator * ul.denominator
+        g = gcd(ml, mr) or 1  # both 0 where both steps weigh 0
+        children.append((sym, sl2, el, sr2, er, ml // g, mr // g))
     return children
 
 
@@ -372,12 +376,14 @@ class _PairBasis:
     def insert(self, u: int, x: int, v: int | None, z: int) -> bool:
         """Keep ``x * e_u + z * e_v`` as a new row unless the rows span it;
         True if kept. ``x`` and ``z`` are nonzero, residues over GF(p), and
-        ``v`` is None or above ``u``. While ``u`` has a row, the vector
-        becomes ``d * vec - x * row``, which cancels ``u`` and leaves at most
-        two coordinates, both above it. A one-coordinate vector matters only
-        up to a scalar, so it walks without arithmetic and is kept as ``e_u``.
-        The walk follows the chain of links from ``start`` until the
-        vector's other coordinate comes first; ``steps`` counts its rows.
+        ``v`` is None or above ``u``. The search keeps a two-coordinate
+        vector at a fresh pivot itself and calls this for any other. While
+        ``u`` has a row, the vector becomes ``d * vec - x * row``, which
+        cancels ``u`` and leaves at most two coordinates, both above it. A
+        one-coordinate vector matters only up to a scalar, so it walks
+        without arithmetic and is kept as ``e_u``. The walk follows the
+        chain of links from ``start`` until the vector's other coordinate
+        comes first; ``steps`` counts its rows.
         """
         others, values, scales, p = self.others, self.values, self.scales, self.modulus
         start, steps = u, 0
@@ -510,22 +516,21 @@ def _difference_search(
     ``Dwroca`` or an initialised ``Dwa`` (``_side``).
 
     Returns ``(witness | None, stats)``; None means no witness among the
-    words of length up to ``max_len`` (all words, when ``max_len`` is None),
-    weighed from both machines' initial configurations. Raises
+    words of length up to ``max_len`` (all words, when ``max_len`` is
+    None), weighed from both machines' initial configurations. Raises
     ResourceBudgetExceeded when more than ``budget`` words get dequeued,
     and InternalError when more vectors get kept than the machines'
     dimensions add up to, or when a witness's true weights, stepped once
-    more through the tables (``_weigh``), are equal.
-    With ``certify``, the search asks ``_lockstep(left, right)`` once, when
-    the empty word is tested without a witness and the budget allows a
-    second word: True ends the search with no witness, its stats covering
-    that word, as a proof that there is none; False lets the same search
-    go on. ``replay``, a callable from a witness's symbols to a ``Witness``,
-    weighs the witness by other means: the search returns its record, and
-    raises InternalError unless it has the witness's word and exactly the
-    stepped weights, each compared by cross-multiplication, not up to a
-    common scalar. Without ``replay`` the witness's weights are the stepped
-    ones.
+    more through the tables (``_weigh``), are equal. With ``certify``, the
+    search asks ``_lockstep(left, right)`` once, as it would extend the
+    empty word, if the budget allows a second word: True ends the search
+    with no witness, its stats covering that word, as a proof that there is
+    none; False lets the same search go on. ``replay``, a callable from a
+    witness's symbols to a ``Witness``, weighs the witness by other means:
+    the search returns its record, and raises InternalError unless it has
+    the witness's word and exactly the stepped weights, each compared by
+    cross-multiplication, not up to a common scalar. Without ``replay`` the
+    witness's weights are the stepped ones.
     """
     _require_compatible(left, right)
     side_l, side_r = _side(left, max_len), _side(right, max_len)
@@ -553,25 +558,22 @@ def _difference_search(
     a, b = _ray(*_cross(wl.value, wr.value), p)
     queue: deque = deque([(None, None, 0, sl, 0, a, sr, 0, b)])
     basis = _PairBasis(p)
-    rows, insert = basis.others, basis.insert
+    rows, values, scales, insert = basis.others, basis.values, basis.scales, basis.insert
     explored = 0
     max_row = 0
-    # one test per word serves both: with ``certify``, the loop stops after
-    # the empty word to ask the certificate, if the budget allows a second
+    room = dimension  # rows left to keep
     stop = inf if budget is None else budget
-    if certify and 1 < stop:
-        stop = 1
+    reach = inf if max_len is None else max_len
+    # with ``certify``, the empty word stops at the depth test to ask the
+    # certificate, if the budget allows a second word
+    limit = 0 if certify and stop > 1 else reach
 
     while queue:
         entry = queue.popleft()
         _, _, depth, sl, rl, a, sr, rr, b = entry
         explored += 1
         if explored > stop:
-            if stop == budget:
-                raise ResourceBudgetExceeded(explored, budget, SearchStats(explored, len(rows), max_row))
-            if _lockstep(left, right):
-                return None, SearchStats(stop, len(rows), max_row)
-            stop = inf if budget is None else budget
+            raise ResourceBudgetExceeded(explored, budget, SearchStats(explored, len(rows), max_row))
         if rl > max_row:
             max_row = rl
         if rr > max_row:
@@ -617,26 +619,34 @@ def _difference_search(
         # Coordinates are 2 * (row * states + state) + side. The right
         # side's weights enter unnegated: negating one side's coordinates
         # in every vector leaves span membership unchanged. A side enters
-        # only with a nonzero weight (a stuck side has 0), and the basis
-        # takes the smaller coordinate first.
+        # only with a nonzero weight (a stuck side has 0), and the vector's
+        # smaller coordinate u comes first, as x * e_u + z * e_v.
         if a and b:
             u, v = 2 * (rl * states_l + sl), 2 * (rr * states_r + sr) + 1
-            kept = insert(u, a, v, b) if u < v else insert(v, b, u, a)
+            x, z = a, b
+            if u > v:
+                u, x, v, z = v, b, u, a
+            if u not in rows:  # a fresh pivot: the pair is in the basis's normal form
+                rows[u], values[u] = v, z
+                if x != 1:
+                    scales[u] = x
+            elif not insert(u, x, v, z):
+                continue  # spanned by kept vectors: extensions cannot add witnesses
         elif a:
-            kept = insert(2 * (rl * states_l + sl), a, None, 0)
-        elif b:
-            kept = insert(2 * (rr * states_r + sr) + 1, b, None, 0)
-        else:
-            kept = False  # a zero weight made the whole vector zero
-        if not kept:
-            continue  # spanned by kept vectors: extensions cannot add witnesses
-        if len(rows) > dimension:
-            raise InternalError(
-                f"kept {len(rows)} vectors in a space of dimension {dimension}"
-            )
+            if not insert(2 * (rl * states_l + sl), a, None, 0):
+                continue
+        elif not (b and insert(2 * (rr * states_r + sr) + 1, b, None, 0)):
+            continue  # spanned, or a zero weight made the whole vector zero
+        room -= 1
+        if room < 0:
+            raise InternalError(f"kept {len(rows)} vectors in a space of dimension {dimension}")
 
-        if max_len is not None and depth >= max_len:
-            continue
+        if depth >= limit:
+            if limit == reach:
+                continue
+            if _lockstep(left, right):
+                return None, SearchStats(explored, len(rows), max_row)
+            limit = reach
         if kids is None:
             table_l, table_r = zero_l if rl == 0 else plus_l, zero_r if rr == 0 else plus_r
             kids = pair[2] = _children(table_l, sl, table_r, sr, symbol_count)
@@ -645,8 +655,7 @@ def _difference_search(
             ca, cb = a * ml, b * mr
             if p:
                 ca, cb = ca % p, cb % p
-            else:
-                g = gcd(ca, cb) or 1
+            elif (g := gcd(ca, cb)) > 1:
                 ca, cb = ca // g, cb // g
             queue.append((entry, sym, depth, sl2, rl + el, ca, sr2, rr + er, cb))
 
@@ -795,8 +804,7 @@ def _lockstep(left, right) -> bool:
                         ca, cb = a * ml, b * mr  # the child's pair, as the search's children loop has it
                         if p:
                             ca, cb = ca % p, cb % p
-                        else:
-                            g = gcd(ca, cb) or 1
+                        elif (g := gcd(ca, cb)) > 1:
                             ca, cb = ca // g, cb // g
                         for c2 in classes[el]:
                             found.append((sl2, sr2, c2, ca, cb))

@@ -86,9 +86,10 @@ def _bounds(k: int) -> BoundReport:
 
 
 def compute_bounds(size1: int, size2: int) -> BoundReport:
-    """Exact bounds for a pair of machines of the given sizes."""
-    if size1 < 1 or size2 < 1:
-        raise ValueError("automaton sizes must be at least 1")
+    """Exact bounds for a pair of machines of the given sizes, each an int
+    of at least 1: a bool, a float or a string is a ValueError."""
+    _require_natural(size1, "automaton sizes must be at least 1", 1)
+    _require_natural(size2, "automaton sizes must be at least 1", 1)
     return _bounds(size1 + size2)
 
 

@@ -509,6 +509,71 @@ def _weights(spec):
     return _ints.map(spec.element)
 
 
+class _Looked(dict):
+    """A basis's ``others``: the search looks up a two-coordinate vector's
+    smaller coordinate here (``in``) before it calls ``insert`` or, at a
+    fresh pivot, keeps the vector in place."""
+
+    __slots__ = ("basis",)
+
+    def __contains__(self, u):
+        basis = self.basis
+        basis.settle()
+        found = dict.__contains__(self, u)
+        if not found:
+            basis.fresh = u
+        return found
+
+
+class LoggedBasis(_PairBasis):
+    """A basis that logs every vector the search hands it, as ``((u, x, v,
+    z), kept)``: the ones it walks through ``insert``, and the ones the
+    search keeps in place at a fresh pivot, read back from the row the
+    search wrote there before anything else changes the basis (at the next
+    lookup, or at ``settle()`` after the search)."""
+
+    __slots__ = ("log", "fresh")
+
+    def __init__(self, modulus):
+        super().__init__(modulus)
+        self.others = _Looked()
+        self.others.basis = self
+        self.log, self.fresh = [], None
+
+    def insert(self, u, x, v, z):
+        kept = super().insert(u, x, v, z)
+        self.log.append(((u, x, v, z), kept))
+        return kept
+
+    def settle(self):
+        if self.fresh is not None:
+            u, self.fresh = self.fresh, None
+            row = (u, self.scales.get(u, 1), dict.__getitem__(self.others, u), self.values[u])
+            self.log.append((row, True))
+
+
+def logged_bases(monkeypatch, cls=LoggedBasis):
+    """Make every search build a ``cls`` basis, and return the list of those
+    built; ``settled_logs`` reads their logs."""
+    bases = []
+
+    class Built(cls):
+        __slots__ = ()
+
+        def __init__(self, modulus):
+            super().__init__(modulus)
+            bases.append(self)
+
+    monkeypatch.setattr("wroca.dwa._PairBasis", Built)
+    return bases
+
+
+def settled_logs(bases):
+    for basis in bases:
+        basis.settle()
+    return [basis.log for basis in bases]
+
+
 class TestPairScaler:
     """A word's int pair is its two weights up to one nonzero scalar."""
 
@@ -538,32 +603,54 @@ class TestPairScaler:
     def test_search_pairs_are_in_normal_form(self, monkeypatch):
         # Every word's pair reaches the basis divided by its gcd over Q and
         # as residues over GF(p), the words of unfoldings cut below the word
-        # length included.
-        pairs = []
+        # length included, whether the basis walks it or the search keeps
+        # it at a fresh pivot; and ``_children``'s step multipliers have no
+        # common factor over Q.
+        multipliers, searched = [], [None]
 
-        class Recording(_PairBasis):
-            __slots__ = ()
+        def recorded(*args):
+            kids = children(*args)
+            if searched[0] is Q:
+                multipliers.extend((ml, mr) for *_, ml, mr in kids)
+            return kids
 
-            def insert(self, u, x, v, z):
-                pairs.append((self.modulus, x, z))
-                return super().insert(u, x, v, z)
-
-        monkeypatch.setattr("wroca.dwa._PairBasis", Recording)
+        children = dwa._children
+        monkeypatch.setattr("wroca.dwa._children", recorded)
+        bases = logged_bases(monkeypatch)
         for i in range(30):
             field, sigma = (Q, GF7, GF_BIG)[i % 3], 2 + i % 2
             left = generate(GeneratorConfig(seed=70500 + i, field=field, alphabet_size=(sigma, sigma)))
             right = split_state(left, 71500 + i)  # equivalent: the searches run long
+            searched[0] = field
             for view_l, view_r, max_len in ((left, right, 40), (unfold(left, 1), unfold(right, 2), 6)):
                 try:
                     _difference_search(view_l, view_r, max_len=max_len, budget=300)
                 except ResourceBudgetExceeded:
                     pass
+        pairs = [(basis.modulus, x, z) for basis, log in zip(bases, settled_logs(bases)) for (_, x, _, z), _ in log]
         assert len(pairs) > 1000 and {p for p, _, _ in pairs} == {None, 7, GF_BIG.modulus}
         for p, x, z in pairs:
             if p is None:
                 assert gcd(x, z) == 1
             else:
                 assert 0 < x < p and 0 <= z < p
+        assert len(multipliers) > 100 and all(gcd(ml, mr) == 1 for ml, mr in multipliers)
+
+    def test_crossed_step_weights_reduce_the_child_pair(self, monkeypatch):
+        # a weighs 2 on the left and 3 on the right, b the reverse, so each
+        # step's multipliers are coprime but ab's pair, (6, 6), is not: the
+        # children loop divides it to (1, 1), the empty word's vector, and
+        # the walk cancels it
+        two, three = Q.element(2), Q.element(3)
+        left, right = (
+            Dwa(["p0", "p1"], ["a", "b"], {("p0", "a"): ("p1", u), ("p1", "b"): ("p0", v)},
+                {"p0": Q.one(), "p1": v}, ("p0", Q.one()))
+            for u, v in ((two, three), (three, two))
+        )
+        bases = logged_bases(monkeypatch)
+        assert dwa_equiv(left, right).equivalent
+        (log,) = settled_logs(bases)
+        assert log == [((0, 1, 1, 1), True), ((2, 2, 3, 3), True), ((0, 1, 1, 1), False)]
 
 
 def lines_run(func, call):
@@ -710,24 +797,8 @@ class TestPairBasis:
     def test_search_decisions_match_dense_rank(self, monkeypatch):
         # A verdict's stats, or a budget run's ResourceBudgetExceeded.stats,
         # count the kept vectors but do not show which were kept; record
-        # every vector the searches insert instead.
-        logs = []
-
-        class Recording(_PairBasis):
-            __slots__ = ("log",)
-
-            def __init__(self, modulus):
-                super().__init__(modulus)
-                self.log = []
-                logs.append(self.log)
-
-            def insert(self, u, x, v, z):
-                assert v is None or u < v  # the walk needs its smaller coordinate first
-                kept = super().insert(u, x, v, z)
-                self.log.append(({u: x} if v is None else {u: x, v: z}, kept))
-                return kept
-
-        monkeypatch.setattr("wroca.dwa._PairBasis", Recording)
+        # every vector the searches hand the basis instead.
+        bases = logged_bases(monkeypatch)
         fields = (Q, GF7, GF_BIG)
         budget_runs = inserts = 0
         for i in range(24):
@@ -746,14 +817,16 @@ class TestPairBasis:
                     left, right = right, left
             else:
                 right = generate(config(rng.randrange(2**32)))
-            logs.clear()
+            bases.clear()
             try:
                 uncertified(left, right, budget=200)
             except ResourceBudgetExceeded:
                 budget_runs += 1
-            for log in logs:
+            for log in settled_logs(bases):
                 kept = []
-                for vec, was_kept in log:
+                for (u, x, v, z), was_kept in log:
+                    assert v is None or u < v  # the walk needs its smaller coordinate first
+                    vec = {u: x} if v is None else {u: x, v: z}
                     assert was_kept == self.independent(vec, kept, field)
                     if was_kept:
                         kept.append(vec)
@@ -787,13 +860,22 @@ class TestPairBasis:
         # Word a^n's vector links the flat side's one coordinate to the
         # climbing side's n-th, so without shortcuts every insert walks a
         # chain of all n rows kept before it: 4.5 million row lookups here.
-        # Counted as work, not time: every row the walk or a shortcut looks up.
+        # Counted as work, not time: every row the search, the walk or a
+        # shortcut looks up. The vectors the search hands the basis are its
+        # ``insert`` calls and the ones it keeps in place, where its lookup
+        # finds no row.
         counts = {"inserts": 0, "lookups": 0}
 
         class Lookups(dict):
             def get(self, key, default=None):
                 counts["lookups"] += 1
                 return super().get(key, default)
+
+            def __contains__(self, key):
+                counts["lookups"] += 1
+                found = super().__contains__(key)
+                counts["inserts"] += not found
+                return found
 
         class Counting(_PairBasis):
             __slots__ = ()
@@ -834,24 +916,20 @@ class TestPairBasis:
         )
 
     def test_shortcuts_keep_every_decision(self, monkeypatch):
-        # The same searches with and without shortcuts insert the same
-        # vectors, keep the same ones and end with the same pivots.
+        # The same searches with and without shortcuts hand the basis the
+        # same vectors, keep the same ones and end with the same pivots.
         def searches():
-            log, fired = [], [0]
+            fired = [0]
 
-            class Logging(_PairBasis):
+            class Firing(LoggedBasis):
                 __slots__ = ()
-
-                def insert(self, u, x, v, z):
-                    log.append((u, x, v, z, super().insert(u, x, v, z)))
-                    return log[-1][-1]
 
                 def _shortcut(self, u):
                     fired[0] += 1
                     super()._shortcut(u)
 
             with monkeypatch.context() as patch:
-                patch.setattr("wroca.dwa._PairBasis", Logging)
+                bases = logged_bases(patch, Firing)
                 for i in range(18):
                     left, right = self.counter_blind_pair(9100 + i, (Q, GF7, GF_BIG)[i % 3])
                     if i % 2:
@@ -860,7 +938,7 @@ class TestPairBasis:
                         check_equivalence(left, right, budget=400)
                     except ResourceBudgetExceeded:
                         pass
-            return log, fired[0]
+            return settled_logs(bases), fired[0]
 
         with_shortcuts, fired = searches()
         monkeypatch.setattr("wroca.dwa._SHORTCUT_AFTER", 10**9)

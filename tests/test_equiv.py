@@ -486,6 +486,71 @@ class TestWitnessWeighedExactly:
             assert calls == {"replay": 2, "step": 0}
 
 
+class TestCertifyPoint:
+    """Where a theoretical search asks the lockstep certificate: once, when
+    the empty word is kept and about to be extended, and only if the budget
+    allows a second word. Budgets 0 and 1 never ask, and a certified verdict
+    covers the empty word alone."""
+
+    @staticmethod
+    def pairs(field):
+        one, two = field.one(), field.element(2)
+        loop = {("q0", "a"): ("q0", 1, two)}
+        e1 = Dwroca(["q0"], ["a"], "q0", one, loop, dict(loop), {"q0": one})
+        e2 = Dwroca(
+            ["q0", "q1"], ["a"], "q0", one,
+            {("q0", "a"): ("q1", 1, field.element(4)), ("q1", "a"): ("q1", 1, two)},
+            {("q1", "a"): ("q1", 1, two)},
+            {"q0": one, "q1": two.inverse()},
+        )
+        stepless = Dwroca(["q0"], ["a"], "q0", one, {}, {}, {"q0": one})
+        return {"e1-e1": (e1, e1), "e1-e2": (e1, e2), "stepless": (stepless, stepless)}
+
+    @staticmethod
+    def outcome(left, right, budget):
+        try:
+            verdict = check_equivalence(left, right, budget=budget)
+        except ResourceBudgetExceeded as exc:
+            return str(exc), exc.stats
+        assert verdict.mode == "theoretical" and verdict.witness is None
+        return verdict.outcome, verdict.stats
+
+    @pytest.mark.parametrize("field", [Q, prime_field(2**31 - 1)], ids=["q", "gf"])
+    @pytest.mark.parametrize("budget", [0, 1, 2, None], ids=["b0", "b1", "b2", "none"])
+    def test_pinned_outcomes(self, field, budget, monkeypatch):
+        if budget in (0, 1):
+            def refuse(left, right):
+                raise AssertionError(f"budget {budget} asked the certificate")
+
+            monkeypatch.setattr(dwa, "_lockstep", refuse)
+        for name, (left, right) in self.pairs(field).items():
+            if budget == 0:
+                expected = "explored 1 words, budget is 0", SearchStats(1, 0, 0)
+            elif budget == 1 and name != "stepless":  # the second word is over budget
+                expected = "explored 2 words, budget is 1", SearchStats(2, 1, 0)
+            else:  # certified, or, without steps, the empty word is all there is
+                expected = "equivalent", SearchStats(1, 1, 0)
+            assert self.outcome(left, right, budget) == expected, name
+
+    def test_certificate_asked_before_any_children(self, monkeypatch):
+        calls, before = [0], []
+        children, lockstep = dwa._children, dwa._lockstep
+
+        def counted(*args):
+            calls[0] += 1
+            return children(*args)
+
+        def entered(left, right):
+            before.append(calls[0])
+            return lockstep(left, right)
+
+        monkeypatch.setattr(dwa, "_children", counted)
+        monkeypatch.setattr(dwa, "_lockstep", entered)
+        e1, e2 = self.pairs(Q)["e1-e2"]
+        assert check_equivalence(e1, e2).stats == SearchStats(1, 1, 0)
+        assert before == [0] and calls[0] > 0  # the certificate steps the pair itself
+
+
 class TestLockstep:
     """One test per rule of the lockstep certificate, called directly,
     since the search decides most of these pairs before it would ask it.

@@ -321,6 +321,12 @@ class TestBounds:
         with pytest.raises(ValueError):
             bounds_for_k(0)
 
+    @pytest.mark.parametrize("value", [True, 1.5, "1"], ids=["true", "float", "str"])
+    def test_sizes_are_ints(self, value):
+        for sizes in ((value, 1), (1, value)):
+            with pytest.raises(ValueError, match="^automaton sizes must be at least 1$"):
+                compute_bounds(*sizes)
+
     def test_k_two_matches_size_pair(self):
         assert bounds_for_k(2) == compute_bounds(1, 1)
 
