@@ -93,7 +93,11 @@ class Alphabet(_Frozen):
             raise UnknownSymbol(f"symbol {symbol!r} is not in the alphabet") from None
 
     def word_indices(self, word: Word) -> tuple[int, ...]:
-        return tuple(self.index_of(s) for s in word)
+        try:
+            return tuple(map(self._index.__getitem__, word))
+        except KeyError as exc:  # exc.args[0] is the first unknown symbol
+            self.index_of(exc.args[0])  # raises UnknownSymbol
+            raise
 
 
 class _Record(_Frozen):

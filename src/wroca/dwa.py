@@ -58,7 +58,8 @@ by their gcd, so a child's pair is the parent's times these, divided by the
 gcd where it is above 1, or reduced mod p. The empty word's pair is the two
 initial weights, cross-multiplied and divided or reduced the same way. A
 queue entry links to its parent's entry, and a witness's word is read back
-along these links.
+along these links. The empty word is tested before the queue and the
+basis exist, and a witness there is reported at once (``_report``).
 
 The lockstep certificate (``_lockstep``), which a search with ``certify``
 asks once, as it would extend the empty word, reads the rows the search
@@ -306,9 +307,9 @@ def render_word(word: Sequence[str]) -> str:
 
 
 def _require_compatible(left, right) -> None:
-    if left.alphabet != right.alphabet:
+    if left.alphabet is not right.alphabet and left.alphabet != right.alphabet:
         raise AlphabetMismatch("automata must share one alphabet (same symbols, same order)")
-    if left.field != right.field:
+    if left.field is not right.field and left.field != right.field:
         raise FieldMismatch("automata must share one field")
 
 
@@ -469,7 +470,9 @@ def _ray(a: int, b: int, p: int | None) -> tuple:
 def _cross(x, y) -> tuple:
     """The values ``x`` and ``y`` (Fractions, int residues over GF(p) or the
     int 0) as an int pair of ratio x / y, each times the other's denominator."""
-    return x.numerator * y.denominator, y.numerator * x.denominator
+    n, d = x.as_integer_ratio()
+    m, e = y.as_integer_ratio()
+    return n * e, m * d
 
 
 def _side(machine, max_len: int | None) -> tuple:
@@ -531,13 +534,22 @@ def _difference_search(
     the witness's word and exactly the stepped weights, each compared by
     cross-multiplication, not up to a common scalar. Without ``replay`` the
     witness's weights are the stepped ones.
+
+    The empty word is tested first: a witness there, unless ``budget`` is
+    0, is reported with stats (1, 0, 0) before any queue or basis is built.
     """
     _require_compatible(left, right)
     side_l, side_r = _side(left, max_len), _side(right, max_len)
     init_l, zero_l, plus_l, finals_l, dimension_l = side_l
     init_r, zero_r, plus_r, finals_r, dimension_r = side_r
     p = left.field.modulus
-    symbol_count = len(left.alphabet)
+    (sl, wl), (sr, wr) = init_l, init_r
+    a, b = _ray(*_cross(wl.value, wr.value), p)
+    ea, eb = _cross(finals_l[sl].value, finals_r[sr].value)
+    diff = a * ea - b * eb
+    if diff and (p is None or diff % p) and budget != 0:
+        return _report(left, side_l, side_r, [], p, replay, SearchStats(1, 0, 0))
+    symbol_count = len(left.alphabet.symbols)
     states_l, states_r = len(finals_l), len(finals_r)
     dimension = dimension_l + dimension_r
 
@@ -553,9 +565,7 @@ def _difference_search(
     # sr, rr == 0) to [ea, eb, kids]: the final weights cross-multiplied,
     # so the word is a witness when a * ea != b * eb, and, from the first
     # time a word there is extended, its ``_children``.
-    pairs: dict = {}
-    (sl, wl), (sr, wr) = init_l, init_r
-    a, b = _ray(*_cross(wl.value, wr.value), p)
+    pairs: dict = {(sl, True, sr, True): [ea, eb, None]}
     queue: deque = deque([(None, None, 0, sl, 0, a, sr, 0, b)])
     basis = _PairBasis(p)
     rows, values, scales, insert = basis.others, basis.values, basis.scales, basis.insert
@@ -591,30 +601,7 @@ def _difference_search(
                 word.append(entry[1])
                 entry = entry[0]
             word.reverse()
-            symbols = tuple(left.alphabet.symbols[sym] for sym in word)
-            field = left.field
-            n1, d1 = _weigh(side_l, word, p)
-            n2, d2 = _weigh(side_r, word, p)
-            if _vanishes(n1 * d2 - n2 * d1, p):  # the int pair says the word separates the machines
-                raise InternalError(
-                    f"search reported witness {symbols!r}, but both machines weigh it {_element(field, n1, d1)}"
-                )
-            stats = SearchStats(explored, len(rows), max_row)
-            if replay is None:
-                return Witness(symbols, _element(field, n1, d1), _element(field, n2, d2)), stats
-            replayed = replay(symbols)
-            r1, r2 = replayed.f1.value, replayed.f2.value
-            if not (
-                replayed.word == symbols
-                and _vanishes(r1.numerator * d1 - n1 * r1.denominator, p)
-                and _vanishes(r2.numerator * d2 - n2 * r2.denominator, p)
-            ):
-                raise InternalError(
-                    f"unfolded search disagrees with replay on {symbols!r}: searched "
-                    f"{_element(field, n1, d1)}, {_element(field, n2, d2)}; "
-                    f"replayed {replayed.f1}, {replayed.f2}"
-                )
-            return replayed, stats
+            return _report(left, side_l, side_r, word, p, replay, SearchStats(explored, len(rows), max_row))
 
         # Coordinates are 2 * (row * states + state) + side. The right
         # side's weights enter unnegated: negating one side's coordinates
@@ -662,6 +649,33 @@ def _difference_search(
     return None, SearchStats(explored, len(rows), max_row)
 
 
+def _report(left, side_l, side_r, word: list[int], p: int | None, replay, stats: SearchStats):
+    """``(Witness, stats)`` for a witness ``word`` of symbol indices,
+    weighed by ``_weigh``, or the replayed record, which must have the word
+    and exactly those weights. InternalError when they are equal or the
+    replay disagrees."""
+    symbols = tuple(map(left.alphabet.symbols.__getitem__, word))
+    field = left.field
+    n1, d1 = _weigh(side_l, word, p)
+    n2, d2 = _weigh(side_r, word, p)
+    if _vanishes(n1 * d2 - n2 * d1, p):  # the int pair says the word separates the machines
+        raise InternalError(
+            f"search reported witness {symbols!r}, but both machines weigh it {_element(field, n1, d1)}"
+        )
+    if replay is None:
+        return Witness(symbols, _element(field, n1, d1), _element(field, n2, d2)), stats
+    replayed = replay(symbols)
+    r1, s1 = replayed.f1.value.as_integer_ratio()
+    r2, s2 = replayed.f2.value.as_integer_ratio()
+    if not (replayed.word == symbols and _vanishes(r1 * d1 - n1 * s1, p) and _vanishes(r2 * d2 - n2 * s2, p)):
+        raise InternalError(
+            f"unfolded search disagrees with replay on {symbols!r}: searched "
+            f"{_element(field, n1, d1)}, {_element(field, n2, d2)}; "
+            f"replayed {replayed.f1}, {replayed.f2}"
+        )
+    return replayed, stats
+
+
 def _weigh(side, word: list[int], p: int | None) -> tuple:
     """A word's exact acceptance weight ``(n, d)``, meaning n / d, stepped
     from ``_side``'s initial configuration at row 0: a side without a step
@@ -669,20 +683,20 @@ def _weigh(side, word: list[int], p: int | None) -> tuple:
     normalising; over GF(p) the numerator is reduced mod ``p`` and the
     denominator stays 1."""
     (state, weight), zero, plus, finals, _ = side
-    row, value = 0, weight.value
-    n, d = value.numerator, value.denominator
+    row = 0
+    n, d = weight.value.as_integer_ratio()
     for sym in word:
         step = (zero if row == 0 else plus).get((state, sym))
         if step is None:
             return 0, 1
         state, effect, weight = step
         row += effect
-        value = weight.value
-        n, d = n * value.numerator, d * value.denominator
+        x, y = weight.value.as_integer_ratio()
+        n, d = n * x, d * y
         if p:
             n %= p
-    value = finals[state].value
-    n, d = n * value.numerator, d * value.denominator
+    x, y = finals[state].value.as_integer_ratio()
+    n, d = n * x, d * y
     return (n % p, d) if p else (n, d)
 
 

@@ -24,6 +24,8 @@ the certificate.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .core import Dwroca, Word, _require_natural
 from .dwa import EquivalenceVerdict, Witness, _difference_search
 from .errors import InvalidAutomaton
@@ -36,10 +38,9 @@ def _require_valid(a1: Dwroca, a2: Dwroca) -> None:
     """Raise InvalidAutomaton listing both machines' violations, each
     prefixed by its side. It reads the violations each machine recorded
     when it was built and walks no table."""
-    violations = [f"left: {v}" for v in a1.validate()]
-    violations += [f"right: {v}" for v in a2.validate()]
-    if violations:
-        raise InvalidAutomaton(violations)
+    left, right = a1.validate(), a2.validate()
+    if left or right:
+        raise InvalidAutomaton([f"left: {v}" for v in left] + [f"right: {v}" for v in right])
 
 
 def check_equivalence(
@@ -82,7 +83,7 @@ def check_equivalence(
         max_len=limit,
         budget=budget,
         certify=mode == "theoretical",
-        replay=lambda word: replay_witness(a1, a2, word),
+        replay=partial(replay_witness, a1, a2),
     )
     return EquivalenceVerdict(witness is None, witness, mode, limit, stats)
 

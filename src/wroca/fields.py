@@ -52,8 +52,9 @@ def _is_prime(n: int) -> bool:
 
 # A frozen object's __setattr__ refuses every assignment, so its
 # constructor sets its slots through object.__setattr__, bound once here to
-# save a lookup.
+# save a lookup, as object.__new__ is for a product built without __init__.
 _setattr = object.__setattr__
+_new = object.__new__
 
 
 def _from_slots(cls, values: tuple):
@@ -235,10 +236,14 @@ class FieldElement(_Frozen):
         return FieldElement(self.spec, -self.value % self.spec.modulus)
 
     def __mul__(self, other):
-        other = self._check(other)
-        if self.spec.kind == RATIONAL_KIND:
-            return FieldElement(self.spec, self.value * other.value)
-        return FieldElement(self.spec, self.value * other.value % self.spec.modulus)
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            self._check(other)  # an element of an equal spec passes
+        p = spec.modulus
+        product = _new(FieldElement)  # no __init__ call: the product's slots are set here
+        _setattr(product, "spec", spec)
+        _setattr(product, "value", self.value * other.value if p is None else self.value * other.value % p)
+        return product
 
     def inverse(self) -> "FieldElement":
         if not self.value:

@@ -50,6 +50,17 @@ class TestAlphabet:
         with pytest.raises(UnknownSymbol):
             Alphabet(["a"]).index_of("b")
 
+    def test_word_indices_keep_their_errors(self):
+        alpha = Alphabet(["a", "b"])
+        assert alpha.word_indices(["b", "a"]) == (1, 0) and alpha.word_indices(()) == ()
+        # the first unknown symbol is named, from a sequence or a one-shot iterator
+        for word in (["a", "c", "d"], iter(["a", "c", "d"])):
+            with pytest.raises(UnknownSymbol) as info:
+                alpha.word_indices(word)
+            assert str(info.value) == "symbol 'c' is not in the alphabet"
+        with pytest.raises(TypeError, match="unhashable"):
+            alpha.word_indices(["a", ["b"]])
+
     def test_multicharacter_symbols(self):
         alpha = Alphabet(["push", "pop"])
         assert alpha.index_of("pop") == 1

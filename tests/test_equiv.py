@@ -551,6 +551,42 @@ class TestCertifyPoint:
         assert before == [0] and calls[0] > 0  # the certificate steps the pair itself
 
 
+class TestEmptyWordFirst:
+    """A pair the empty word separates is answered before the search builds
+    a queue or a basis, unless the budget is 0."""
+
+    @staticmethod
+    def pair(field):
+        """The empty word weighs 2 * 3 on the left and 5 on the right."""
+        table = {("q0", "a"): ("q0", 1, 2)}
+        return (
+            machine(table, table, {"q0": 3}, initial=2, field=field),
+            machine(table, table, {"q0": 5}, field=field),
+        )
+
+    @pytest.mark.parametrize("field", [Q, GF7], ids=["q", "gf7"])
+    def test_nothing_else_is_built(self, field, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the search was built for an empty-word witness")
+
+        replayed, honest = [], equiv.replay_witness
+        monkeypatch.setattr(dwa, "_PairBasis", refuse)
+        monkeypatch.setattr(dwa, "deque", refuse)
+        monkeypatch.setattr(equiv, "replay_witness", lambda *args: replayed.append(honest(*args)) or replayed[-1])
+        for budget in (1, None):
+            verdict = check_equivalence(*self.pair(field), budget=budget)
+            assert verdict.witness is replayed[-1]
+            assert verdict.witness == Witness((), field.element(6), field.element(5))
+            assert verdict.stats == SearchStats(1, 0, 0)
+
+    @pytest.mark.parametrize("field", [Q, GF7], ids=["q", "gf7"])
+    def test_budget_zero_still_raises(self, field):
+        with pytest.raises(ResourceBudgetExceeded) as info:
+            check_equivalence(*self.pair(field), budget=0)
+        assert str(info.value) == "explored 1 words, budget is 0"
+        assert info.value.stats == SearchStats(1, 0, 0)
+
+
 class TestLockstep:
     """One test per rule of the lockstep certificate, called directly,
     since the search decides most of these pairs before it would ask it.

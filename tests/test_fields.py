@@ -86,6 +86,33 @@ class TestFieldMismatch:
             g7(1) + prime_field(11).element(1)
 
 
+class TestMulOperands:
+    """A product checks its operand unless it is an element of the very
+    same spec object."""
+
+    def test_separately_built_specs_multiply(self):
+        first, second = prime_field(7), prime_field(7)
+        assert first is not second
+        product = first.element(3) * second.element(4)
+        assert product == first.element(5) and product.spec is first
+
+    def test_other_fields_are_a_mismatch(self):
+        for left, right in ((q(2), g7(2)), (g7(2), q(2)), (g7(2), prime_field(11).element(2))):
+            with pytest.raises(FieldMismatch):
+                left * right
+
+    @pytest.mark.parametrize("other", [2, Fraction(1, 2), "2", None])
+    def test_a_non_element_is_a_type_error(self, other):
+        for element in (q("1/2"), g7(3)):
+            with pytest.raises(TypeError):
+                element * other
+
+    @given(st.fractions(), st.fractions())
+    def test_rational_product_is_the_fraction_product(self, x, y):
+        product = Q.element(x) * Q.element(y)
+        assert product.spec is Q and product.value == x * y
+
+
 class TestParse:
     def test_reduction(self):
         assert parse_element("-6/8", Q) == q("-3/4")
