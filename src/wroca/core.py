@@ -303,8 +303,8 @@ class Dwroca(_Frozen):
         _setattr(self, "field", _field_of(initial_weight, "initial weight"))
         _setattr(self, "initial_state", index[initial_state])
         _setattr(self, "initial_weight", initial_weight)
-        _setattr(self, "delta0", _intern_table(delta0, index, alphabet))
-        _setattr(self, "delta1", _intern_table(delta1, index, alphabet))
+        _setattr(self, "delta0", _intern_table(delta0, index, alphabet, counter=True))
+        _setattr(self, "delta1", _intern_table(delta1, index, alphabet, counter=True))
         _setattr(self, "final_weights", finals)
         self._record_violations()
 
@@ -506,17 +506,21 @@ def _intern_states(states: Sequence[str], alphabet, final_weights: Mapping):
     return states, alphabet, index, tuple(final_weights[name] for name in states)
 
 
-def _intern_table(table: Mapping, index: dict, alphabet: Alphabet) -> dict:
-    """Re-key a name-keyed table by indices. An entry is ``(dst, ce, weight)``
-    in a table with a counter, ``(dst, weight)`` in one without."""
+def _intern_table(table: Mapping, index: dict, alphabet: Alphabet, counter: bool) -> dict:
+    """Re-key a name-keyed table by indices. An entry is a ``(dst, ce,
+    weight)`` tuple in a table with a ``counter``, a ``(dst, weight)`` tuple
+    in one without; any other entry is a ValueError."""
+    size, shape = (3, "(state, counter effect, weight) triple") if counter else (2, "(state, weight) pair")
     out = {}
     for (src, symbol), entry in table.items():
+        if not isinstance(entry, tuple) or len(entry) != size:
+            raise ValueError(f"transition ({src!r}, {symbol!r}) is {entry!r}, not a {shape}")
         dst = entry[0]
         if src not in index or dst not in index:
             raise ValueError(f"transition ({src!r}, {symbol!r}) names an unknown state")
         key = (index[src], alphabet.index_of(symbol))
         # fixed-arity tuples: building one from a slice took about twice as long
-        out[key] = (index[dst], entry[1], entry[2]) if len(entry) == 3 else (index[dst], entry[1])
+        out[key] = (index[dst], entry[1], entry[2]) if counter else (index[dst], entry[1])
     return out
 
 

@@ -62,7 +62,7 @@ along these links. The empty word is tested before the queue and the
 basis exist, and a witness there is reported at once (``_report``).
 
 The lockstep certificate (``_lockstep``), which a search with ``certify``
-asks once, as it would extend the empty word, reads the rows the search
+asks once, where the empty word is decided, reads the rows the search
 reads: both machines through ``_side``, a pair of states' steps through
 ``_children``. It relates (left state, right state, counter class) triples
 to the search's int pairs, starting from the empty word's, steps them as
@@ -123,9 +123,7 @@ class Dwa(_Frozen):
         initial: tuple[str, FieldElement] | None = None,
     ):
         states, alphabet, index, finals = _intern_states(states, alphabet, final_weights)
-        for (src, symbol), entry in transitions.items():
-            if not isinstance(entry, tuple) or len(entry) != 2:
-                raise ValueError(f"transition ({src!r}, {symbol!r}) is {entry!r}, not a (state, weight) pair")
+        transitions = _intern_table(transitions, index, alphabet, counter=False)
         if initial is not None:
             name, weight = initial
             if name not in index:
@@ -138,7 +136,7 @@ class Dwa(_Frozen):
         else:
             field = _field_of(initial[1], "initial weight")
         _setattr(self, "field", field)
-        _setattr(self, "transitions", _intern_table(transitions, index, alphabet))
+        _setattr(self, "transitions", transitions)
         _setattr(self, "final_weights", finals)
         _setattr(self, "initial", initial)
 
@@ -242,7 +240,8 @@ class SearchStats(_Record):
 
     A ``Dwa`` side stays at row 0. A run the lockstep certificate ends
     reports the one word tested before the certificate was asked, the
-    empty word: (1, 1, 0).
+    empty word, whose vector a valid machine's nonzero initial weights
+    keep: (1, 1, 0).
     ``ResourceBudgetExceeded.stats`` counts the word over budget in
     ``explored_words``, though that word was not tested.
     """
@@ -524,19 +523,19 @@ def _difference_search(
     ResourceBudgetExceeded when more than ``budget`` words get dequeued,
     and InternalError when more vectors get kept than the machines'
     dimensions add up to, or when a witness's true weights, stepped once
-    more through the tables (``_weigh``), are equal. With ``certify``, the
-    search asks ``_lockstep(left, right)`` once, as it would extend the
-    empty word, if the budget allows a second word: True ends the search
-    with no witness, its stats covering that word, as a proof that there is
-    none; False lets the same search go on. ``replay``, a callable from a
-    witness's symbols to a ``Witness``, weighs the witness by other means:
-    the search returns its record, and raises InternalError unless it has
-    the witness's word and exactly the stepped weights, each compared by
-    cross-multiplication, not up to a common scalar. Without ``replay`` the
-    witness's weights are the stepped ones.
+    more through the tables (``_weigh``), are equal. ``replay``, a callable
+    from a witness's symbols to a ``Witness``, weighs the witness by other
+    means: the search returns its record, and raises InternalError unless
+    it has the witness's word and exactly the stepped weights, each
+    compared by cross-multiplication, not up to a common scalar. Without
+    ``replay`` the witness's weights are the stepped ones.
 
     The empty word is tested first: a witness there, unless ``budget`` is
     0, is reported with stats (1, 0, 0) before any queue or basis is built.
+    Otherwise, with ``certify``, the search asks ``_lockstep(left, right)``
+    once, there, if the budget allows a second word: True ends the search
+    with no witness and stats (1, 1, 0), the empty word tested and kept, as
+    a proof that there is none; False lets the same search run.
     """
     _require_compatible(left, right)
     side_l, side_r = _side(left, max_len), _side(right, max_len)
@@ -549,6 +548,8 @@ def _difference_search(
     diff = a * ea - b * eb
     if diff and (p is None or diff % p) and budget != 0:
         return _report(left, side_l, side_r, [], p, replay, SearchStats(1, 0, 0))
+    if certify and (budget is None or budget > 1) and _lockstep(left, right):
+        return None, SearchStats(1, 1, 0)
     symbol_count = len(left.alphabet.symbols)
     states_l, states_r = len(finals_l), len(finals_r)
     dimension = dimension_l + dimension_r
@@ -574,9 +575,6 @@ def _difference_search(
     room = dimension  # rows left to keep
     stop = inf if budget is None else budget
     reach = inf if max_len is None else max_len
-    # with ``certify``, the empty word stops at the depth test to ask the
-    # certificate, if the budget allows a second word
-    limit = 0 if certify and stop > 1 else reach
 
     while queue:
         entry = queue.popleft()
@@ -628,12 +626,8 @@ def _difference_search(
         if room < 0:
             raise InternalError(f"kept {len(rows)} vectors in a space of dimension {dimension}")
 
-        if depth >= limit:
-            if limit == reach:
-                continue
-            if _lockstep(left, right):
-                return None, SearchStats(explored, len(rows), max_row)
-            limit = reach
+        if depth >= reach:
+            continue
         if kids is None:
             table_l, table_r = zero_l if rl == 0 else plus_l, zero_r if rr == 0 else plus_r
             kids = pair[2] = _children(table_l, sl, table_r, sr, symbol_count)

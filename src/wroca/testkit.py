@@ -440,11 +440,11 @@ def harvest_theorem1_tuples(
     max_word_len: int,
     *,
     max_tuples: int,
-    require_nonempty: bool = True,
 ):
     """Collect (c, c', word, I, J) tuples satisfying the trial preconditions
     from the initial configurations, by exhaustive search over words up to
-    ``max_word_len`` and the pumpings valid from both sides."""
+    ``max_word_len`` and the pumpings valid from both sides. ``find_pumpings``
+    returns the empty list once, so in every tuple I or J is non-empty."""
     _require_compatible(a1, a2)
     out = []
     c = a1.initial_configuration()
@@ -465,8 +465,6 @@ def harvest_theorem1_tuples(
             ]
             for intervals_i, intervals_j in itertools.combinations(shared, 2):
                 if not intervals_i.disjoint_from(intervals_j):
-                    continue
-                if require_nonempty and not (len(intervals_i) or len(intervals_j)):
                     continue
                 out.append((c, c_prime, word, intervals_i, intervals_j))
                 if len(out) >= max_tuples:

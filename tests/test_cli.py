@@ -212,6 +212,40 @@ def test_word_and_empty_together_exit_two(argv, json_flag, e1_file):
     assert (code, out, err) == (2, "", "error: give either a word or --empty, not both\n")
 
 
+class TestWordAndIntervalRefusals:
+    """What ``_parse_word`` and ``_parse_intervals`` refuse, and the empty
+    word given as ``""``."""
+
+    @pytest.mark.parametrize("argv", [["eval", "{f}"], ["pumpcheck", "{f}", ""]], ids=["eval", "pumpcheck"])
+    def test_no_word_and_no_empty_exit_two(self, argv, e1_file):
+        code, out, err = run_cli(*(arg.format(f=e1_file) for arg in argv))
+        assert (code, out, err) == (2, "", "error: a word (or --empty) is required\n")
+
+    def test_empty_text_is_the_empty_word(self, e1_file):
+        assert run_cli("--json", "eval", e1_file, "") == run_cli("--json", "eval", e1_file, "--empty")
+        code, out, _ = run_cli("--json", "eval", e1_file, "")
+        assert code == 0 and json.loads(out) == {"word": [], "defined": True, "weight": "1"}
+
+    @pytest.mark.parametrize(
+        "intervals, message",
+        [
+            ("1-x", "bad interval '1-x': invalid literal for int() with base 10: 'x'"),
+            ("0-2,1-3", "intervals must be pairwise disjoint"),
+            ("2-1", "bad interval [2, 1]"),
+        ],
+    )
+    def test_bad_intervals_exit_two(self, intervals, message, e1_file):
+        code, out, err = run_cli("pumpcheck", e1_file, "a,a,a,a", intervals)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_pumpcheck_on_an_undefined_run_exit_two(self, tmp_path, Q):
+        dead = Dwroca(["q0"], ["a"], "q0", Q.one(), {}, {}, {"q0": Q.one()})
+        path = tmp_path / "dead.json"
+        path.write_text(json.dumps(dead.to_json()))
+        code, out, err = run_cli("pumpcheck", str(path), "a", "")
+        assert (code, out, err) == (2, "", "error: run of ('a',) is undefined at position 0\n")
+
+
 class TestEval:
     def test_word(self, e1_file):
         code, out, _ = run_cli("eval", e1_file, "a,a,a")
@@ -367,6 +401,23 @@ class TestEquiv:
         code, _, _ = run_cli("equiv", e1_file, e1p_file, *method)
         assert code == 1 and len(validated) == 2 and validated[0] is not validated[1]
 
+    def test_multicharacter_witness(self, tmp_path, Q):
+        # the witness x1 y needs both steps: x1 alone ends where both weigh 0
+        machines = []
+        for step in (2, 3):
+            table = {("p", "x1"): ("q", 0, Q.one()), ("q", "y"): ("r", 0, Q.element(step))}
+            finals = {"p": Q.zero(), "q": Q.zero(), "r": Q.one()}
+            machine = Dwroca(["p", "q", "r"], ["x1", "y"], "p", Q.one(), table, dict(table), finals)
+            path = tmp_path / f"step{step}.json"
+            path.write_text(json.dumps(machine.to_json()))
+            machines.append(str(path))
+        code, out, err = run_cli("equiv", *machines)
+        assert (code, out, err) == (1, "not equivalent: witness 'x1,y' gives 2 vs 3\n", "")
+        code, out, err = run_cli("--json", "equiv", *machines)
+        doc = json.loads(out)
+        assert (code, err) == (1, "")
+        assert (doc["witness"], doc["witness_symbols"], doc["f1"], doc["f2"]) == ("x1,y", ["x1", "y"], "2", "3")
+
     def test_byte_identical_json(self, e1_file, e1p_file):
         _, first, _ = run_cli("--json", "equiv", e1_file, e1p_file, "--bound", "12")
         _, second, _ = run_cli("--json", "equiv", e1_file, e1p_file, "--bound", "12")
@@ -493,6 +544,12 @@ class TestRandom:
     def test_bad_field_exit_two(self, tmp_path):
         code, _, _ = run_cli("random", str(tmp_path / "r.json"), "--seed", "1", "--field", "gf:6")
         assert code == 2
+
+    def test_unknown_field_exit_two(self, tmp_path):
+        out_path = tmp_path / "r.json"
+        code, out, err = run_cli("random", str(out_path), "--seed", "1", "--field", "foo")
+        assert (code, out) == (2, "") and not out_path.exists()
+        assert err == "error: unknown field 'foo', expected 'rational' or 'gf:P'\n"
 
 
 class TestPumpcheck:

@@ -278,6 +278,16 @@ class TestRemoveIntervals:
         with pytest.raises(ValueError):
             PumpingIntervals([(0, 2), (2, 3)])
 
+    @pytest.mark.parametrize("interval", [(2, 1), (-1, 0)])
+    def test_bad_interval_rejected_at_construction(self, interval):
+        with pytest.raises(ValueError, match=rf"^bad interval \[{interval[0]}, {interval[1]}\]$"):
+            PumpingIntervals([interval])
+
+    def test_union_of_overlapping_lists_rejected(self):
+        with pytest.raises(ValueError, match="^cannot merge overlapping interval lists$"):
+            PumpingIntervals([(0, 2)]).union(PumpingIntervals([(2, 3)]))
+        assert PumpingIntervals([(3, 3)]).union(PumpingIntervals([(0, 1)])) == PumpingIntervals([(0, 1), (3, 3)])
+
     @given(st.lists(st.sampled_from("ab"), max_size=12), st.data())
     def test_matches_position_filter(self, letters, data):
         w = tuple(letters)
@@ -562,6 +572,23 @@ class TestConstruction:
     def test_missing_final_rejected(self, Q):
         with pytest.raises(ValueError):
             Dwroca(["q", "r"], ["a"], "q", Q.one(), {}, {}, {"q": Q.one()})
+
+    @pytest.mark.parametrize("kind", [Dwroca, Dwa])
+    def test_no_states_rejected(self, Q, kind):
+        with pytest.raises(ValueError, match="^automaton needs at least one state$"):
+            if kind is Dwroca:
+                Dwroca([], ["a"], "q", Q.one(), {}, {}, {})
+            else:
+                Dwa([], ["a"], {}, {})
+
+    @pytest.mark.parametrize("key, entry", [(("q", "a"), ("r", 0, Q.one())), (("r", "a"), ("q", 0, Q.one()))],
+                             ids=["destination", "source"])
+    def test_transition_naming_an_unknown_state_rejected(self, Q, key, entry):
+        for delta0, delta1 in (({key: entry}, {}), ({}, {key: entry})):
+            with pytest.raises(ValueError, match=rf"^transition \('{key[0]}', 'a'\) names an unknown state$"):
+                Dwroca(["q"], ["a"], "q", Q.one(), delta0, delta1, {"q": Q.one()})
+        with pytest.raises(ValueError, match=rf"^transition \('{key[0]}', 'a'\) names an unknown state$"):
+            Dwa(["q"], ["a"], {key: (entry[0], entry[2])}, {"q": Q.one()})
 
     def test_negative_counter_configuration_rejected(self, Q):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -1246,8 +1247,10 @@ class TestNonElementWeights:
 
 
 class TestTransitionEntryShape:
-    """A ``Dwa``'s transition entry is a ``(dst, weight)`` pair; any other
-    entry is refused when the automaton is built, naming its transition."""
+    """A ``Dwa``'s transition entry is a ``(dst, weight)`` tuple and a
+    ``Dwroca``'s a ``(dst, counter effect, weight)`` tuple; any other entry
+    is refused when the automaton is built, naming its transition, before
+    any of its items is read."""
 
     @pytest.mark.parametrize(
         "entry",
@@ -1257,6 +1260,69 @@ class TestTransitionEntryShape:
     def test_refused_with_value_error(self, entry):
         with pytest.raises(ValueError, match=r"^transition \('s', 'a'\) is .*, not a \(state, weight\) pair$"):
             Dwa(["s"], ["a"], {("s", "a"): entry}, {"s": Q.one()}, ("s", Q.one()))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [("s", Q.one()), ("s", 0, Q.one(), 5), ["s", 0, Q.one()], "sx", ("s",)],
+        ids=["pair", "four-items", "list", "str", "one-item"],
+    )
+    @pytest.mark.parametrize("table", ["delta0", "delta1"])
+    def test_counter_tables_refuse_with_value_error(self, entry, table):
+        tables = {"delta0": {}, "delta1": {}}
+        tables[table] = {("s", "a"): entry}
+        shape = r"not a \(state, counter effect, weight\) triple"
+        message = rf"^transition \('s', 'a'\) is {re.escape(repr(entry))}, {shape}$"
+        with pytest.raises(ValueError, match=message):
+            Dwroca(["s"], ["a"], "s", Q.one(), tables["delta0"], tables["delta1"], {"s": Q.one()})
+
+    def test_counter_table_triples_are_kept(self):
+        machine = Dwroca(["s"], ["a"], "s", Q.one(), {("s", "a"): ("s", 1, Q.one())}, {}, {"s": Q.one()})
+        assert machine.delta0 == {(0, 0): (0, 1, Q.one())} and machine.validate() == []
+
+
+class TestDwaRefusals:
+    """Refusals of a ``Dwa``'s constructor and accessors, each with its
+    exact message."""
+
+    @staticmethod
+    def wa(initial=None):
+        return Dwa(["s"], ["a"], {("s", "a"): ("s", Q.one())}, {"s": Q.one()}, initial)
+
+    def test_unknown_initial_state(self):
+        with pytest.raises(ValueError, match=r"^unknown initial state 't'$"):
+            self.wa(("t", Q.one()))
+
+    @pytest.mark.parametrize("state", [99, -1])
+    def test_state_index_out_of_range(self, state):
+        with pytest.raises(ValueError, match=rf"^state index {state} out of range$"):
+            self.wa().state_index(state)
+
+    def test_state_index_of_an_unknown_name(self):
+        with pytest.raises(ValueError, match=r"^unknown state 't'$"):
+            self.wa().state_index("t")
+
+    def test_uninitialised_has_no_initial_accept_weight(self):
+        with pytest.raises(ValueError, match=r"^automaton is uninitialised$"):
+            self.wa().initial_accept_weight(("a",))
+        assert self.wa(("s", Q.element(2))).initial_accept_weight(("a",)) == Q.element(2)
+
+
+class TestRenderWord:
+    """A witness renders as plain text when every symbol is one character,
+    comma-separated otherwise."""
+
+    @pytest.mark.parametrize(
+        "word, text",
+        [((), ""), (("a",), "a"), (("a", "b"), "ab"), (("ab",), "ab"), (("ab", "c"), "ab,c"), (("a", "bc"), "a,bc")],
+    )
+    def test_render(self, word, text):
+        assert dwa.render_word(word) == text
+
+    def test_verdict_json_of_a_multicharacter_witness(self):
+        witness = Witness(("x1", "y"), Q.element(2), Q.element(3))
+        verdict = EquivalenceVerdict(False, witness, "bounded", 4, SearchStats(5, 4, 0))
+        doc = verdict.to_json()
+        assert doc["witness"] == "x1,y" and doc["witness_symbols"] == ["x1", "y"]
 
 
 class TestOneTableShape:

@@ -487,10 +487,10 @@ class TestWitnessWeighedExactly:
 
 
 class TestCertifyPoint:
-    """Where a theoretical search asks the lockstep certificate: once, when
-    the empty word is kept and about to be extended, and only if the budget
-    allows a second word. Budgets 0 and 1 never ask, and a certified verdict
-    covers the empty word alone."""
+    """Where a theoretical search asks the lockstep certificate: once, right
+    after the empty word's witness test and before the search builds a
+    queue or a basis, and only if the budget allows a second word. Budgets
+    0 and 1 never ask, and a certified verdict covers the empty word alone."""
 
     @staticmethod
     def pairs(field):
@@ -550,6 +550,17 @@ class TestCertifyPoint:
         assert check_equivalence(e1, e2).stats == SearchStats(1, 1, 0)
         assert before == [0] and calls[0] > 0  # the certificate steps the pair itself
 
+    @pytest.mark.parametrize("field", [Q, prime_field(2**31 - 1)], ids=["q", "gf"])
+    def test_nothing_else_is_built(self, field, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the search was built for a certified pair")
+
+        monkeypatch.setattr(dwa, "_PairBasis", refuse)
+        monkeypatch.setattr(dwa, "deque", refuse)
+        for name, (left, right) in self.pairs(field).items():
+            for budget in (2, None):
+                assert self.outcome(left, right, budget) == ("equivalent", SearchStats(1, 1, 0)), (name, budget)
+
 
 class TestEmptyWordFirst:
     """A pair the empty word separates is answered before the search builds
@@ -572,6 +583,7 @@ class TestEmptyWordFirst:
         replayed, honest = [], equiv.replay_witness
         monkeypatch.setattr(dwa, "_PairBasis", refuse)
         monkeypatch.setattr(dwa, "deque", refuse)
+        monkeypatch.setattr(dwa, "_lockstep", refuse)
         monkeypatch.setattr(equiv, "replay_witness", lambda *args: replayed.append(honest(*args)) or replayed[-1])
         for budget in (1, None):
             verdict = check_equivalence(*self.pair(field), budget=budget)

@@ -240,6 +240,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FieldSpec("real")
 
+    def test_rational_field_takes_no_modulus(self):
+        with pytest.raises(ValueError, match="^rational field takes no modulus$"):
+            FieldSpec("rational", 7)
+
     def test_field_json_roundtrip(self):
         for spec in (Q, GF7):
             assert FieldSpec.from_json(spec.to_json()) == spec
@@ -247,6 +251,25 @@ class TestSpecValidation:
     def test_field_json_unknown_key(self):
         with pytest.raises(ParseError):
             FieldSpec.from_json({"kind": "rational", "p": 5})
+
+
+class TestElementFromValue:
+    """``FieldSpec.element`` refuses a value it cannot read exactly with a
+    TypeError naming the value's type."""
+
+    @pytest.mark.parametrize("spec", [Q, GF7], ids=["q", "gf7"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_refused(self, spec, value):
+        with pytest.raises(TypeError, match="^bool is not a field value$"):
+            spec.element(value)
+
+    def test_float_over_the_rationals(self):
+        with pytest.raises(TypeError, match="^cannot build rational from float$"):
+            Q.element(1.5)
+
+    def test_float_over_gf7(self):
+        with pytest.raises(TypeError, match=r"^cannot build GF\(7\) element from float$"):
+            GF7.element(1.5)
 
 
 def _axiom_check(spec, sample, trials):

@@ -60,6 +60,27 @@ class TestGenerator:
         with pytest.raises(ValueError):
             GeneratorConfig(seed=1, weight_pool=(Q.zero(),))
 
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"num_states": (0, 2)}, "num_states range must satisfy 1 <= lo <= hi"),
+            ({"num_states": (3, 2)}, "num_states range must satisfy 1 <= lo <= hi"),
+            ({"alphabet_size": (0, 1)}, "alphabet_size range out of range"),
+            ({"alphabet_size": (2, 1)}, "alphabet_size range out of range"),
+            ({"alphabet_size": (1, 10**6)}, "alphabet_size range out of range"),
+            ({"density": -0.1}, r"density must be in \[0, 1\]"),
+            ({"density": 1.5}, r"density must be in \[0, 1\]"),
+            ({"zero_final_prob": -0.1}, r"zero_final_prob must be in \[0, 1\]"),
+            ({"zero_final_prob": 2.0}, r"zero_final_prob must be in \[0, 1\]"),
+            ({"weight_pool": ()}, "weight pool must be non-empty"),
+            ({"weight_pool": (prime_field(7).one(),)}, "weight pool element from a different field"),
+            ({"weight_pool": (Q.one(), Q.zero())}, "weight pool must not contain zero"),
+        ],
+    )
+    def test_each_config_error_has_its_message(self, knobs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GeneratorConfig(seed=1, **knobs)
+
     def test_gf_pool_covers_all_nonzero_residues(self):
         pool = default_weight_pool(prime_field(5))
         assert sorted(w.value for w in pool) == [1, 2, 3, 4]
@@ -90,6 +111,17 @@ class TestSplitState:
     def test_deterministic(self):
         machine = generate(GeneratorConfig(seed=9))
         assert split_state(machine, 4).to_json() == split_state(machine, 4).to_json()
+
+    def test_copy_name_skips_taken_names(self):
+        # seed 1 splits state 0, "q", whose first candidate name "q'" is taken
+        one, two = Q.one(), Q.element(2)
+        table = {("q", "a"): ("r", 0, two), ("r", "a"): ("q'", 0, one), ("q'", "a"): ("q", 0, two)}
+        finals = {"q": one, "r": two, "q'": one}
+        machine = Dwroca(["q", "r", "q'"], ["a"], "q", one, table, dict(table), finals)
+        split = split_state(machine, 1)
+        assert split.states == ("q", "r", "q'", "q''")
+        assert split.validate() == []
+        assert brute_force_witness(machine, split, 6).shortest_witness is None
 
 
 class TestBruteForceWitness:
@@ -265,6 +297,25 @@ class TestTheoremTrial:
                 PumpingIntervals(),
             )
         assert "pumping" in str(info.value)
+
+    def test_undefined_run_violates_preconditions(self, Q, e1):
+        dead = Dwroca(["q0"], ["a"], "q0", Q.one(), {}, {}, {"q0": Q.one()})
+        message = r"^precondition violated: run of \('a',\) is undefined at position 0$"
+        with pytest.raises(PreconditionViolated, match=message):
+            theorem1_trial(
+                dead,
+                e1,
+                dead.initial_configuration(),
+                e1.initial_configuration(),
+                ("a",),
+                PumpingIntervals(),
+                PumpingIntervals(),
+            )
+
+    def test_harvested_tuples_pump_something(self, e1, e1p):
+        # find_pumpings returns the empty list once, so no tuple pairs it with itself
+        harvested = harvest_theorem1_tuples(e1, e1p, 4, max_tuples=50)
+        assert harvested and all(len(ivs_i) or len(ivs_j) for *_, ivs_i, ivs_j in harvested)
 
     def test_harvested_instances_always_distinguish(self):
         # the disjunction clause: some residual word keeps the machines apart
