@@ -5,15 +5,7 @@ automata, and polynomial-time equivalence checking that reports a minimal
 distinguishing witness.
 """
 
-from .core import (
-    Alphabet,
-    Configuration,
-    Dwroca,
-    PumpingIntervals,
-    Run,
-    RunStep,
-    remove_intervals,
-)
+from .core import Alphabet, Configuration, Dwroca
 from .dwa import (
     Dwa,
     EquivalenceVerdict,
@@ -69,10 +61,7 @@ __all__ = [
     "LazyUnfolding",
     "ParseError",
     "PreconditionViolated",
-    "PumpingIntervals",
     "ResourceBudgetExceeded",
-    "Run",
-    "RunStep",
     "SearchStats",
     "UnknownSymbol",
     "WaConfig",
@@ -85,7 +74,6 @@ __all__ = [
     "parse_element",
     "prime_field",
     "rational",
-    "remove_intervals",
     "render_word",
     "replay_witness",
     "underlying_wa",

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .core import Dwroca, PumpingIntervals
+from .core import Dwroca
 from .dwa import EquivalenceVerdict, SearchStats, render_word
 from .equiv import DEFAULT_SEARCH_BUDGET, check_equivalence, replay_witness
 from .errors import (
@@ -102,6 +102,7 @@ def _parse_word(args) -> tuple[str, ...]:
 
 
 def _parse_intervals(text: str) -> PumpingIntervals:
+    from .pumping import PumpingIntervals  # only pumpcheck reads intervals
     if text.strip() == "":
         return PumpingIntervals()
     pairs = []
@@ -269,11 +270,14 @@ def cmd_random(args) -> int:
 
 
 def cmd_pumpcheck(args) -> int:
+    from .pumping import check_pumping  # no decision path needs the loop-removal lemma
+
     automaton = _load_valid(args.file)
-    word = _parse_word(args)
+    # intervals first: a word given alone is bound to them, and is refused as intervals
     intervals = _parse_intervals(args.intervals)
+    word = _parse_word(args)
     try:
-        ok = automaton.check_pumping(automaton.initial_configuration(), word, intervals)
+        ok = check_pumping(automaton, automaton.initial_configuration(), word, intervals)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     _emit(args, {"pumping": ok}, "pumping" if ok else "not a pumping")

@@ -21,28 +21,24 @@ builds itself (``testkit.generate`` and ``split_state``,
 ``dwa.underlying_wa``, ``Dwa.with_initial``, ``unfold.unfold``) is built
 the same way, naming only its new states; the name-keyed constructors,
 with their checks, serve outside callers. A ``Dwroca`` built from parts
-records its violations, as a constructed one does.
+records its violations, as a constructed one does. Recorded runs and the
+loop-removal lemma live in ``pumping``, which no decision path loads.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DivisionByZero,
     FieldMismatch,
-    IntervalOutOfBounds,
     ParseError,
     UnknownSymbol,
 )
 from .fields import FieldElement, FieldSpec, _from_slots, _Frozen, _setattr, parse_element
 
 Word = Sequence[str]
-
-ZERO_TABLE = 0  # transition taken with the counter at zero
-PLUS_TABLE = 1  # transition taken with the counter positive
 
 
 class Alphabet(_Frozen):
@@ -141,125 +137,6 @@ class Configuration(_Record):
         _setattr(self, "weight", weight)
 
 
-class RunStep(_Record):
-    """One consumed symbol: which table fired, its counter move and weight."""
-
-    __slots__ = ("symbol", "table", "counter_effect", "weight")
-
-    def __init__(self, symbol: str, table: int, counter_effect: int, weight: FieldElement):
-        _setattr(self, "symbol", symbol)
-        _setattr(self, "table", table)  # ZERO_TABLE or PLUS_TABLE
-        _setattr(self, "counter_effect", counter_effect)
-        _setattr(self, "weight", weight)
-
-
-class Run(_Frozen):
-    """A maximal replay of a word from a start configuration.
-
-    ``configurations`` has one entry more than ``steps``. If the word could
-    not be consumed completely, ``stuck_at`` is the position of the first
-    symbol with no applicable transition and the run stops just before it.
-    """
-
-    __slots__ = ("configurations", "steps", "stuck_at")
-
-    def __init__(self, configurations, steps, stuck_at=None):
-        _setattr(self, "configurations", tuple(configurations))
-        _setattr(self, "steps", tuple(steps))
-        _setattr(self, "stuck_at", stuck_at)
-
-    @property
-    def ok(self) -> bool:
-        return self.stuck_at is None
-
-    @property
-    def start(self) -> Configuration:
-        return self.configurations[0]
-
-    @property
-    def end(self) -> Configuration:
-        return self.configurations[-1]
-
-    def __len__(self):
-        return len(self.steps)
-
-    def state_at(self, i: int) -> int:
-        return self.configurations[i].state
-
-    def word(self) -> tuple[str, ...]:
-        return tuple(step.symbol for step in self.steps)
-
-    def zero_test_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, step in enumerate(self.steps) if step.table == ZERO_TABLE)
-
-    def __repr__(self):
-        tail = f", stuck_at={self.stuck_at}" if self.stuck_at is not None else ""
-        return f"Run({'.'.join(s.symbol for s in self.steps)!r}, end={self.end}{tail})"
-
-
-def _min_prefix_effect(run: Run) -> int:
-    """The least cumulative counter effect over the run's non-empty
-    prefixes, 0 for the empty run."""
-    return min(accumulate(step.counter_effect for step in run.steps), default=0)
-
-
-class PumpingIntervals(_Frozen):
-    """A sorted list of pairwise disjoint, inclusive index intervals."""
-
-    __slots__ = ("intervals",)
-
-    def __init__(self, intervals: Iterable[tuple[int, int]] = ()):
-        ivs = sorted((int(i), int(j)) for i, j in intervals)
-        for i, j in ivs:
-            if i < 0 or j < i:
-                raise ValueError(f"bad interval [{i}, {j}]")
-        for (_, j0), (i1, _) in zip(ivs, ivs[1:]):
-            if i1 <= j0:
-                raise ValueError("intervals must be pairwise disjoint")
-        _setattr(self, "intervals", tuple(ivs))
-
-    def __len__(self):
-        return len(self.intervals)
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    def __eq__(self, other):
-        if not isinstance(other, PumpingIntervals):
-            return NotImplemented
-        return self.intervals == other.intervals
-
-    def __hash__(self):
-        return hash(self.intervals)
-
-    def __repr__(self):
-        return f"PumpingIntervals({list(self.intervals)!r})"
-
-    def positions(self) -> set[int]:
-        out: set[int] = set()
-        for i, j in self.intervals:
-            out.update(range(i, j + 1))
-        return out
-
-    def disjoint_from(self, other: "PumpingIntervals") -> bool:
-        return not (self.positions() & other.positions())
-
-    def union(self, other: "PumpingIntervals") -> "PumpingIntervals":
-        if not self.disjoint_from(other):
-            raise ValueError("cannot merge overlapping interval lists")
-        return PumpingIntervals(self.intervals + other.intervals)
-
-
-def remove_intervals(word: Word, intervals: PumpingIntervals) -> tuple[str, ...]:
-    """The subword left after deleting every position covered by the intervals."""
-    n = len(word)
-    for i, j in intervals:
-        if j >= n:
-            raise IntervalOutOfBounds(f"interval [{i}, {j}] exceeds word of length {n}")
-    removed = intervals.positions()
-    return tuple(s for p, s in enumerate(word) if p not in removed)
-
-
 class Dwroca(_Frozen):
     """A deterministic weighted real-time one-counter automaton.
 
@@ -296,7 +173,7 @@ class Dwroca(_Frozen):
         final_weights: Mapping[str, FieldElement],
     ):
         states, alphabet, index, finals = _intern_states(states, alphabet, final_weights)
-        if initial_state not in index:
+        if not _names_state(initial_state, index):
             raise ValueError(f"unknown initial state {initial_state!r}")
         _setattr(self, "states", states)
         _setattr(self, "alphabet", alphabet)
@@ -345,35 +222,13 @@ class Dwroca(_Frozen):
         dst, effect, weight = entry
         return Configuration(dst, config.counter + effect, config.weight * weight)
 
-    def run_word(self, config: Configuration, word: Word) -> Run:
-        """The unique maximal run of ``word`` from ``config``.
-
-        Returns a complete run, or a partial one with ``stuck_at`` set to the
-        first position whose symbol has no applicable transition.
-        """
-        _require_state(self, config.state)
-        indices = self.alphabet.word_indices(word)
-        configs = [config]
-        steps = []
-        current = config
-        for pos, sym in enumerate(indices):
-            table = ZERO_TABLE if current.counter == 0 else PLUS_TABLE
-            entry = self.transition(current.state, current.counter, sym)
-            if entry is None:
-                return Run(configs, steps, stuck_at=pos)
-            dst, effect, weight = entry
-            current = Configuration(dst, current.counter + effect, current.weight * weight)
-            configs.append(current)
-            steps.append(RunStep(word[pos], table, effect, weight))
-        return Run(configs, steps)
-
     def accept_weight(self, word: Word, start: Configuration | None = None):
         """Acceptance weight of ``word`` (from ``start``, default the initial
         configuration), or None when the run is undefined.
 
         The start configuration's weight already includes the initial weight;
-        it is multiplied once, never twice. Steps like ``run_word`` without
-        recording the run: every symbol is checked first, and a negative
+        it is multiplied once, never twice. Steps through the word without
+        recording a run: every symbol is checked first, and a negative
         counter, like a start state that is not one of the machine's, is a
         ValueError.
         """
@@ -398,43 +253,6 @@ class Dwroca(_Frozen):
         """Acceptance weight under the zero-completion convention."""
         weight = self.accept_weight(word, start)
         return self.field.zero() if weight is None else weight
-
-    # -- loop removal -------------------------------------------------
-
-    def check_pumping(self, config: Configuration, word: Word, intervals: PumpingIntervals) -> bool:
-        """Decide whether removing the given intervals is a valid pumping of
-        ``word`` from ``config``.
-
-        Required: every interval spans a loop (same state before and after),
-        the residual word still runs to completion taking, position for
-        position, the same table (so no zero-test appears or disappears at a
-        kept step), the last zero-test of the original run is not removed,
-        and the minimal prefix counter-effect does not drop. Runs with no
-        zero-test satisfy the zero-test clauses vacuously.
-        """
-        run = self.run_word(config, word)
-        if not run.ok:
-            raise ValueError(f"run of {word!r} is undefined at position {run.stuck_at}")
-        n = len(run)
-        for i, j in intervals:
-            if j >= n:
-                raise IntervalOutOfBounds(f"interval [{i}, {j}] exceeds word of length {n}")
-        for i, j in intervals:
-            if run.state_at(i) != run.state_at(j + 1):
-                return False
-        removed = intervals.positions()
-        kept = [p for p in range(n) if p not in removed]
-        residual_word = [word[p] for p in kept]
-        residual = self.run_word(config, residual_word)
-        if not residual.ok:
-            return False
-        for res_step, orig_pos in zip(residual.steps, kept):
-            if res_step.table != run.steps[orig_pos].table:
-                return False
-        zero_tests = run.zero_test_positions()
-        if zero_tests and zero_tests[-1] in removed:
-            return False
-        return _min_prefix_effect(residual) >= _min_prefix_effect(run)
 
     # -- JSON ----------------------------------------------------------
 
@@ -489,21 +307,35 @@ def _field_of(weight, what: str) -> FieldSpec:
 
 
 def _intern_states(states: Sequence[str], alphabet, final_weights: Mapping):
-    """Check the states (non-empty, distinct) and that each has a final
-    weight; coerce the alphabet. Returns ``(states, alphabet, index,
+    """Check the states (non-empty, hashable, distinct) and that each has a
+    final weight; coerce the alphabet. Returns ``(states, alphabet, index,
     finals)``: ``index`` maps names to indices, ``finals`` is in state order."""
     states = tuple(states)
     if not states:
         raise ValueError("automaton needs at least one state")
-    if len(set(states)) != len(states):
+    index = {}
+    for i, name in enumerate(states):
+        try:
+            index[name] = i
+        except TypeError:
+            raise ValueError(f"state name {name!r} is not hashable") from None
+    if len(index) != len(states):
         raise ValueError("state names must be distinct")
     if not isinstance(alphabet, Alphabet):
         alphabet = Alphabet(alphabet)
     missing = [name for name in states if name not in final_weights]
     if missing:
         raise ValueError(f"final weight missing for states {missing!r}")
-    index = {name: i for i, name in enumerate(states)}
     return states, alphabet, index, tuple(final_weights[name] for name in states)
+
+
+def _names_state(name, index: dict) -> bool:
+    """Whether ``name`` is a key of the state ``index``; an unhashable name
+    never is."""
+    try:
+        return name in index
+    except TypeError:
+        return False
 
 
 def _intern_table(table: Mapping, index: dict, alphabet: Alphabet, counter: bool) -> dict:
@@ -516,7 +348,7 @@ def _intern_table(table: Mapping, index: dict, alphabet: Alphabet, counter: bool
         if not isinstance(entry, tuple) or len(entry) != size:
             raise ValueError(f"transition ({src!r}, {symbol!r}) is {entry!r}, not a {shape}")
         dst = entry[0]
-        if src not in index or dst not in index:
+        if not (_names_state(src, index) and _names_state(dst, index)):
             raise ValueError(f"transition ({src!r}, {symbol!r}) names an unknown state")
         key = (index[src], alphabet.index_of(symbol))
         # fixed-arity tuples: building one from a slice took about twice as long

@@ -91,6 +91,7 @@ from .core import (
     _field_of,
     _intern_states,
     _intern_table,
+    _names_state,
     _require_state,
     _violations,
 )
@@ -126,7 +127,7 @@ class Dwa(_Frozen):
         transitions = _intern_table(transitions, index, alphabet, counter=False)
         if initial is not None:
             name, weight = initial
-            if name not in index:
+            if not _names_state(name, index):
                 raise ValueError(f"unknown initial state {name!r}")
             initial = (index[name], weight)
         _setattr(self, "states", states)

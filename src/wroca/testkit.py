@@ -1,5 +1,5 @@
-"""Brute-force oracles, seeded random instance generation, and drivers for
-the paper's loop-removal and depth-k matching properties.
+"""Brute-force oracles, seeded random instance generation, and a driver for
+the depth-k matching property. Loop-removal drivers live in ``pumping``.
 
 The oracle enumerates every word in shortest-then-lexicographic order and
 reports the first weight mismatch, so its witness is minimal by
@@ -14,14 +14,13 @@ to get the plain word-by-word walk.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field as dataclass_field
 
-from .core import Alphabet, Configuration, Dwroca, PumpingIntervals, Word, remove_intervals
+from .core import Alphabet, Configuration, Dwroca
 from .core import _require_natural, _require_state
 from .dwa import Dwa, WaConfig, _difference_search, _require_compatible
-from .errors import PreconditionViolated, ResourceBudgetExceeded
+from .errors import ResourceBudgetExceeded
 from .fields import FieldElement, FieldSpec, rational
 from .unfold import unfold
 
@@ -280,127 +279,6 @@ def language_equiv_witness(a1: Dwroca, a2: Dwroca, max_len: int):
     return None
 
 
-def find_pumpings(
-    automaton: Dwroca,
-    config: Configuration,
-    word: Word,
-    *,
-    max_results: int = 64,
-) -> list[PumpingIntervals]:
-    """Interval lists that are valid pumpings of ``word`` from ``config``:
-    the empty list, single loops, and pairs of disjoint loops, capped at
-    ``max_results``. Every returned list passes check_pumping."""
-    run = automaton.run_word(config, word)
-    if not run.ok:
-        raise ValueError(f"run of {word!r} is undefined at position {run.stuck_at}")
-    n = len(run)
-    results = [PumpingIntervals()]
-    loops = [
-        (i, j)
-        for i in range(n)
-        for j in range(i, n)
-        if run.state_at(i) == run.state_at(j + 1)
-    ]
-    for interval in loops:
-        if len(results) >= max_results:
-            return results
-        candidate = PumpingIntervals([interval])
-        if automaton.check_pumping(config, word, candidate):
-            results.append(candidate)
-    for first, second in itertools.combinations(loops, 2):
-        if len(results) >= max_results:
-            return results
-        if second[0] <= first[1]:
-            continue  # overlapping or touching loops cannot both be removed
-        candidate = PumpingIntervals([first, second])
-        if automaton.check_pumping(config, word, candidate):
-            results.append(candidate)
-    return results
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Result of one loop-removal trial.
-
-    ``union_is_pumping``: the merged list I ∪ J is a pumping from both
-    configurations. ``distinguishing``: the residual words among w_I, w_J
-    and w_IJ that still distinguish the machines. ``passed``: the strong
-    clause, a valid merge and at least one distinguishing residual; it is
-    expected to be false when positive loops stack. ``positive_loops_stack``:
-    on at least one side, both I and J remove a loop of positive counter
-    effect in that side's run of the word, which is the only case in which
-    the merge of two valid removals can fail.
-    """
-
-    union_is_pumping: bool
-    distinguishing: tuple[str, ...]
-    passed: bool
-    positive_loops_stack: bool
-
-
-def _removes_positive_loop(run, intervals: PumpingIntervals) -> bool:
-    return any(
-        sum(step.counter_effect for step in run.steps[i : j + 1]) > 0 for i, j in intervals
-    )
-
-
-def theorem1_trial(
-    a1: Dwroca,
-    a2: Dwroca,
-    c: Configuration,
-    c_prime: Configuration,
-    word: Word,
-    intervals_i: PumpingIntervals,
-    intervals_j: PumpingIntervals,
-) -> TrialOutcome:
-    """Check the loop-removal property on one instance.
-
-    Preconditions (PreconditionViolated otherwise): the interval lists are
-    disjoint, each is a pumping of ``word`` from both configurations, and
-    the full word distinguishes the configurations.
-
-    The property: if on each side one of I and J removes only loops of
-    counter effect <= 0 in that side's run (``positive_loops_stack`` is
-    false), then I ∪ J is again a pumping from both sides. A valid merge
-    makes the weights of w, w_I, w_J and w_IJ factor through the removed
-    loops' weights, so some residual word still distinguishes. When positive
-    loops stack, two removals that are valid alone can together pull a kept
-    step down to counter zero or lower the minimal prefix effect, so the
-    merge may fail and ``passed`` is false.
-    """
-    if not intervals_i.disjoint_from(intervals_j):
-        raise PreconditionViolated("interval lists I and J overlap")
-    checks = (
-        ("I is not a pumping from c", a1, c, intervals_i),
-        ("I is not a pumping from c'", a2, c_prime, intervals_i),
-        ("J is not a pumping from c", a1, c, intervals_j),
-        ("J is not a pumping from c'", a2, c_prime, intervals_j),
-    )
-    for clause, machine, start, intervals in checks:
-        try:
-            ok = machine.check_pumping(start, word, intervals)
-        except ValueError as exc:
-            raise PreconditionViolated(str(exc)) from exc
-        if not ok:
-            raise PreconditionViolated(clause)
-    if a1.accept_weight(word, c) == a2.accept_weight(word, c_prime):
-        raise PreconditionViolated("the full word does not distinguish c and c'")
-    stacked = any(
-        _removes_positive_loop(run, intervals_i) and _removes_positive_loop(run, intervals_j)
-        for run in (a1.run_word(c, word), a2.run_word(c_prime, word))
-    )
-    union = intervals_i.union(intervals_j)
-    union_ok = a1.check_pumping(c, word, union) and a2.check_pumping(
-        c_prime, word, union
-    )
-    labels = []
-    for label, intervals in (("w_I", intervals_i), ("w_J", intervals_j), ("w_IJ", union)):
-        residual = remove_intervals(word, intervals)
-        if a1.accept_weight_or_zero(residual, c) != a2.accept_weight_or_zero(residual, c_prime):
-            labels.append(label)
-    return TrialOutcome(union_ok, tuple(labels), union_ok and bool(labels), stacked)
-
-
 def find_k_equiv_wa_config(
     automaton: Dwroca, config: Configuration, wa: Dwa, k: int
 ) -> WaConfig | None:
@@ -432,44 +310,6 @@ def find_k_equiv_wa_config(
         if _difference_search(start, wa.with_initial(q, candidate), max_len=k)[0] is None:
             return WaConfig(q, candidate)
     return None
-
-
-def harvest_theorem1_tuples(
-    a1: Dwroca,
-    a2: Dwroca,
-    max_word_len: int,
-    *,
-    max_tuples: int,
-):
-    """Collect (c, c', word, I, J) tuples satisfying the trial preconditions
-    from the initial configurations, by exhaustive search over words up to
-    ``max_word_len`` and the pumpings valid from both sides. ``find_pumpings``
-    returns the empty list once, so in every tuple I or J is non-empty."""
-    _require_compatible(a1, a2)
-    out = []
-    c = a1.initial_configuration()
-    c_prime = a2.initial_configuration()
-    symbols = a1.alphabet.symbols
-    for length in range(1, max_word_len + 1):
-        for word in itertools.product(symbols, repeat=length):
-            run1 = a1.run_word(c, word)
-            run2 = a2.run_word(c_prime, word)
-            if not (run1.ok and run2.ok):
-                continue
-            if a1.accept_weight(word, c) == a2.accept_weight(word, c_prime):
-                continue
-            shared = [
-                intervals
-                for intervals in find_pumpings(a1, c, word)
-                if a2.check_pumping(c_prime, word, intervals)
-            ]
-            for intervals_i, intervals_j in itertools.combinations(shared, 2):
-                if not intervals_i.disjoint_from(intervals_j):
-                    continue
-                out.append((c, c_prime, word, intervals_i, intervals_j))
-                if len(out) >= max_tuples:
-                    return out
-    return out
 
 
 def random_words(alphabet, count: int, max_len: int, seed: int) -> list[tuple[str, ...]]:

@@ -29,17 +29,16 @@ from wroca import (
 from wroca.cli import main as cli_main
 from wroca.dwa import SearchStats, WaConfig
 from wroca.dwa import _difference_search, _lockstep
+from wroca.pumping import harvest_theorem1_tuples, theorem1_trial
 from wroca.testkit import (
     GeneratorConfig,
     brute_force_witness,
     default_weight_pool,
     find_k_equiv_wa_config,
     generate,
-    harvest_theorem1_tuples,
     language_equiv_witness,
     random_words,
     split_state,
-    theorem1_trial,
 )
 
 FIELDS = (rational(), prime_field(7))

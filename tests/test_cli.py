@@ -195,9 +195,9 @@ def test_public_surface():
         "Alphabet", "AlphabetMismatch", "BoundReport", "BoundTooLarge", "Configuration", "DivisionByZero",
         "Dwa", "Dwroca", "EquivalenceVerdict", "FieldElement", "FieldMismatch", "FieldSpec",
         "InternalError", "IntervalOutOfBounds", "InvalidAutomaton", "LazyUnfolding", "ParseError",
-        "PreconditionViolated", "PumpingIntervals", "ResourceBudgetExceeded", "Run", "RunStep", "SearchStats",
+        "PreconditionViolated", "ResourceBudgetExceeded", "SearchStats",
         "UnknownSymbol", "WaConfig", "Witness", "WrocaError", "bounds_for_k", "check_equivalence",
-        "compute_bounds", "dwa_equiv", "parse_element", "prime_field", "rational", "remove_intervals",
+        "compute_bounds", "dwa_equiv", "parse_element", "prime_field", "rational",
         "render_word", "replay_witness", "underlying_wa", "unfold",
     ]
     assert [name for name in wroca.__all__ if not hasattr(wroca, name)] == []
@@ -237,6 +237,11 @@ class TestWordAndIntervalRefusals:
     def test_bad_intervals_exit_two(self, intervals, message, e1_file):
         code, out, err = run_cli("pumpcheck", e1_file, "a,a,a,a", intervals)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_word_without_intervals_is_refused_as_intervals(self, e1_file):
+        # a word given alone is bound to the intervals, which are parsed first
+        code, out, err = run_cli("pumpcheck", e1_file, "a,a,a")
+        assert (code, out, err) == (2, "", "error: bad interval 'a', expected i-j\n")
 
     def test_pumpcheck_on_an_undefined_run_exit_two(self, tmp_path, Q):
         dead = Dwroca(["q0"], ["a"], "q0", Q.one(), {}, {}, {"q0": Q.one()})
@@ -597,22 +602,28 @@ class TestProcess:
         assert err == b""
 
     def test_testkit_is_imported_only_by_the_commands_that_use_it(self, e1_file):
+        # the same holds for wroca.pumping, which only pumpcheck loads
         script = f"""
 import io, sys
 from contextlib import redirect_stdout
 import wroca.cli
-loaded = ["wroca.testkit" in sys.modules]
+def loaded():
+    return ["wroca.testkit" in sys.modules, "wroca.pumping" in sys.modules]
+seen = [loaded()]
 with redirect_stdout(io.StringIO()):
     codes = [wroca.cli.main(["equiv", {e1_file!r}, {e1_file!r}, "--bound", "3"])]
-    loaded.append("wroca.testkit" in sys.modules)
+    seen.append(loaded())
     codes.append(wroca.cli.main(["equiv", {e1_file!r}, {e1_file!r}, "--method", "oracle", "--bound", "3"]))
     codes.append(wroca.cli.main(["random", "-", "--seed", "1"]))
-print(loaded, codes, "wroca.testkit" in sys.modules)
+    seen.append(loaded())
+    codes.append(wroca.cli.main(["pumpcheck", {e1_file!r}, "a,a,a", "1-2"]))
+print(seen, codes, loaded())
 """
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=SRC_ENV, timeout=60
         )
-        assert proc.stdout == "[False, False] [0, 0, 0] True\n", proc.stderr
+        expected = "[[False, False], [False, False], [True, False]] [0, 0, 0, 0] [True, True]\n"
+        assert proc.stdout == expected, proc.stderr
 
     def test_equiv_loads_neither_dataclasses_nor_inspect(self, e1_file, e1p_file):
         script = f"""

@@ -14,13 +14,19 @@ from wroca import (
     FieldSpec,
     IntervalOutOfBounds,
     ParseError,
-    PumpingIntervals,
     UnknownSymbol,
     prime_field,
     rational,
-    remove_intervals,
 )
-from wroca.core import PLUS_TABLE, ZERO_TABLE, _min_prefix_effect
+from wroca.pumping import (
+    PLUS_TABLE,
+    ZERO_TABLE,
+    PumpingIntervals,
+    _min_prefix_effect,
+    check_pumping,
+    remove_intervals,
+    run_word,
+)
 from wroca.testkit import GeneratorConfig, generate
 
 Q = rational()
@@ -94,25 +100,25 @@ class TestStep:
 
 class TestRunWord:
     def test_two_steps(self, e1):
-        run = e1.run_word(e1.initial_configuration(), word("aa"))
+        run = run_word(e1, e1.initial_configuration(), word("aa"))
         assert run.ok
         assert run.end == Configuration(0, 2, Q.element(4))
         assert [s.table for s in run.steps] == [ZERO_TABLE, PLUS_TABLE]
 
     def test_empty_word(self, e1):
         start = e1.initial_configuration()
-        run = e1.run_word(start, ())
+        run = run_word(e1, start, ())
         assert run.ok and run.end == start and len(run) == 0
 
     def test_stuck_at_zero(self, Q):
         only_plus = Dwroca(
             ["q0"], ["a"], "q0", Q.one(), {}, {("q0", "a"): ("q0", 0, Q.one())}, {"q0": Q.one()}
         )
-        run = only_plus.run_word(only_plus.initial_configuration(), word("aa"))
+        run = run_word(only_plus, only_plus.initial_configuration(), word("aa"))
         assert not run.ok and run.stuck_at == 0 and len(run) == 0
 
     def test_replay_reproduces_end(self, e2):
-        run = e2.run_word(e2.initial_configuration(), word("aaa"))
+        run = run_word(e2, e2.initial_configuration(), word("aaa"))
         current = run.start
         for step, expected in zip(run.steps, run.configurations[1:]):
             current = e2.step(current, step.symbol)
@@ -120,8 +126,8 @@ class TestRunWord:
         assert current == run.end
 
     def test_deterministic_replay(self, e2):
-        first = e2.run_word(e2.initial_configuration(), word("aaaa"))
-        second = e2.run_word(e2.initial_configuration(), word("aaaa"))
+        first = run_word(e2, e2.initial_configuration(), word("aaaa"))
+        second = run_word(e2, e2.initial_configuration(), word("aaaa"))
         assert first.configurations == second.configurations
         assert first.steps == second.steps
 
@@ -162,7 +168,7 @@ class TestAcceptWeight:
             cfg = machine.initial_configuration()
             rng = random.Random(seed)
             w = tuple(rng.choice(machine.alphabet.symbols) for _ in range(rng.randint(0, 10)))
-            run = machine.run_word(cfg, w)
+            run = run_word(machine, cfg, w)
             if not run.ok:
                 continue
             product = machine.initial_weight
@@ -217,12 +223,12 @@ class TestCounterProfile:
     """The least prefix counter effect, as ``check_pumping`` compares it."""
 
     def test_e1_grounded(self, e1):
-        run = e1.run_word(e1.initial_configuration(), word("aa"))
+        run = run_word(e1, e1.initial_configuration(), word("aa"))
         assert _min_prefix_effect(run) == 1  # over the non-empty prefixes only
         assert run.zero_test_positions() == (0,)
 
     def test_empty_run(self, e1):
-        run = e1.run_word(e1.initial_configuration(), ())
+        run = run_word(e1, e1.initial_configuration(), ())
         assert _min_prefix_effect(run) == 0
         assert run.zero_test_positions() == ()
 
@@ -236,7 +242,7 @@ class TestCounterProfile:
             {("q0", "a"): ("q0", 1, Q.one()), ("q0", "b"): ("q0", -1, Q.one())},
             {"q0": Q.one()},
         )
-        run = machine.run_word(Configuration(0, 1, Q.one()), word("ab"))
+        run = run_word(machine, Configuration(0, 1, Q.one()), word("ab"))
         assert _min_prefix_effect(run) == 0
         assert run.zero_test_positions() == ()
 
@@ -250,11 +256,11 @@ class TestFloatingMonotonicity:
                 rng.randrange(machine.size), rng.randint(1, 3), Q.element(rng.randint(1, 5))
             )
             w = tuple(rng.choice(machine.alphabet.symbols) for _ in range(rng.randint(1, 8)))
-            run = machine.run_word(start, w)
+            run = run_word(machine, start, w)
             if not run.ok or run.zero_test_positions():
                 continue
             lifted = Configuration(start.state, start.counter + rng.randint(1, 4), Q.element(9))
-            lifted_run = machine.run_word(lifted, w)
+            lifted_run = run_word(machine, lifted, w)
             assert lifted_run.ok
             assert [s.table for s in lifted_run.steps] == [s.table for s in run.steps]
             assert lifted_run.end.state == run.end.state
@@ -330,56 +336,56 @@ def pump_machine(Q):
 class TestCheckPumping:
     def test_empty_is_pumping(self, e1):
         start = e1.initial_configuration()
-        assert e1.check_pumping(start, word("aaa"), PumpingIntervals())
+        assert check_pumping(e1, start, word("aaa"), PumpingIntervals())
 
     def test_non_loop_rejected(self, e2):
         start = e2.initial_configuration()
         # positions 0..1: q0 -> q1 -> q1; removing [0,0] would need q0 == q1
-        assert not e2.check_pumping(start, word("aa"), PumpingIntervals([(0, 0)]))
+        assert not check_pumping(e2, start, word("aa"), PumpingIntervals([(0, 0)]))
 
     def test_forced_new_zero_test_rejected(self, pump_machine):
         start = pump_machine.initial_configuration()
         # word a a b b: counters 1,2,1,0; removing the +1 loop at position 1
         # replays b at counter 0, switching it to the zero-test table
         w = word("aabb")
-        run = pump_machine.run_word(start, w)
+        run = run_word(pump_machine, start, w)
         assert run.ok
-        assert not pump_machine.check_pumping(start, w, PumpingIntervals([(1, 1)]))
+        assert not check_pumping(pump_machine, start, w, PumpingIntervals([(1, 1)]))
 
     def test_loop_removal_after_zero_test_ok(self, e1):
         start = e1.initial_configuration()
-        assert e1.check_pumping(start, word("aaa"), PumpingIntervals([(1, 1)]))
-        assert e1.check_pumping(start, word("aaa"), PumpingIntervals([(1, 2)]))
-        assert e1.check_pumping(start, word("aaa"), PumpingIntervals([(2, 2)]))
+        assert check_pumping(e1, start, word("aaa"), PumpingIntervals([(1, 1)]))
+        assert check_pumping(e1, start, word("aaa"), PumpingIntervals([(1, 2)]))
+        assert check_pumping(e1, start, word("aaa"), PumpingIntervals([(2, 2)]))
 
     def test_removing_last_zero_test_rejected(self, e1):
         start = e1.initial_configuration()
-        assert not e1.check_pumping(start, word("aaa"), PumpingIntervals([(0, 0)]))
-        assert not e1.check_pumping(start, word("aaa"), PumpingIntervals([(0, 2)]))
+        assert not check_pumping(e1, start, word("aaa"), PumpingIntervals([(0, 0)]))
+        assert not check_pumping(e1, start, word("aaa"), PumpingIntervals([(0, 2)]))
 
     def test_min_effect_may_not_drop(self, pump_machine):
         # from counter 5 the word a b b floats high above zero: effects 1, 0, -1
         start = Configuration(1, 5, Q.one())
         w = word("abb")
-        run = pump_machine.run_word(start, w)
+        run = run_word(pump_machine, start, w)
         assert run.ok
         # removing the leading +1 loop leaves effects -1, -2: same tables
         # everywhere (counters stay positive), but the minimum drops
-        assert not pump_machine.check_pumping(start, w, PumpingIntervals([(0, 0)]))
+        assert not check_pumping(pump_machine, start, w, PumpingIntervals([(0, 0)]))
         # from one row higher the same removal keeps enough headroom only for
         # the table choice; the minimum-effect clause is what rejects it
-        residual = pump_machine.run_word(start, word("bb"))
+        residual = run_word(pump_machine, start, word("bb"))
         assert residual.ok
         assert all(s.table == PLUS_TABLE for s in residual.steps)
 
     def test_out_of_bounds(self, e1):
         with pytest.raises(IntervalOutOfBounds):
-            e1.check_pumping(e1.initial_configuration(), word("aa"), PumpingIntervals([(0, 5)]))
+            check_pumping(e1, e1.initial_configuration(), word("aa"), PumpingIntervals([(0, 5)]))
 
     def test_undefined_run_rejected(self, Q):
         machine = Dwroca(["q0"], ["a"], "q0", Q.one(), {}, {}, {"q0": Q.one()})
         with pytest.raises(ValueError):
-            machine.check_pumping(machine.initial_configuration(), word("a"), PumpingIntervals())
+            check_pumping(machine, machine.initial_configuration(), word("a"), PumpingIntervals())
 
 
 class TestValidate:
@@ -590,6 +596,27 @@ class TestConstruction:
         with pytest.raises(ValueError, match=rf"^transition \('{key[0]}', 'a'\) names an unknown state$"):
             Dwa(["q"], ["a"], {key: (entry[0], entry[2])}, {"q": Q.one()})
 
+    @pytest.mark.parametrize("kind", [Dwroca, Dwa])
+    def test_unhashable_destination_names_an_unknown_state(self, Q, kind):
+        # a list can never be a state, so it is the unknown-state ValueError, not a TypeError
+        with pytest.raises(ValueError, match=r"^transition \('q', 'a'\) names an unknown state$"):
+            if kind is Dwroca:
+                Dwroca(["q"], ["a"], "q", Q.one(), {("q", "a"): (["q"], 0, Q.one())}, {}, {"q": Q.one()})
+            else:
+                Dwa(["q"], ["a"], {("q", "a"): (["q"], Q.one())}, {"q": Q.one()})
+
+    @pytest.mark.parametrize("kind", [Dwroca, Dwa])
+    def test_unhashable_initial_state_is_unknown(self, Q, kind):
+        with pytest.raises(ValueError, match=r"^unknown initial state \['q'\]$"):
+            if kind is Dwroca:
+                Dwroca(["q"], ["a"], ["q"], Q.one(), {}, {}, {"q": Q.one()})
+            else:
+                Dwa(["q"], ["a"], {}, {"q": Q.one()}, (["q"], Q.one()))
+
+    def test_unhashable_state_name_rejected(self, Q):
+        with pytest.raises(ValueError, match=r"^state name \['r'\] is not hashable$"):
+            Dwroca(["q", ["r"]], ["a"], "q", Q.one(), {}, {}, {"q": Q.one()})
+
     def test_negative_counter_configuration_rejected(self, Q):
         with pytest.raises(ValueError):
             Configuration(0, -1, Q.one())
@@ -619,8 +646,8 @@ class TestStartState:
             lambda: e1.accept_weight(word("a"), start),
             lambda: e1.accept_weight_or_zero((), start),
             lambda: e1.accept_weight_or_zero(word("a"), start),
-            lambda: e1.run_word(start, ()),
-            lambda: e1.run_word(start, word("a")),
+            lambda: run_word(e1, start, ()),
+            lambda: run_word(e1, start, word("a")),
             lambda: e1.step(start, "a"),
         ]
         for call in calls:

@@ -1,10 +1,11 @@
 """What code can see of the package's immutable values.
 
-The records on the decision path: construction by position and keyword,
-field order, equality and hash, repr, and the two constructor checks. Every
-value, records and the other frozen types alike: assignment and deletion
-are refused, and copies and pickles round-trip. One base class carries the
-idiom, which a scan of the sources pins."""
+The records of the decision path, and ``pumping``'s ``RunStep``:
+construction by position and keyword, field order, equality and hash, repr,
+and the two constructor checks. Every value, records and the other frozen
+types alike: assignment and deletion are refused, and copies and pickles
+round-trip. One base class carries the idiom, which a scan of the sources
+pins."""
 
 import ast
 import copy
@@ -22,9 +23,6 @@ from wroca import (
     Dwroca,
     EquivalenceVerdict,
     LazyUnfolding,
-    PumpingIntervals,
-    Run,
-    RunStep,
     SearchStats,
     WaConfig,
     Witness,
@@ -33,6 +31,7 @@ from wroca import (
     rational,
 )
 from wroca.fields import FieldElement, FieldSpec, _Frozen
+from wroca.pumping import PumpingIntervals, Run, RunStep, run_word
 from wroca.testkit import GeneratorConfig, generate
 
 Q = rational()
@@ -156,7 +155,7 @@ VALUES = [
     (GF7.element(5), same),
     (Alphabet(["a", "b"]), lambda alphabet: (alphabet.symbols, alphabet._index)),
     (PumpingIntervals([(0, 1), (3, 4)]), same),
-    (E1.run_word(E1.initial_configuration(), ["a", "a"]), lambda run: (run.configurations, run.steps, run.stuck_at)),
+    (run_word(E1, E1.initial_configuration(), ["a", "a"]), lambda run: (run.configurations, run.steps, run.stuck_at)),
     (E1, Dwroca.to_json),
     (GF_DWA, Dwa.to_json),
     (

@@ -5,22 +5,26 @@ import pytest
 from wroca import (
     Dwroca,
     PreconditionViolated,
-    PumpingIntervals,
     ResourceBudgetExceeded,
     prime_field,
     rational,
+)
+from wroca.pumping import (
+    PumpingIntervals,
+    check_pumping,
+    find_pumpings,
+    harvest_theorem1_tuples,
+    run_word,
+    theorem1_trial,
 )
 from wroca.testkit import (
     GeneratorConfig,
     brute_force_witness,
     default_weight_pool,
-    find_pumpings,
     generate,
-    harvest_theorem1_tuples,
     language_equiv_witness,
     random_words,
     split_state,
-    theorem1_trial,
 )
 
 Q = rational()
@@ -230,10 +234,10 @@ class TestFindPumpings:
             rng = random.Random(seed)
             word = tuple(rng.choice(machine.alphabet.symbols) for _ in range(6))
             start = machine.initial_configuration()
-            if not machine.run_word(start, word).ok:
+            if not run_word(machine, start, word).ok:
                 continue
             for intervals in find_pumpings(machine, start, word):
-                assert machine.check_pumping(start, word, intervals)
+                assert check_pumping(machine, start, word, intervals)
 
     def test_undefined_run_rejected(self, Q):
         dead = Dwroca(["q0"], ["a"], "q0", Q.one(), {}, {}, {"q0": Q.one()})
@@ -384,9 +388,9 @@ class TestTheoremTrial:
         ivs_i, ivs_j = PumpingIntervals([(1, 1)]), PumpingIntervals([(2, 2)])
         for m in (left, right):
             start = m.initial_configuration()
-            assert m.check_pumping(start, word, ivs_i)
-            assert m.check_pumping(start, word, ivs_j)
-            assert not m.check_pumping(start, word, ivs_i.union(ivs_j))
+            assert check_pumping(m, start, word, ivs_i)
+            assert check_pumping(m, start, word, ivs_j)
+            assert not check_pumping(m, start, word, ivs_i.union(ivs_j))
         outcome = theorem1_trial(
             left,
             right,
@@ -417,9 +421,9 @@ class TestTheoremTrial:
         ivs_i, ivs_j = PumpingIntervals([(1, 1)]), PumpingIntervals([(5, 5)])
         for m in (left, right):
             start = m.initial_configuration()
-            assert m.check_pumping(start, word, ivs_i)
-            assert m.check_pumping(start, word, ivs_j)
-            assert m.check_pumping(start, word, ivs_i.union(ivs_j))
+            assert check_pumping(m, start, word, ivs_i)
+            assert check_pumping(m, start, word, ivs_j)
+            assert check_pumping(m, start, word, ivs_i.union(ivs_j))
         outcome = theorem1_trial(
             left,
             right,
