@@ -13,16 +13,17 @@ weight zero (the same machine completed with a zero-final-weight sink).
 
 Loading a JSON document (``Dwroca.from_json`` here, ``Dwa.from_json`` in
 ``dwa``) takes one pass: each table entry is checked and keyed by (state
-index, symbol index) as it is read. Equal weight texts in one document
-share one parsed element. Each machine kind's ``_from_parts`` then sets
-the index-keyed parts on a new instance directly, without the
-constructor's second lookup of every name. Every machine the package
-builds itself (``testkit.generate`` and ``split_state``,
-``dwa.underlying_wa``, ``Dwa.with_initial``, ``unfold.unfold``) is built
-the same way, naming only its new states; the name-keyed constructors,
-with their checks, serve outside callers. A ``Dwroca`` built from parts
-records its violations, as a constructed one does. Recorded runs and the
-loop-removal lemma live in ``pumping``, which no decision path loads.
+index, symbol index) as it is read. Equal weight texts share one parsed
+element per process and per field, up to a cap (``_element_reader``).
+Each machine kind's ``_from_parts`` then sets the index-keyed parts on a
+new instance directly, without the constructor's second lookup of every
+name. Every machine the package builds itself (``testkit.generate`` and
+``split_state``, ``dwa.underlying_wa``, ``Dwa.with_initial``,
+``unfold.unfold``) is built the same way, naming only its new states; the
+name-keyed constructors, with their checks, serve outside callers. A
+``Dwroca`` built from parts records its violations, as a constructed one
+does. Recorded runs and the loop-removal lemma live in ``pumping``, which
+no decision path loads.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     ParseError,
     UnknownSymbol,
 )
-from .fields import FieldElement, FieldSpec, _from_slots, _Frozen, _setattr, parse_element
+from .fields import FieldElement, FieldSpec, _Frozen, _new, _setattr, parse_element
 
 Word = Sequence[str]
 
@@ -275,7 +276,15 @@ class Dwroca(_Frozen):
         """A machine from its index-keyed slots in their final form, no name
         looked up; the field is the initial weight's, as in the constructor,
         which records the violations the same way."""
-        machine = _from_slots(cls, (states, alphabet, initial[1].spec, *initial, delta0, delta1, finals))
+        machine = _new(cls)
+        _setattr(machine, "states", states)
+        _setattr(machine, "alphabet", alphabet)
+        _setattr(machine, "field", initial[1].spec)
+        _setattr(machine, "initial_state", initial[0])
+        _setattr(machine, "initial_weight", initial[1])
+        _setattr(machine, "delta0", delta0)
+        _setattr(machine, "delta1", delta1)
+        _setattr(machine, "final_weights", finals)
         machine._record_violations()
         return machine
 
@@ -428,8 +437,9 @@ def _document_from_json(obj, counter: bool):
     ``ce`` and an optional ``initial``. One pass builds the final parts:
     returns ``(states, alphabet, field, initial, tables, finals)``, where
     ``initial`` is ``(state_index, weight)`` or None, ``tables`` lists the
-    index-keyed tables in that order and ``finals`` is in state order. Equal
-    weight texts share one element.
+    index-keyed tables in that order and ``finals`` is in state order.
+    Weights are read through ``_element_reader``'s process-wide memo, and
+    ``field`` is the spec its elements carry.
     """
     if not isinstance(obj, dict):
         raise ParseError("automaton document must be an object")
@@ -437,8 +447,9 @@ def _document_from_json(obj, counter: bool):
     keys = {"field", "states", "alphabet", "final", *table_keys}
     if counter or "initial" in obj:
         keys.add("initial")
-    _check_keys(obj, keys, "automaton" if counter else "weighted automaton")
-    field = FieldSpec.from_json(obj["field"])
+    if obj.keys() != keys:  # one set comparison for the common, valid document
+        _check_keys(obj, keys, "automaton" if counter else "weighted automaton")
+    field, element = _element_reader(FieldSpec.from_json(obj["field"]))
     states = _string_list(obj["states"], "states")
     index = {name: i for i, name in enumerate(states)}
     if len(index) != len(states) or not states:
@@ -447,13 +458,13 @@ def _document_from_json(obj, counter: bool):
         alphabet = Alphabet(_string_list(obj["alphabet"], "alphabet"))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    element = _element_reader(field)
     initial = None
     if "initial" in keys:
         init = obj["initial"]
         if not isinstance(init, dict):
             raise ParseError("initial must be an object")
-        _check_keys(init, {"state", "weight"}, "initial")
+        if init.keys() != {"state", "weight"}:
+            _check_keys(init, {"state", "weight"}, "initial")
         if init["state"] not in states:  # a list test: an unhashable name is a ParseError too
             raise ParseError(f"initial state {init['state']!r} is not a state")
         initial = (index[init["state"]], element(init["weight"]))
@@ -463,33 +474,54 @@ def _document_from_json(obj, counter: bool):
         raise ParseError("final must be an object")
     if final_obj.keys() != index.keys():
         raise ParseError("final must assign a weight to exactly the declared states")
-    finals = tuple(element(final_obj[name]) for name in states)
+    finals = tuple([element(final_obj[name]) for name in states])
     return tuple(states), alphabet, field, initial, tables, finals
 
 
+# Weight texts read so far, for the whole process: the same few recur across
+# documents, and elements are immutable, so all documents share them.
+# ``FieldSpec -> (spec, {text: element})``, each element carrying ``spec``; a
+# dict at its cap is emptied; threads that race at most parse a text twice.
+# No text over ``_MEMO_TEXT_LEN`` characters is kept: int()'s digit limit is
+# at least 640, so a kept text parses alike.
+_MEMO_FIELDS, _MEMO_TEXTS, _MEMO_TEXT_LEN = 16, 1024, 64
+_memos: dict = {}
+
+
 def _element_reader(field: FieldSpec):
-    """``parse_element`` over ``field`` with a memo of the texts read so far.
-    Elements are immutable, so equal texts share one; only a string is
-    looked up, so any other value still gets its ParseError. A zero
-    denominator is malformed input here too: a ParseError."""
-    elements: dict = {}
+    """``(spec, element)``: ``element`` is ``parse_element`` over ``field``
+    through that field's memo, whose elements carry ``spec``, a spec equal
+    to ``field``. Only a string is looked up, so any other value still gets
+    its ParseError; a failed text is never kept. A zero denominator is
+    malformed input here too: a ParseError."""
+    memo = _memos.get(field)
+    if memo is None:
+        if len(_memos) >= _MEMO_FIELDS:
+            _memos.clear()
+        memo = _memos[field] = (field, {})
+    field, elements = memo
 
     def element(text) -> FieldElement:
         found = elements.get(text) if isinstance(text, str) else None
         if found is None:
             try:
-                found = elements[text] = parse_element(text, field)
+                found = parse_element(text, field)
             except DivisionByZero as exc:
                 raise ParseError(str(exc)) from exc
+            if len(text) <= _MEMO_TEXT_LEN:
+                if len(elements) >= _MEMO_TEXTS:
+                    elements.clear()
+                elements[text] = found
         return found
 
-    return element
+    return field, element
 
 
 def _check_keys(obj: dict, expected: set, what: str) -> None:
     extra = set(obj) - expected
     if extra:
-        raise ParseError(f"unknown key(s) in {what}: {sorted(extra)}")
+        # key=str: a library caller's dict may mix key types, which "<" refuses
+        raise ParseError(f"unknown key(s) in {what}: {sorted(extra, key=str)}")
     missing = expected - set(obj)
     if missing:
         raise ParseError(f"missing key(s) in {what}: {sorted(missing)}")

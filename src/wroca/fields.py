@@ -20,8 +20,9 @@ GF_KIND = "gf"
 # Keep residue products inside 64-bit intermediates.
 MAX_GF_MODULUS = 2**31
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
-_INTEGER_RE = re.compile(r"[+-]?\d+\Z")
+# ASCII digits only: \d would also match, and int() read, other scripts' digits
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z", re.ASCII)
+_INTEGER_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
 
 
 def _is_prime(n: int) -> bool:

@@ -134,6 +134,15 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_element(text, GF7)
 
+    # int() reads other scripts' digits too, but to_json would write them back
+    # as ASCII ones: a document holds ASCII digits only
+    @pytest.mark.parametrize("text", ["\uff13", "\u0661/\u0662"], ids=["fullwidth_3", "arabic_1_2"])
+    def test_non_ascii_digits_are_malformed(self, text):
+        for spec, what in ((Q, "rational"), (GF7, "GF(7) element")):
+            with pytest.raises(ParseError) as caught:
+                parse_element(text, spec)
+            assert str(caught.value) == f"malformed {what} {text!r}"
+
     @given(st.integers(), st.integers(min_value=1))
     def test_roundtrip_rational(self, num, den):
         element = Q.element(Fraction(num, den))

@@ -5,10 +5,13 @@ import copy
 import hashlib
 import json
 import random
+import sys
+import threading
 
 import pytest
 
 from wroca import Dwa, Dwroca, prime_field, rational, underlying_wa
+from wroca import core
 from wroca.testkit import GeneratorConfig, generate
 
 Q = rational()
@@ -317,3 +320,117 @@ def test_documents_that_break_validation_still_load():
     wa_doc = dwa_doc()
     wa_doc["delta"][0]["weight"] = "0"
     assert Dwa.from_json(wa_doc).validate() == ["zero transition weight at (q0, a)"]
+
+
+# -- unknown keys of mixed types --------------------------------------------
+# JSON text gives only string keys; a library caller's dict may mix types.
+
+MIXED_KEYS = [
+    (Dwroca, e1_doc, lambda d: d.update({1: "x", "zz": 1}), "ParseError: unknown key(s) in automaton: [1, 'zz']"),
+    (Dwroca, e1_doc, lambda d: d["initial"].update({2: 0, "x": 1}), "ParseError: unknown key(s) in initial: [2, 'x']"),
+    (
+        Dwa,
+        dwa_doc,
+        lambda d: d["delta"][0].update({None: 1, "note": 2}),
+        "ParseError: unknown key(s) in delta entry: [None, 'note']",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, base, edit, message", MIXED_KEYS, ids=["top_level", "initial", "entry"])
+def test_mixed_type_unknown_keys_are_a_parse_error(cls, base, edit, message):
+    assert outcome(cls, edited(base(), edit)) == message
+
+
+# -- weight texts -----------------------------------------------------------
+
+
+def with_weight(text, field=None):
+    """``e1_doc`` with ``text`` as the delta0 weight, over ``field`` if given."""
+    def edit(doc):
+        doc["delta0"][0]["weight"] = text
+        if field is not None:
+            doc["field"] = field.to_json()
+
+    return edited(e1_doc(), edit)
+
+
+@pytest.mark.parametrize("text", ["３", "١/٢"], ids=["fullwidth_3", "arabic_1_2"])
+@pytest.mark.parametrize("field, what", [(Q, "rational"), (GF7, "GF(7) element")], ids=["q", "gf7"])
+def test_non_ascii_digits_are_refused(text, field, what):
+    assert outcome(Dwroca, with_weight(text, field)) == f"ParseError: malformed {what} {text!r}"
+
+
+def test_one_text_is_read_in_each_field():
+    for field, value in ((Q, 3), (GF7, 3), (prime_field(11), 3), (Q, 3)):
+        weight = Dwroca.from_json(with_weight("3", field)).delta0[0, 0][2]
+        assert weight == field.element(value) and weight.spec == field
+
+
+def test_a_text_read_in_one_field_is_still_refused_in_another():
+    assert Dwroca.from_json(with_weight("1/2", Q)).delta0[0, 0][2] == Q.element("1/2")
+    assert outcome(Dwroca, with_weight("1/2", GF7)) == "ParseError: malformed GF(7) element '1/2'"
+
+
+def test_refused_weights_stay_refused():
+    for _ in range(2):
+        assert outcome(Dwroca, with_weight("1/0")) == "ParseError: zero denominator in '1/0'"
+    Dwroca.from_json(with_weight("3"))
+    assert outcome(Dwroca, with_weight(3)) == "ParseError: element must be a string, got int"
+
+
+def test_documents_loaded_in_turn_share_elements_and_field():
+    for field in (Q, GF7):
+        first, second = (Dwroca.from_json(with_weight("5", field)) for _ in range(2))
+        assert first.delta0[0, 0][2] is second.delta0[0, 0][2]
+        assert first.field is second.field is first.initial_weight.spec
+
+
+def test_memo_stays_within_its_caps():
+    """Texts past the cap, in one document and over more fields than the
+    memo keeps: the memo stays bounded and the machines still load right."""
+    n = core._MEMO_TEXTS + 50
+    states = [f"q{i}" for i in range(n)]
+    finals = {name: Q.element(i + 1) for i, name in enumerate(states)}
+    built = Dwroca(states, ["a"], "q0", Q.one(), {}, {}, finals)
+    same_machine(Dwroca.from_json(built.to_json()), built, Dwroca.__slots__)
+    assert len(core._memos[Q][1]) <= core._MEMO_TEXTS
+    long_text = "0" * core._MEMO_TEXT_LEN + "7"
+    assert Dwroca.from_json(with_weight(long_text)).delta0[0, 0][2] == Q.element(7)
+    assert long_text not in core._memos[Q][1]
+    primes = [p for p in range(3, 200) if all(p % d for d in range(2, p))][: core._MEMO_FIELDS + 3]
+    for p in primes:
+        field = prime_field(p)
+        built = generate(GeneratorConfig(seed=p, field=field))
+        same_machine(Dwroca.from_json(built.to_json()), built, Dwroca.__slots__)
+        assert len(core._memos) <= core._MEMO_FIELDS
+
+
+def test_threads_sharing_the_memo_load_right(monkeypatch):
+    """Threads loading at once, with caps so small that the memos are
+    emptied all the time, still read every weight in its own field."""
+    monkeypatch.setattr(core, "_MEMO_TEXTS", 2)
+    monkeypatch.setattr(core, "_MEMO_FIELDS", 1)
+    fields = (Q, GF7, prime_field(11))
+    texts = [str(i) for i in range(1, 8)]
+    wrong = []
+
+    def load(k):
+        for i in range(150):
+            field, text = fields[(i + k) % 3], texts[(i * k) % 7]
+            weight = Dwroca.from_json(with_weight(text, field)).delta0[0, 0][2]
+            if weight != field.element(text) or weight.spec != field:
+                wrong.append((field, text, weight))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=load, args=(k,)) for k in range(1, 5)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert wrong == []
