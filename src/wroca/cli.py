@@ -65,9 +65,10 @@ def _write_machine(args, machine, noun: str) -> int:
 
 
 def _load_automaton(path: str) -> Dwroca:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         try:
-            doc = json.load(handle)
+            # decoded here: given bytes, json.loads would also read UTF-16 and UTF-32
+            doc = json.loads(handle.read().decode("utf-8"))
         except ValueError as exc:  # not JSON, not UTF-8, or a number over int()'s digit limit
             raise ParseError(f"{path}: {exc}") from exc
     return Dwroca.from_json(doc)

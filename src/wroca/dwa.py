@@ -245,6 +245,8 @@ class SearchStats(_Record):
     keep: (1, 1, 0).
     ``ResourceBudgetExceeded.stats`` counts the word over budget in
     ``explored_words``, though that word was not tested.
+    Records are immutable, so the search returns one shared record for
+    each of its two first-word outcomes, (1, 0, 0) and (1, 1, 0).
     """
 
     __slots__ = ("explored_words", "basis_size", "max_counter_row")
@@ -253,6 +255,10 @@ class SearchStats(_Record):
         _setattr(self, "explored_words", explored_words)
         _setattr(self, "basis_size", basis_size)
         _setattr(self, "max_counter_row", max_counter_row)
+
+
+_EMPTY_WORD_WITNESS = SearchStats(1, 0, 0)
+_CERTIFIED = SearchStats(1, 1, 0)
 
 
 class EquivalenceVerdict(_Record):
@@ -307,7 +313,9 @@ def render_word(word: Sequence[str]) -> str:
 
 
 def _require_compatible(left, right) -> None:
-    if left.alphabet is not right.alphabet and left.alphabet != right.alphabet:
+    """AlphabetMismatch unless the symbol tuples are equal (compared directly,
+    not through ``Alphabet.__eq__``); FieldMismatch unless the fields are."""
+    if left.alphabet is not right.alphabet and left.alphabet.symbols != right.alphabet.symbols:
         raise AlphabetMismatch("automata must share one alphabet (same symbols, same order)")
     if left.field is not right.field and left.field != right.field:
         raise FieldMismatch("automata must share one field")
@@ -548,9 +556,9 @@ def _difference_search(
     ea, eb = _cross(finals_l[sl].value, finals_r[sr].value)
     diff = a * ea - b * eb
     if diff and (p is None or diff % p) and budget != 0:
-        return _report(left, side_l, side_r, [], p, replay, SearchStats(1, 0, 0))
+        return _report(left, side_l, side_r, [], p, replay, _EMPTY_WORD_WITNESS)
     if certify and (budget is None or budget > 1) and _lockstep(left, right):
-        return None, SearchStats(1, 1, 0)
+        return None, _CERTIFIED
     symbol_count = len(left.alphabet.symbols)
     states_l, states_r = len(finals_l), len(finals_r)
     dimension = dimension_l + dimension_r

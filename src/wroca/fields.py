@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
 
@@ -23,6 +24,9 @@ MAX_GF_MODULUS = 2**31
 # ASCII digits only: \d would also match, and int() read, other scripts' digits
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z", re.ASCII)
 _INTEGER_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
+# ASCII whitespace only: str.strip() would also strip other scripts' spaces
+# and the separators \x1c-\x1f
+_ASCII_SPACE = " \t\n\r\f\v"
 
 
 def _is_prime(n: int) -> bool:
@@ -192,7 +196,16 @@ def rational() -> FieldSpec:
 
 
 def prime_field(p: int) -> FieldSpec:
-    """The field GF(p); p must be prime and below 2^31."""
+    """The field GF(p); p must be prime and below 2^31. One spec per prime
+    is shared for the whole process, so its primality is tested once."""
+    # checked before the cache, which may answer p=7.0 with p=7's entry
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValueError("GF modulus must be an integer")
+    return _prime_field(p)
+
+
+@lru_cache(maxsize=256)  # a refused modulus raises, and is not stored
+def _prime_field(p: int) -> FieldSpec:
     return FieldSpec(GF_KIND, p)
 
 
@@ -237,13 +250,23 @@ class FieldElement(_Frozen):
         return FieldElement(self.spec, -self.value % self.spec.modulus)
 
     def __mul__(self, other):
+        """The product. Over Q, two integers multiply as ints, which skips
+        ``Fraction.__mul__``'s gcd work; any other pair goes through it, and
+        a fraction on the left skips the test of the right."""
         spec = self.spec
         if other.__class__ is not FieldElement or other.spec is not spec:
             self._check(other)  # an element of an equal spec passes
         p = spec.modulus
+        a, b = self.value, other.value
+        if p is None:
+            n, d = a.as_integer_ratio()
+            m, e = b.as_integer_ratio() if d == 1 else (0, 0)  # e is 1 only if both are integers
+            value = Fraction(n * m) if e == 1 else a * b
+        else:
+            value = a * b % p
         product = _new(FieldElement)  # no __init__ call: the product's slots are set here
         _setattr(product, "spec", spec)
-        _setattr(product, "value", self.value * other.value if p is None else self.value * other.value % p)
+        _setattr(product, "value", value)
         return product
 
     def inverse(self) -> "FieldElement":
@@ -283,7 +306,7 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
     """Parse element text: "n" or "n/d" over the rationals, "n" over GF(p)."""
     if not isinstance(text, str):
         raise ParseError(f"element must be a string, got {type(text).__name__}")
-    stripped = text.strip()
+    stripped = text.strip(_ASCII_SPACE)
     if spec.kind == RATIONAL_KIND:
         match = _RATIONAL_RE.fullmatch(stripped)
         if not match:

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import importlib.util
 import io
 import json
@@ -111,6 +112,15 @@ class TestValidate:
         code, out, err = run_cli("validate", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: " + message.format(path=path)) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bom, encoding", [(codecs.BOM_UTF16_LE, "utf-16-le"), (codecs.BOM_UTF16_BE, "utf-16-be")])
+    def test_utf16_document_exit_two(self, tmp_path, e1, bom, encoding):
+        # a document is UTF-8: json.loads would read UTF-16 bytes, but the CLI decodes them first
+        path = tmp_path / "utf16.json"
+        path.write_bytes(bom + json.dumps(e1.to_json()).encode(encoding))
+        code, out, err = run_cli("validate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0x{bom[0]:x}")
 
     def test_non_string_entry_name_exit_two(self, tmp_path, e1):
         doc = e1.to_json()

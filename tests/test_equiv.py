@@ -105,6 +105,26 @@ class TestCheckEquivalence:
             assert verdict.mode == "theoretical"
             assert verdict.stats == SearchStats(1, 1, 0)
 
+    def test_first_word_stats_are_fixed_and_immutable(self, e1, e2):
+        differ = flat({"a": 2, "b": 3}, final=2)
+        for _ in range(2):  # the second call sees whatever the first left behind
+            witnessed = check_equivalence(flat({"a": 2, "b": 3}), differ)
+            certified = check_equivalence(e1, e2)
+            assert witnessed.witness.word == () and witnessed.stats == SearchStats(1, 0, 0)
+            assert certified.equivalent and certified.stats == SearchStats(1, 1, 0)
+            for stats in (witnessed.stats, certified.stats):
+                with pytest.raises(AttributeError):
+                    stats.explored_words = 7
+
+    def test_alphabets_from_separate_documents(self):
+        doc = flat({"a": 2, "b": 3}).to_json()
+        left, right = (Dwroca.from_json(json.loads(json.dumps(doc))) for _ in range(2))
+        assert left.alphabet is not right.alphabet
+        assert check_equivalence(left, right).equivalent
+        doc["alphabet"].reverse()
+        with pytest.raises(AlphabetMismatch):
+            check_equivalence(left, Dwroca.from_json(doc))
+
     def test_override_at_or_above_proof_bound_stays_theoretical(self):
         left = flat({"a": 2, "b": 3})
         right = flat({"a": 2, "b": 3})

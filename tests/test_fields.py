@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -91,7 +92,7 @@ class TestMulOperands:
     same spec object."""
 
     def test_separately_built_specs_multiply(self):
-        first, second = prime_field(7), prime_field(7)
+        first, second = prime_field(7), FieldSpec("gf", 7)
         assert first is not second
         product = first.element(3) * second.element(4)
         assert product == first.element(5) and product.spec is first
@@ -111,6 +112,42 @@ class TestMulOperands:
     def test_rational_product_is_the_fraction_product(self, x, y):
         product = Q.element(x) * Q.element(y)
         assert product.spec is Q and product.value == x * y
+
+
+# integers, zero and a 2,000-bit integer among them; fractions that are not
+# integers, one of them with big terms
+INTEGERS = st.integers() | st.sampled_from([0, 2**2000 + 1, -(3**1262)])
+NON_INTEGERS = st.fractions().filter(lambda x: x.denominator != 1) | st.just(Fraction(-(3**600), 2**900))
+
+
+class TestRationalProducts:
+    """Over Q, a product of two integers is built from the ints; every
+    product is exactly ``Fraction``'s, in lowest terms, of type Fraction."""
+
+    @staticmethod
+    def check(x, y):
+        product = Q.element(x) * Q.element(y)
+        value = product.value
+        assert type(value) is Fraction and value == Fraction(x) * Fraction(y)
+        assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
+
+    @given(INTEGERS, INTEGERS)
+    def test_integer_times_integer(self, x, y):
+        self.check(x, y)
+
+    @given(INTEGERS, NON_INTEGERS)
+    def test_integer_times_fraction(self, x, y):
+        self.check(x, y)
+        self.check(y, x)
+
+    @given(NON_INTEGERS, NON_INTEGERS)
+    def test_fraction_times_fraction(self, x, y):
+        self.check(x, y)
+
+    @given(st.integers(), st.integers())
+    def test_gf7_products_are_residues(self, x, y):
+        product = g7(x) * g7(y)
+        assert type(product.value) is int and product.value == x * y % 7
 
 
 class TestParse:
@@ -142,6 +179,19 @@ class TestParse:
             with pytest.raises(ParseError) as caught:
                 parse_element(text, spec)
             assert str(caught.value) == f"malformed {what} {text!r}"
+
+    # other scripts' spaces and the separators \x1c-\x1f are not ASCII
+    # whitespace: stripped, they would load and write back as another text
+    @pytest.mark.parametrize("text", ["3\u3000", "\u00a03", "3\x1c"], ids=["ideographic", "nbsp", "separator"])
+    def test_non_ascii_whitespace_is_malformed(self, text):
+        for spec, what in ((Q, "rational"), (GF7, "GF(7) element")):
+            with pytest.raises(ParseError) as caught:
+                parse_element(text, spec)
+            assert str(caught.value) == f"malformed {what} {text!r}"
+
+    def test_ascii_whitespace_is_stripped(self):
+        assert parse_element(" \t\n\r\f\v3\v\f\r\n\t ", Q) == q(3)
+        assert parse_element("\f10\v", GF7) == g7(3)
 
     @given(st.integers(), st.integers(min_value=1))
     def test_roundtrip_rational(self, num, den):
@@ -260,6 +310,23 @@ class TestSpecValidation:
     def test_field_json_unknown_key(self):
         with pytest.raises(ParseError):
             FieldSpec.from_json({"kind": "rational", "p": 5})
+
+
+class TestSharedPrimeSpecs:
+    def test_one_spec_per_prime(self):
+        assert prime_field(2**31 - 1) is prime_field(2**31 - 1)
+        assert prime_field(7) is GF7 and prime_field(11) is not GF7
+
+    @pytest.mark.parametrize("modulus", [7.0, True])
+    def test_equal_non_integers_are_refused_after_caching(self, modulus):
+        assert prime_field(7) is prime_field(7)
+        with pytest.raises(ValueError, match="GF modulus must be an integer"):
+            prime_field(modulus)
+
+    def test_refused_moduli_stay_refused(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be prime"):
+                prime_field(9)
 
 
 class TestElementFromValue:

@@ -361,6 +361,12 @@ def test_non_ascii_digits_are_refused(text, field, what):
     assert outcome(Dwroca, with_weight(text, field)) == f"ParseError: malformed {what} {text!r}"
 
 
+@pytest.mark.parametrize("text", ["3\u3000", "\u00a03", "3\x1c"], ids=["ideographic", "nbsp", "separator"])
+@pytest.mark.parametrize("field, what", [(Q, "rational"), (GF7, "GF(7) element")], ids=["q", "gf7"])
+def test_non_ascii_whitespace_is_refused(text, field, what):
+    assert outcome(Dwroca, with_weight(text, field)) == f"ParseError: malformed {what} {text!r}"
+
+
 def test_one_text_is_read_in_each_field():
     for field, value in ((Q, 3), (GF7, 3), (prime_field(11), 3), (Q, 3)):
         weight = Dwroca.from_json(with_weight("3", field)).delta0[0, 0][2]

@@ -196,6 +196,12 @@ def test_rational_spec_stays_the_shared_instance():
     assert copy.deepcopy(E1).field is Q
 
 
+def test_gf_spec_stays_the_shared_instance():
+    # prime_field keeps one spec per prime, and a restored spec comes back through it
+    assert pickle.loads(pickle.dumps(GF7)) is GF7 and copy.deepcopy(GF7) is GF7
+    assert pickle.loads(pickle.dumps(GF7.element(3))).spec is GF7
+
+
 def test_restored_gf_machine_shares_one_spec():
     for restored in (copy.deepcopy(GF_DWA), pickle.loads(pickle.dumps(GF_DWA))):
         assert restored.field == GF7
