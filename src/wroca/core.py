@@ -394,7 +394,7 @@ def _violations(machine, initial_weight, tables) -> list[str]:
             weight = entry[-1]
             if not isinstance(weight, FieldElement):
                 found.append((key, "non-element weight"))
-            elif weight.spec is not field and weight.spec != field:
+            elif weight.spec is not field:
                 found.append((key, "weight from a different field"))
             elif not weight.value:
                 found.append((key, "zero transition weight"))
@@ -402,7 +402,7 @@ def _violations(machine, initial_weight, tables) -> list[str]:
             found.sort(key=itemgetter(0))  # stable: an entry's findings keep their order
             violations += [f"{what} at {label}({states[s]}, {symbols[a]})" for (s, a), what in found]
     for name, weight in zip(states, machine.final_weights):
-        if not isinstance(weight, FieldElement) or (weight.spec is not field and weight.spec != field):
+        if not isinstance(weight, FieldElement) or weight.spec is not field:
             violations.append(f"final weight of {name} from a different field")
     return violations
 
@@ -438,8 +438,7 @@ def _document_from_json(obj, counter: bool):
     returns ``(states, alphabet, field, initial, tables, finals)``, where
     ``initial`` is ``(state_index, weight)`` or None, ``tables`` lists the
     index-keyed tables in that order and ``finals`` is in state order.
-    Weights are read through ``_element_reader``'s process-wide memo, and
-    ``field`` is the spec its elements carry.
+    Weights are read through ``_element_reader``'s process-wide memo.
     """
     if not isinstance(obj, dict):
         raise ParseError("automaton document must be an object")
@@ -449,7 +448,8 @@ def _document_from_json(obj, counter: bool):
         keys.add("initial")
     if obj.keys() != keys:  # one set comparison for the common, valid document
         _check_keys(obj, keys, "automaton" if counter else "weighted automaton")
-    field, element = _element_reader(FieldSpec.from_json(obj["field"]))
+    field = FieldSpec.from_json(obj["field"])
+    element = _element_reader(field)
     states = _string_list(obj["states"], "states")
     index = {name: i for i, name in enumerate(states)}
     if len(index) != len(states) or not states:
@@ -480,8 +480,8 @@ def _document_from_json(obj, counter: bool):
 
 # Weight texts read so far, for the whole process: the same few recur across
 # documents, and elements are immutable, so all documents share them.
-# ``FieldSpec -> (spec, {text: element})``, each element carrying ``spec``; a
-# dict at its cap is emptied; threads that race at most parse a text twice.
+# ``FieldSpec -> {text: element}``, a field's one spec being its key; a dict
+# at its cap is emptied; threads that race at most parse a text twice.
 # No text over ``_MEMO_TEXT_LEN`` characters is kept: int()'s digit limit is
 # at least 640, so a kept text parses alike.
 _MEMO_FIELDS, _MEMO_TEXTS, _MEMO_TEXT_LEN = 16, 1024, 64
@@ -489,17 +489,15 @@ _memos: dict = {}
 
 
 def _element_reader(field: FieldSpec):
-    """``(spec, element)``: ``element`` is ``parse_element`` over ``field``
-    through that field's memo, whose elements carry ``spec``, a spec equal
-    to ``field``. Only a string is looked up, so any other value still gets
-    its ParseError; a failed text is never kept. A zero denominator is
-    malformed input here too: a ParseError."""
-    memo = _memos.get(field)
-    if memo is None:
+    """``parse_element`` over ``field`` through that field's memo. Only a
+    string is looked up, so any other value still gets its ParseError; a
+    failed text is never kept. A zero denominator is malformed input here
+    too: a ParseError."""
+    elements = _memos.get(field)
+    if elements is None:
         if len(_memos) >= _MEMO_FIELDS:
             _memos.clear()
-        memo = _memos[field] = (field, {})
-    field, elements = memo
+        elements = _memos[field] = {}
 
     def element(text) -> FieldElement:
         found = elements.get(text) if isinstance(text, str) else None
@@ -514,7 +512,7 @@ def _element_reader(field: FieldSpec):
                 elements[text] = found
         return found
 
-    return field, element
+    return element
 
 
 def _check_keys(obj: dict, expected: set, what: str) -> None:

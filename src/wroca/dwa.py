@@ -102,7 +102,7 @@ from .errors import (
     InvalidAutomaton,
     ResourceBudgetExceeded,
 )
-from .fields import FieldElement, _from_slots, _Frozen, _setattr
+from .fields import FieldElement, _canonical, _from_slots, _Frozen, _setattr
 
 
 class Dwa(_Frozen):
@@ -159,7 +159,7 @@ class Dwa(_Frozen):
     def with_initial(self, state, weight: FieldElement) -> "Dwa":
         """A copy of this automaton, over its field, initialised at the given
         state and weight; a weight of another field is a FieldMismatch."""
-        if not isinstance(weight, FieldElement) or weight.spec != self.field:
+        if not isinstance(weight, FieldElement) or weight.spec is not self.field:
             raise FieldMismatch(f"initial weight {weight!r} is not an element of {self.field}")
         initial = (self.state_index(state), weight)
         return Dwa._from_parts(self.states, self.alphabet, self.field, self.transitions, self.final_weights, initial)
@@ -314,10 +314,11 @@ def render_word(word: Sequence[str]) -> str:
 
 def _require_compatible(left, right) -> None:
     """AlphabetMismatch unless the symbol tuples are equal (compared directly,
-    not through ``Alphabet.__eq__``); FieldMismatch unless the fields are."""
+    not through ``Alphabet.__eq__``); FieldMismatch unless the fields are one
+    object, as every spec of one field is."""
     if left.alphabet is not right.alphabet and left.alphabet.symbols != right.alphabet.symbols:
         raise AlphabetMismatch("automata must share one alphabet (same symbols, same order)")
-    if left.field is not right.field and left.field != right.field:
+    if left.field is not right.field:
         raise FieldMismatch("automata must share one field")
 
 
@@ -504,7 +505,7 @@ def _side(machine, max_len: int | None) -> tuple:
         field = machine.field
         table = {key: (dst, 0, w) for key, (dst, w) in machine.transitions.items()}
         for w in (machine.initial[1], *machine.final_weights, *[step[2] for step in table.values()]):
-            if not isinstance(w, FieldElement) or (w.spec is not field and w.spec != field):
+            if not isinstance(w, FieldElement) or w.spec is not field:
                 raise FieldMismatch(f"weight {w!r} in an automaton over {field}")
         return machine.initial, table, table, machine.final_weights, machine.size
     if machine._violations:
@@ -710,7 +711,7 @@ def _vanishes(x: int, p: int | None) -> bool:
 
 def _element(field, n: int, d: int) -> FieldElement:
     """The element n / d of ``field``; over GF(p), ``_weigh``'s ``d`` is 1."""
-    return FieldElement(field, n % field.modulus if field.modulus else Fraction(n, d))
+    return _canonical(field, n % field.modulus if field.modulus else Fraction(n, d))
 
 
 # The counter classes, as "is positive", that a step reaches from a counter

@@ -3,7 +3,10 @@
 All weights in this package are FieldElement values. Elements are immutable,
 always canonical (fully reduced fraction with positive denominator, or
 residue in [0, p)), and may only be combined with elements of the same
-field; mixing fields is a hard error, never a coercion.
+field; mixing fields is a hard error, never a coercion. There is one
+FieldSpec object per field for the whole process, however it is named
+(constructor, ``rational()``, ``prime_field()``, JSON, copy or pickle), so
+two fields are the same field exactly when they are the same object.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
 
@@ -96,40 +98,47 @@ class _Frozen:
         return _from_slots, (type(self), self._values())
 
 
+# The one spec of each field named so far: modulus (None for Q) -> spec.
+# Fields compare by identity, so the table is never capped or emptied (an
+# evicted spec would come back as a second object for the same field); it
+# holds one two-slot object per field that the process names.
+_SPECS: dict = {}
+
+
 class FieldSpec(_Frozen):
-    """Identifies a field: the rationals, or GF(p) for a prime modulus."""
+    """Identifies a field: the rationals, or GF(p) for a prime modulus.
+
+    One object per field: ``FieldSpec("gf", 7) is prime_field(7)``, and
+    copies and pickles come back as that object too, so fields compare by
+    identity. A modulus is tested for primality once per process."""
 
     __slots__ = ("kind", "modulus")
 
-    def __init__(self, kind: str, modulus: int | None = None):
+    def __new__(cls, kind: str, modulus: int | None = None):
         if kind == RATIONAL_KIND:
             if modulus is not None:
                 raise ValueError("rational field takes no modulus")
         elif kind == GF_KIND:
+            # before the lookup, which would answer 7.0 with 7's entry
             if not isinstance(modulus, int) or isinstance(modulus, bool):
                 raise ValueError("GF modulus must be an integer")
-            if modulus >= MAX_GF_MODULUS:
-                raise ValueError(f"GF modulus must be below 2^31, got {modulus}")
-            if not _is_prime(modulus):
-                raise ValueError(f"GF modulus must be prime, got {modulus}")
         else:
             raise ValueError(f"unknown field kind {kind!r}")
-        _setattr(self, "kind", kind)
-        _setattr(self, "modulus", modulus)
+        spec = _SPECS.get(modulus)
+        if spec is None:
+            if kind == GF_KIND:  # a refused modulus raises, and is not stored
+                if modulus >= MAX_GF_MODULUS:
+                    raise ValueError(f"GF modulus must be below 2^31, got {modulus}")
+                if not _is_prime(modulus):
+                    raise ValueError(f"GF modulus must be prime, got {modulus}")
+            spec = _new(cls)
+            _setattr(spec, "kind", kind)
+            _setattr(spec, "modulus", modulus)
+            spec = _SPECS.setdefault(modulus, spec)  # threads that race keep one winner
+        return spec
 
     def __reduce__(self):
-        # through the factories: the shared rational spec stays shared
-        if self.kind == RATIONAL_KIND:
-            return rational, ()
-        return prime_field, (self.modulus,)
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldSpec):
-            return NotImplemented
-        return self.kind == other.kind and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash((self.kind, self.modulus))
+        return FieldSpec, (self.kind, self.modulus)
 
     def __repr__(self):
         if self.kind == RATIONAL_KIND:
@@ -137,28 +146,20 @@ class FieldSpec(_Frozen):
         return f"FieldSpec(gf, p={self.modulus})"
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, Fraction(0) if self.kind == RATIONAL_KIND else 0)
+        return _canonical(self, Fraction(0) if self.kind == RATIONAL_KIND else 0)
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, Fraction(1) if self.kind == RATIONAL_KIND else 1)
+        return _canonical(self, Fraction(1) if self.kind == RATIONAL_KIND else 1)
 
     def element(self, value) -> "FieldElement":
         """Build a canonical element from an int, Fraction, string, or element."""
         if isinstance(value, FieldElement):
-            if value.spec != self:
+            if value.spec is not self:
                 raise FieldMismatch(f"element of {value.spec} used in {self}")
             return value
         if isinstance(value, str):
             return parse_element(value, self)
-        if isinstance(value, bool):
-            raise TypeError("bool is not a field value")
-        if self.kind == RATIONAL_KIND:
-            if isinstance(value, (int, Fraction)):
-                return FieldElement(self, Fraction(value))
-            raise TypeError(f"cannot build rational from {type(value).__name__}")
-        if isinstance(value, int):
-            return FieldElement(self, value % self.modulus)
-        raise TypeError(f"cannot build GF({self.modulus}) element from {type(value).__name__}")
+        return FieldElement(self, value)
 
     def to_json(self) -> dict:
         if self.kind == RATIONAL_KIND:
@@ -184,29 +185,24 @@ class FieldSpec(_Frozen):
         raise ParseError(f"unknown field kind {kind!r}")
 
 
-_RATIONAL_SPEC = None
-
-
 def rational() -> FieldSpec:
-    """The field of rationals (shared spec instance)."""
-    global _RATIONAL_SPEC
-    if _RATIONAL_SPEC is None:
-        _RATIONAL_SPEC = FieldSpec(RATIONAL_KIND)
-    return _RATIONAL_SPEC
+    """The field of rationals."""
+    return FieldSpec(RATIONAL_KIND)
 
 
 def prime_field(p: int) -> FieldSpec:
-    """The field GF(p); p must be prime and below 2^31. One spec per prime
-    is shared for the whole process, so its primality is tested once."""
-    # checked before the cache, which may answer p=7.0 with p=7's entry
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise ValueError("GF modulus must be an integer")
-    return _prime_field(p)
-
-
-@lru_cache(maxsize=256)  # a refused modulus raises, and is not stored
-def _prime_field(p: int) -> FieldSpec:
+    """The field GF(p); p must be prime and below 2^31."""
     return FieldSpec(GF_KIND, p)
+
+
+def _canonical(spec: FieldSpec, value) -> "FieldElement":
+    """The element of ``spec`` holding ``value``, which is already canonical:
+    a Fraction over Q, a residue in [0, p) over GF(p). No conversion and no
+    ``__init__`` call."""
+    element = _new(FieldElement)
+    _setattr(element, "spec", spec)
+    _setattr(element, "value", value)
+    return element
 
 
 class FieldElement(_Frozen):
@@ -215,13 +211,28 @@ class FieldElement(_Frozen):
     __slots__ = ("spec", "value")
 
     def __init__(self, spec: FieldSpec, value):
+        """``value`` in canonical form: over Q an int or Fraction becomes a
+        Fraction; over GF(p) an int is reduced mod p. A bool, a float or any
+        other value is a TypeError."""
+        if isinstance(value, bool):
+            raise TypeError("bool is not a field value")
+        p = spec.modulus
+        if p is None:
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"cannot build rational from {type(value).__name__}")
+            if type(value) is not Fraction:
+                value = Fraction(value)
+        elif isinstance(value, int):
+            value %= p
+        else:
+            raise TypeError(f"cannot build GF({p}) element from {type(value).__name__}")
         _setattr(self, "spec", spec)
         _setattr(self, "value", value)
 
     def _check(self, other) -> "FieldElement":
         if not isinstance(other, FieldElement):
             raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.spec is not self.spec and other.spec != self.spec:
+        if other.spec is not self.spec:
             raise FieldMismatch(f"cannot combine {self.spec} with {other.spec}")
         return other
 
@@ -235,19 +246,19 @@ class FieldElement(_Frozen):
     def __add__(self, other):
         other = self._check(other)
         if self.spec.kind == RATIONAL_KIND:
-            return FieldElement(self.spec, self.value + other.value)
-        return FieldElement(self.spec, (self.value + other.value) % self.spec.modulus)
+            return _canonical(self.spec, self.value + other.value)
+        return _canonical(self.spec, (self.value + other.value) % self.spec.modulus)
 
     def __sub__(self, other):
         other = self._check(other)
         if self.spec.kind == RATIONAL_KIND:
-            return FieldElement(self.spec, self.value - other.value)
-        return FieldElement(self.spec, (self.value - other.value) % self.spec.modulus)
+            return _canonical(self.spec, self.value - other.value)
+        return _canonical(self.spec, (self.value - other.value) % self.spec.modulus)
 
     def __neg__(self):
         if self.spec.kind == RATIONAL_KIND:
-            return FieldElement(self.spec, -self.value)
-        return FieldElement(self.spec, -self.value % self.spec.modulus)
+            return _canonical(self.spec, -self.value)
+        return _canonical(self.spec, -self.value % self.spec.modulus)
 
     def __mul__(self, other):
         """The product. Over Q, two integers multiply as ints, which skips
@@ -255,7 +266,7 @@ class FieldElement(_Frozen):
         a fraction on the left skips the test of the right."""
         spec = self.spec
         if other.__class__ is not FieldElement or other.spec is not spec:
-            self._check(other)  # an element of an equal spec passes
+            self._check(other)
         p = spec.modulus
         a, b = self.value, other.value
         if p is None:
@@ -264,7 +275,7 @@ class FieldElement(_Frozen):
             value = Fraction(n * m) if e == 1 else a * b
         else:
             value = a * b % p
-        product = _new(FieldElement)  # no __init__ call: the product's slots are set here
+        product = _new(FieldElement)  # _canonical, inlined: no call
         _setattr(product, "spec", spec)
         _setattr(product, "value", value)
         return product
@@ -273,8 +284,8 @@ class FieldElement(_Frozen):
         if not self.value:
             raise DivisionByZero("zero has no multiplicative inverse")
         if self.spec.kind == RATIONAL_KIND:
-            return FieldElement(self.spec, 1 / self.value)
-        return FieldElement(self.spec, pow(self.value, -1, self.spec.modulus))
+            return _canonical(self.spec, 1 / self.value)
+        return _canonical(self.spec, pow(self.value, -1, self.spec.modulus))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -283,7 +294,7 @@ class FieldElement(_Frozen):
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return (self.spec is other.spec or self.spec == other.spec) and self.value == other.value
+        return self.spec is other.spec and self.value == other.value
 
     def __hash__(self):
         return hash((self.spec, self.value))
@@ -314,7 +325,7 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
         num, den = match.groups()
         try:
             # from the matched digits: Fraction(str) would parse the text again
-            return FieldElement(spec, Fraction(int(num), int(den or 1)))
+            return _canonical(spec, Fraction(int(num), int(den or 1)))
         except ZeroDivisionError as exc:
             raise DivisionByZero(f"zero denominator in {text!r}") from exc
         except ValueError as exc:
@@ -322,7 +333,7 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
     if not _INTEGER_RE.fullmatch(stripped):
         raise ParseError(f"malformed GF({spec.modulus}) element {text!r}")
     try:
-        return FieldElement(spec, int(stripped) % spec.modulus)
+        return _canonical(spec, int(stripped) % spec.modulus)
     except ValueError as exc:
         raise _too_many_digits(stripped) from exc
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Configuration, Dwroca, Word, _Record, _require_state
+from .core import Configuration, Dwroca, Word, _Record, _require_natural, _require_state
 from .dwa import _require_compatible
 from .errors import IntervalOutOfBounds, PreconditionViolated
 from .fields import FieldElement, _Frozen, _setattr
@@ -203,32 +203,32 @@ def find_pumpings(
     """Interval lists that are valid pumpings of ``word`` from ``config``:
     the empty list, single loops, and pairs of disjoint loops, capped at
     ``max_results``. Every returned list passes check_pumping."""
+    _require_natural(max_results, "max_results must be a natural number")
     run = run_word(automaton, config, word)
     if not run.ok:
         raise ValueError(f"run of {word!r} is undefined at position {run.stuck_at}")
     n = len(run)
-    results = [PumpingIntervals()]
     loops = [
         (i, j)
         for i in range(n)
         for j in range(i, n)
         if run.state_at(i) == run.state_at(j + 1)
     ]
-    for interval in loops:
-        if len(results) >= max_results:
-            return results
-        candidate = PumpingIntervals([interval])
-        if check_pumping(automaton, config, word, candidate):
-            results.append(candidate)
-    for first, second in itertools.combinations(loops, 2):
-        if len(results) >= max_results:
-            return results
-        if second[0] <= first[1]:
-            continue  # overlapping or touching loops cannot both be removed
-        candidate = PumpingIntervals([first, second])
-        if check_pumping(automaton, config, word, candidate):
-            results.append(candidate)
-    return results
+
+    def candidates():
+        yield PumpingIntervals()
+        for interval in loops:
+            candidate = PumpingIntervals([interval])
+            if check_pumping(automaton, config, word, candidate):
+                yield candidate
+        for first, second in itertools.combinations(loops, 2):
+            if second[0] <= first[1]:
+                continue  # overlapping or touching loops cannot both be removed
+            candidate = PumpingIntervals([first, second])
+            if check_pumping(automaton, config, word, candidate):
+                yield candidate
+
+    return list(itertools.islice(candidates(), max_results))
 
 
 @dataclass(frozen=True)
@@ -323,26 +323,27 @@ def harvest_theorem1_tuples(
     from the initial configurations, by exhaustive search over words up to
     ``max_word_len`` and the pumpings valid from both sides. ``find_pumpings``
     returns the empty list once, so in every tuple I or J is non-empty."""
+    _require_natural(max_word_len, "max_word_len must be a natural number")
+    _require_natural(max_tuples, "max_tuples must be a natural number")
     _require_compatible(a1, a2)
-    out = []
     c = a1.initial_configuration()
     c_prime = a2.initial_configuration()
     symbols = a1.alphabet.symbols
-    for length in range(1, max_word_len + 1):
-        for word in itertools.product(symbols, repeat=length):
-            f1 = a1.accept_weight(word, c)
-            f2 = a2.accept_weight(word, c_prime)
-            if f1 is None or f2 is None or f1 == f2:  # a stuck run, or no distinction
-                continue
-            shared = [
-                intervals
-                for intervals in find_pumpings(a1, c, word)
-                if check_pumping(a2, c_prime, word, intervals)
-            ]
-            for intervals_i, intervals_j in itertools.combinations(shared, 2):
-                if not intervals_i.disjoint_from(intervals_j):
+
+    def tuples():
+        for length in range(1, max_word_len + 1):
+            for word in itertools.product(symbols, repeat=length):
+                f1 = a1.accept_weight(word, c)
+                f2 = a2.accept_weight(word, c_prime)
+                if f1 is None or f2 is None or f1 == f2:  # a stuck run, or no distinction
                     continue
-                out.append((c, c_prime, word, intervals_i, intervals_j))
-                if len(out) >= max_tuples:
-                    return out
-    return out
+                shared = [
+                    intervals
+                    for intervals in find_pumpings(a1, c, word)
+                    if check_pumping(a2, c_prime, word, intervals)
+                ]
+                for intervals_i, intervals_j in itertools.combinations(shared, 2):
+                    if intervals_i.disjoint_from(intervals_j):
+                        yield (c, c_prime, word, intervals_i, intervals_j)
+
+    return list(itertools.islice(tuples(), max_tuples))

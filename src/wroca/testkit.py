@@ -72,7 +72,7 @@ class GeneratorConfig:
             if not self.weight_pool:
                 raise ValueError("weight pool must be non-empty")
             for w in self.weight_pool:
-                if w.spec != self.field:
+                if w.spec is not self.field:
                     raise ValueError("weight pool element from a different field")
                 if w.is_zero:
                     raise ValueError("weight pool must not contain zero")

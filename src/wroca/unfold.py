@@ -129,13 +129,15 @@ def unfold(automaton: Dwroca, bound: int, state_cap: int | None = None) -> Dwa:
 
     States are named "state#row" over rows 0..bound, giving
     |Q| * (bound + 1) states; (state, row) has index row * |Q| + state.
-    Refuses to build more states than ``state_cap`` (default 10^7).
+    Refuses to build more states than ``state_cap``, a natural number
+    (default 10^7).
     """
     if automaton._violations:
         raise InvalidAutomaton(automaton._violations)
     _require_natural(bound, "unfold bound must be a natural number")
     size, count = automaton.size, automaton.size * (bound + 1)
     cap = DEFAULT_STATE_CAP if state_cap is None else state_cap
+    _require_natural(cap, "state cap must be a natural number")
     if count > cap:
         raise BoundTooLarge(count, cap)
     rows = range(bound + 1)

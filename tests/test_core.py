@@ -429,10 +429,10 @@ class TestValidate:
     def test_exact_messages_in_key_order(self, Q):
         # Tables are written out of key order, several entries break more
         # than one rule, and every kind of violation appears; the list is
-        # pinned word for word. ``twin`` equals the machine's field but is a
-        # different object, so its weights are valid.
+        # pinned word for word. ``twin`` is built by the constructor, which
+        # returns the machine's field itself, so its weights are valid.
         gf7, twin = prime_field(7), FieldSpec("rational")
-        assert twin is not Q and twin == Q
+        assert twin is Q
         machine = Dwroca(
             ["p", "q", "r"],
             ["b", "a"],

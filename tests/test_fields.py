@@ -1,5 +1,6 @@
 import random
 import sys
+import threading
 from fractions import Fraction
 from math import gcd
 
@@ -7,8 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wroca import DivisionByZero, FieldMismatch, ParseError, parse_element, prime_field, rational
-from wroca.fields import FieldSpec, _is_prime
+from wroca import (
+    DivisionByZero,
+    Dwroca,
+    FieldMismatch,
+    InvalidAutomaton,
+    ParseError,
+    check_equivalence,
+    parse_element,
+    prime_field,
+    rational,
+)
+from wroca.fields import FieldElement, FieldSpec, _is_prime
 
 Q = rational()
 GF7 = prime_field(7)
@@ -93,7 +104,7 @@ class TestMulOperands:
 
     def test_separately_built_specs_multiply(self):
         first, second = prime_field(7), FieldSpec("gf", 7)
-        assert first is not second
+        assert first is second
         product = first.element(3) * second.element(4)
         assert product == first.element(5) and product.spec is first
 
@@ -329,6 +340,36 @@ class TestSharedPrimeSpecs:
                 prime_field(9)
 
 
+class TestOneSpecPerField:
+    """Every way of naming a field returns its one spec object."""
+
+    def test_constructor_and_factories(self):
+        assert FieldSpec("gf", 7) is prime_field(7) is GF7
+        assert FieldSpec("rational") is rational() is Q
+        assert FieldSpec.from_json({"kind": "gf", "p": 7}) is GF7
+        assert FieldSpec.from_json({"kind": "rational"}) is Q
+
+    def test_fields_compare_by_identity(self):
+        assert "__eq__" not in vars(FieldSpec) and "__hash__" not in vars(FieldSpec)
+        assert Q != GF7 and GF7 != prime_field(11) and len({Q, GF7, FieldSpec("gf", 7)}) == 2
+
+    def test_threads_racing_on_a_new_prime_get_one_spec(self):
+        prime = 2_147_483_629  # a prime below 2^31 that no other test names
+        barrier = threading.Barrier(8)
+        specs = []
+
+        def build():
+            barrier.wait()
+            specs.append(FieldSpec("gf", prime))
+
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(specs) == 8 and all(spec is prime_field(prime) for spec in specs)
+
+
 class TestElementFromValue:
     """``FieldSpec.element`` refuses a value it cannot read exactly with a
     TypeError naming the value's type."""
@@ -346,6 +387,48 @@ class TestElementFromValue:
     def test_float_over_gf7(self):
         with pytest.raises(TypeError, match=r"^cannot build GF\(7\) element from float$"):
             GF7.element(1.5)
+
+
+class TestElementConstructor:
+    """``FieldElement(spec, value)`` stores the canonical value, as
+    ``spec.element(value)`` does, and refuses what it cannot read exactly."""
+
+    def test_a_gf_value_is_reduced(self):
+        assert FieldElement(GF7, 7).is_zero and FieldElement(GF7, 7) == GF7.zero()
+        assert FieldElement(GF7, 15) == GF7.element(1) and FieldElement(GF7, -1).value == 6
+
+    def test_a_rational_value_is_a_fraction(self):
+        for value in (3, Fraction(6, 4)):
+            element = FieldElement(Q, value)
+            assert type(element.value) is Fraction and element == Q.element(value)
+            assert hash(element) == hash(Q.element(value))
+
+    @pytest.mark.parametrize(
+        "spec, value, message",
+        [
+            (Q, True, "^bool is not a field value$"),
+            (GF7, False, "^bool is not a field value$"),
+            (Q, 0.5, "^cannot build rational from float$"),
+            (GF7, 0.5, r"^cannot build GF\(7\) element from float$"),
+            (Q, "1", "^cannot build rational from str$"),
+            (GF7, Fraction(1, 2), r"^cannot build GF\(7\) element from Fraction$"),
+        ],
+        ids=["q-bool", "gf7-bool", "q-float", "gf7-float", "q-str", "gf7-fraction"],
+    )
+    def test_other_values_are_refused(self, spec, value, message):
+        with pytest.raises(TypeError, match=message):
+            FieldElement(spec, value)
+
+    @staticmethod
+    def _loop(weight):
+        return Dwroca(["q0"], ["a"], "q0", GF7.one(), {}, {("q0", "a"): ("q0", 1, weight)}, {"q0": GF7.one()})
+
+    def test_a_weight_of_p_is_a_zero_weight_through_json_too(self):
+        machine = self._loop(FieldElement(GF7, 7))
+        assert machine.validate() == ["zero transition weight at delta1 (q0, a)"]
+        assert Dwroca.from_json(machine.to_json()).validate() == machine.validate()
+        with pytest.raises(InvalidAutomaton):
+            check_equivalence(machine, self._loop(FieldElement(GF7, 14)))
 
 
 def _axiom_check(spec, sample, trials):

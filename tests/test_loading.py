@@ -400,10 +400,10 @@ def test_memo_stays_within_its_caps():
     finals = {name: Q.element(i + 1) for i, name in enumerate(states)}
     built = Dwroca(states, ["a"], "q0", Q.one(), {}, {}, finals)
     same_machine(Dwroca.from_json(built.to_json()), built, Dwroca.__slots__)
-    assert len(core._memos[Q][1]) <= core._MEMO_TEXTS
+    assert len(core._memos[Q]) <= core._MEMO_TEXTS
     long_text = "0" * core._MEMO_TEXT_LEN + "7"
     assert Dwroca.from_json(with_weight(long_text)).delta0[0, 0][2] == Q.element(7)
-    assert long_text not in core._memos[Q][1]
+    assert long_text not in core._memos[Q]
     primes = [p for p in range(3, 200) if all(p % d for d in range(2, p))][: core._MEMO_FIELDS + 3]
     for p in primes:
         field = prime_field(p)

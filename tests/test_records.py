@@ -209,6 +209,16 @@ def test_restored_gf_machine_shares_one_spec():
         assert restored.initial[1].spec is restored.field
 
 
+@pytest.mark.parametrize("restore", [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_every_restored_value_names_the_one_spec(restore, e1, e1p):
+    assert restore(FieldSpec("gf", 7)) is GF7 and restore(FieldSpec("rational")) is Q
+    assert restore(GF7.element(3)).spec is GF7 and restore(Q.element(3)).spec is Q
+    assert restore(GF_DWA).field is GF7 and restore(e1).field is Q
+    witness = restore(check_equivalence(e1, e1p)).witness
+    assert witness.f1.spec is witness.f2.spec is Q
+
+
 def test_verdict_with_a_witness_copies_and_pickles(e1, e1p):
     verdict = check_equivalence(e1, e1p)
     assert verdict.witness is not None

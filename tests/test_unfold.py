@@ -71,6 +71,15 @@ class TestUnfoldConstruction:
             unfold(e1, 5, state_cap=5)
         assert info.value.required == 6 and info.value.cap == 5
 
+    @pytest.mark.parametrize("cap", [True, -1, 2.5], ids=["true", "negative", "float"])
+    def test_cap_must_be_a_natural_number(self, e1, cap):
+        with pytest.raises(ValueError, match="^state cap must be a natural number$"):
+            unfold(e1, 5, state_cap=cap)
+
+    def test_cap_of_zero_refuses_every_unfolding(self, e1):
+        with pytest.raises(BoundTooLarge, match="^unfolding needs 1 states, cap is 0$"):
+            unfold(e1, 0, state_cap=0)
+
     def test_invalid_automaton_rejected(self, Q):
         broken = Dwroca(["q0"], ["a"], "q0", Q.zero(), {}, {}, {"q0": Q.one()})
         with pytest.raises(InvalidAutomaton):
